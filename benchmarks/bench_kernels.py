@@ -55,17 +55,6 @@ def main():
         timeit(k.christoffel_weights_py, gam3, bet3, nodes),
     ))
 
-    decay = np.ones(193)
-    for j in range(1, 193):
-        decay[j] = decay[j - 1] * np.pi / j
-    coeffs = (np.random.default_rng(0).uniform(-1, 1, 193) * decay).astype(np.complex128)
-    zs = np.linspace(-5, 5, 2001).astype(np.complex128)
-    rows.append((
-        "series_eval (193 coeffs, 2001 pts)",
-        timeit(k.series_eval, coeffs, zs, 193),
-        timeit(k.series_eval_py, coeffs, zs, 193),
-    ))
-
     def sph_many(fn):
         for x in np.linspace(0.1, 40.0, 500):
             fn(64, x)
@@ -90,7 +79,6 @@ if __name__ == "__main__":
     k.poly_pair_products(g, b, 1.0, 2.0)
     k.poly_grid(g, b, np.array([0.5]))
     k.christoffel_weights(g, b, np.array([0.5]))
-    k.series_eval(np.ones(4, dtype=np.complex128), np.ones(2, dtype=np.complex128), 4)
     k.spherical_j_sequence(4, 1.0)
     k.bessel_j_sequence(4, 1.0)
     main()

@@ -1,9 +1,11 @@
-"""Hot numeric kernels.
+"""Hot scalar-loop kernels: three-term recurrences and Bessel sequences.
 
-Every kernel exists in two variants: a plain numpy/Python implementation
-(``*_py``) and, when numba is importable and ``CHROMEX_NO_NUMBA`` is not
-set, an ``@njit``-compiled version.  The public names always point at the
-selected variant; ``benchmarks/bench_kernels.py`` times both.
+Each kernel here has a plain numpy/Python implementation (``*_py``) and,
+when numba is importable and ``CHROMEX_NO_NUMBA`` is not set, an
+``@njit``-compiled version.  The public names always point at the
+selected variant; ``benchmarks/bench_kernels.py`` times both.  Series
+evaluation is not among them: it is one numpy-vectorized Horner pass,
+``basis_functions._series_rows``.
 """
 
 import os
@@ -116,20 +118,6 @@ def christoffel_weights_py(gam, bet, nodes):
     return w
 
 
-def series_eval_py(coeffs, zs, nterms):
-    """Horner evaluation of sum_k coeffs[k] z^k over complex grid zs,
-    using the first nterms coefficients."""
-    m = zs.shape[0]
-    out = np.zeros(m, dtype=np.complex128)
-    for i in range(m):
-        z = zs[i]
-        acc = 0.0 + 0.0j
-        for k in range(nterms - 1, -1, -1):
-            acc = acc * z + coeffs[k]
-        out[i] = acc
-    return out
-
-
 def spherical_j_sequence_py(nmax, x):
     """j_0..j_nmax at real x: Miller backward recurrence, normalized by
     whichever of the closed forms j_0, j_1 is larger in magnitude."""
@@ -216,7 +204,6 @@ if USING_NUMBA:
     poly_grid = njit(cache=True)(poly_grid_py)
     poly_pair_products = njit(cache=True)(poly_pair_products_py)
     christoffel_weights = njit(cache=True)(christoffel_weights_py)
-    series_eval = njit(cache=True)(series_eval_py)
     spherical_j_sequence = njit(cache=True)(spherical_j_sequence_py)
     bessel_j_sequence = njit(cache=True)(bessel_j_sequence_py)
 else:
@@ -224,6 +211,5 @@ else:
     poly_grid = poly_grid_py
     poly_pair_products = poly_pair_products_py
     christoffel_weights = christoffel_weights_py
-    series_eval = series_eval_py
     spherical_j_sequence = spherical_j_sequence_py
     bessel_j_sequence = bessel_j_sequence_py

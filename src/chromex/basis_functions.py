@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bessel_j_sequence, series_eval, spherical_j_sequence
+from ._kernels import bessel_j_sequence, spherical_j_sequence
 from .chromatic_core import ChromaticTable
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
 from .families import family_spec
@@ -48,12 +48,14 @@ def _terms_needed(spec, n, absz, cfg):
     if p < 1.0:
         # |b[n][k]| <= (M+1)^(2k) / k!^(1-p); conservative tail scan
         L = (spec.weak_bound_M + 1.0) ** 2 * absz
+        log_l = math.log(L)
+        log_tol = math.log(tol / 2.0)
         logr = 0.0
         k = 0
         while k < cfg.max_terms:
             k += 1
-            logr += math.log(L) - (1.0 - p) * math.log(k)
-            if logr < math.log(tol / 2.0) and L / (k + 1) ** (1.0 - p) < 0.5:
+            logr += log_l - (1.0 - p) * math.log(k)
+            if logr < log_tol and L / (k + 1) ** (1.0 - p) < 0.5:
                 return max(k + 1, n + 1)
         return None
     # p = 1: the coefficient growth rate is geometric with a known base
@@ -94,12 +96,18 @@ def suggest_columns(family, N: int, absz: float, cfg: SeriesEvalConfig | None = 
     return max(fallback, need + N + 8)
 
 
-def kbasis_series(table: ChromaticTable, n: int, z, cfg: SeriesEvalConfig | None = None):
-    """K^n[m](z) summed from table row n; z may be scalar or array."""
+def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConfig | None = None):
+    """K^n[m](z) for lo <= n <= hi, summed from table rows lo..hi in one
+    Horner pass; shape (hi - lo + 1, points) for scalar or array z.
+
+    Every row keeps its own certified length and is zero-padded past it,
+    so for real z the shared pass returns bit for bit what one scalar
+    Horner loop per row and point returns.
+    """
     spec = family_spec(table.family)
     cfg = cfg or SeriesEvalConfig()
-    if not 0 <= n <= table.N:
-        raise ParameterError(f"order n={n} outside table horizon")
+    if not 0 <= lo <= table.N:
+        raise ParameterError(f"order n={lo} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     absz = float(np.abs(zs).max())
     guard = cfg.radius_guard
@@ -109,19 +117,39 @@ def kbasis_series(table: ChromaticTable, n: int, z, cfg: SeriesEvalConfig | None
         raise ParameterError(
             f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}"
         )
-    nterms = _terms_needed(spec, n, absz, cfg)
-    avail = min(table.reliable_columns(n) + 1, cfg.max_terms)
-    if nterms is None or nterms > avail:
-        # a-priori certificate out of reach: accept the full stored row if
-        # its trailing terms demonstrate convergence below tolerance
-        if not _empirical_tail_ok(table.b[n], avail, absz, cfg.tail_tolerance):
-            raise ConvergenceError(
-                f"series tail for row {n} at |z|={absz:g} not below "
-                f"{cfg.tail_tolerance:g} within {avail} columns; "
-                "rebuild the table with a larger K"
-            )
-        nterms = avail
-    out = series_eval(table.b[n], zs, nterms)
+    # the a-priori scan does not depend on n: nterms(n) = max(base, n + 1)
+    base = _terms_needed(spec, 0, absz, cfg)
+    nterms = np.empty(hi - lo + 1, dtype=np.intp)
+    for n in range(lo, hi + 1):
+        if n > table.N:
+            raise ParameterError(f"order n={n} outside table horizon")
+        need = None if base is None else max(base, n + 1)
+        avail = min(table.reliable_columns(n) + 1, cfg.max_terms)
+        if need is None or need > avail:
+            # a-priori certificate out of reach: accept the full stored row
+            # if its trailing terms demonstrate convergence below tolerance
+            if not _empirical_tail_ok(table.b[n], avail, absz, cfg.tail_tolerance):
+                raise ConvergenceError(
+                    f"series tail for row {n} at |z|={absz:g} not below "
+                    f"{cfg.tail_tolerance:g} within {avail} columns; "
+                    "rebuild the table with a larger K"
+                )
+            need = avail
+        nterms[n - lo] = need
+    width = int(nterms.max())
+    coeffs = table.b[lo : hi + 1, :width].T.copy()
+    coeffs[np.arange(width)[:, None] >= nterms] = 0.0
+    coeffs = coeffs[:, :, None]
+    acc = np.zeros((hi - lo + 1, zs.size), dtype=np.complex128)
+    for k in range(width - 1, -1, -1):
+        acc *= zs
+        acc += coeffs[k]
+    return acc
+
+
+def kbasis_series(table: ChromaticTable, n: int, z, cfg: SeriesEvalConfig | None = None):
+    """K^n[m](z) summed from table row n; z may be scalar or array."""
+    out = _series_rows(table, n, n, z, cfg)[0]
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 

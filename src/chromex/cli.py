@@ -10,10 +10,11 @@ $CHROMEX_CACHE_DIR, keyed by family, horizons and format version.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,10 +45,11 @@ def _write_rows(path, header, rows, fmt):
         doc = [dict(zip(header, [(_fmt(v) if isinstance(v, float) else v) for v in row])) for row in rows]
         text = json.dumps(doc, indent=1) + "\n"
     else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        text = buf.getvalue()
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -86,21 +88,6 @@ def _parse_function(text: str, seed: int) -> expansions.FunctionSpec:
     raise argparse.ArgumentTypeError(f"unknown function {text!r}")
 
 
-def _chunked(values, nchunks):
-    values = np.asarray(values)
-    return np.array_split(values, max(1, nchunks))
-
-
-def _parallel_concat(fn, grid, threads):
-    chunks = _chunked(grid, threads if threads > 1 else 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, chunks))
-    else:
-        parts = [fn(c) for c in chunks]
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,11 +120,7 @@ def cmd_families(args):
 def cmd_poly(args):
     spec = family_spec(args.family)
     grid = args.omega
-
-    def worker(chunk):
-        return eval_p_grid(spec, args.n, chunk)[args.n]
-
-    vals = _parallel_concat(worker, grid, args.threads)
+    vals = eval_p_grid(spec, args.n, grid)[args.n]
     rows = [(float(w), float(v)) for w, v in zip(grid, vals)]
     _write_rows(args.out, ["omega", f"p_{args.n}"], rows, args.format)
     return 0
@@ -147,11 +130,7 @@ def cmd_basis(args):
     spec = family_spec(args.family)
     cols = max(suggest_columns(spec, args.n, np.abs(args.t).max()), args.columns)
     table = table_for(spec, args.n, cols, args.cache_dir)
-
-    def worker(chunk):
-        return kbasis_series(table, args.n, chunk.astype(complex))
-
-    vals = _parallel_concat(worker, args.t, args.threads)
+    vals = kbasis_series(table, args.n, args.t.astype(complex))
     rows = [(float(t), args.n, v.real, v.imag) for t, v in zip(args.t, vals)]
     _write_rows(args.out, ["t", "n", "value_re", "value_im"], rows, args.format)
     return 0
@@ -175,11 +154,7 @@ def cmd_expand(args):
     f = _parse_function(args.function, args.seed)
     cols = suggest_columns(spec, args.order, np.abs(args.t - args.u).max())
     table = table_for(spec, args.order, cols, args.cache_dir)
-
-    def worker(chunk):
-        return expansions.chromatic_approximation_grid(spec, f, args.u, args.order, chunk, table)
-
-    ca = _parallel_concat(worker, args.t, args.threads)
+    ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t, table)
     fv = f.value(args.t)
     rows = [
         (float(t), fval.real, fval.imag, c.real, c.imag, abs(fval - c))
@@ -269,11 +244,8 @@ def cmd_envelope(args):
     spec = family_spec(args.family)
     cols = suggest_columns(spec, args.order, np.abs(args.t).max())
     table = table_for(spec, args.order, cols, args.cache_dir)
-
-    def worker(chunk):
-        return np.array([expansions.error_envelope(spec, args.order, float(t), table) for t in chunk])
-
-    vals = _parallel_concat(worker, args.t, args.threads)
+    # one envelope per point: each certifies its series length at its own |t|
+    vals = [expansions.error_envelope(spec, args.order, float(t), table) for t in args.t]
     rows = [(float(t), float(v)) for t, v in zip(args.t, vals)]
     _write_rows(args.out, ["t", "envelope"], rows, args.format)
     return 0
@@ -360,7 +332,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed (PCG64)")
-        p.add_argument("--threads", type=int, default=1)
         if grid:
             p.add_argument(grid, type=_parse_grid, default=_parse_grid("-2:2:0.1"),
                            help="grid a:b:step")

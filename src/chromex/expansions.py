@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import SeriesEvalConfig, kbasis_series, spherical_j_all
+from .basis_functions import SeriesEvalConfig, _series_rows, kbasis_series, spherical_j_all
 from .chromatic_core import (
     ChromaticTable,
     TaylorJet,
@@ -209,15 +209,6 @@ class ApproximationResult:
     tail_bound: float | None
 
 
-def _basis_values(table, kmax, dz, cfg):
-    """K^k[m](dz) for k <= kmax at scalar or array dz."""
-    dzs = np.atleast_1d(np.asarray(dz, dtype=np.complex128))
-    out = np.empty((kmax + 1, dzs.size), dtype=np.complex128)
-    for k in range(kmax + 1):
-        out[k] = kbasis_series(table, k, dzs, cfg)
-    return out
-
-
 def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
                             table: ChromaticTable | None = None,
                             cfg: SeriesEvalConfig | None = None) -> ApproximationResult:
@@ -232,7 +223,7 @@ def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
         table = table_for(spec, N)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = _basis_values(table, N, np.asarray(z) - u, cfg)
+    basis = _series_rows(table, 0, N, np.asarray(z) - u, cfg)
     value = np.sum(signs * jet * basis[:, 0])
     tail = None
     fnorm = f.norm_sq(spec)
@@ -248,7 +239,7 @@ def chromatic_approximation_grid(family, f, u, N, zs, table=None, cfg=None):
         table = table_for(spec, N)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = _basis_values(table, N, np.asarray(zs) - u, cfg)
+    basis = _series_rows(table, 0, N, np.asarray(zs) - u, cfg)
     return (signs * jet) @ basis
 
 
@@ -257,7 +248,7 @@ def error_envelope(family, N: int, t: float, table: ChromaticTable | None = None
     spec = family_spec(family)
     if table is None:
         table = table_for(spec, N)
-    vals = _basis_values(table, N, float(t), None)[:, 0]
+    vals = _series_rows(table, 0, N, float(t))[:, 0]
     s = float(np.sum(np.abs(vals) ** 2))
     return math.sqrt(max(0.0, 1.0 - s))
 
@@ -293,7 +284,7 @@ def identity_exponential(family, omega: float, z, N: int,
     if table is None:
         table = table_for(spec, N)
     pv = eval_all_p(spec, N, omega).values
-    basis = _basis_values(table, N, z, None)[:, 0]
+    basis = _series_rows(table, 0, N, z)[:, 0]
     s = np.sum((-1j) ** np.arange(N + 1) * pv * basis)
     return float(abs(np.exp(1j * omega * np.asarray(z, dtype=complex)) - s))
 
@@ -303,8 +294,8 @@ def identity_translation(family, u, z, N: int, table: ChromaticTable | None = No
     spec = family_spec(family)
     if table is None:
         table = table_for(spec, N)
-    bu = _basis_values(table, N, u, None)[:, 0]
-    bz = _basis_values(table, N, z, None)[:, 0]
+    bu = _series_rows(table, 0, N, u)[:, 0]
+    bz = _series_rows(table, 0, N, z)[:, 0]
     lhs = kbasis_series(table, 0, np.asarray(z) + u)
     s = np.sum((-1.0) ** np.arange(N + 1) * bu * bz)
     return float(abs(lhs - s))
@@ -320,7 +311,7 @@ def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None
     if table is None:
         table = table_for(spec, N)
     cjet = Constant(1.0).chromatic_jet(spec, 0.0, N)
-    basis = _basis_values(table, N, z, None)[:, 0]
+    basis = _series_rows(table, 0, N, z)[:, 0]
     s = np.sum((-1.0) ** np.arange(N + 1) * cjet * basis)
     return float(abs(1.0 - s))
 

@@ -11,7 +11,6 @@ PAIRS = [
     (k.poly_grid, k.poly_grid_py),
     (k.poly_pair_products, k.poly_pair_products_py),
     (k.christoffel_weights, k.christoffel_weights_py),
-    (k.series_eval, k.series_eval_py),
     (k.spherical_j_sequence, k.spherical_j_sequence_py),
     (k.bessel_j_sequence, k.bessel_j_sequence_py),
 ]
@@ -52,12 +51,6 @@ def test_christoffel_variants():
     b = k.christoffel_weights_py(gam, bet, nodes)
     np.testing.assert_array_equal(a, b)
     assert a.sum() == pytest.approx(1.0, abs=1e-10)
-
-
-def test_series_eval_variants():
-    coeffs = (np.arange(12) * 0.1 - 0.3) + 1j * np.arange(12) * 0.02
-    zs = np.array([0.1 + 0.2j, -0.5, 1.0 + 0j])
-    np.testing.assert_array_equal(k.series_eval(coeffs, zs, 12), k.series_eval_py(coeffs, zs, 12))
 
 
 def test_bessel_variants():
