@@ -23,9 +23,7 @@ from .chromatic_core import (
     compose_at_zero,
     compose_at_zero_from_tables,
     conversion_matrices,
-    load_table,
     orthonormality_matrix,
-    save_table,
     table_for,
     taylor_from_chromatic_jet,
 )

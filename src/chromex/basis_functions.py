@@ -72,16 +72,38 @@ def _empirical_tail_ok(row, nterms, absz, tol):
     """Trailing-term decay certificate when the a-priori bound is too loose.
 
     The last window of computed terms must sit far below tolerance and
-    must not be growing relative to the window before it.
+    must not be growing relative to the window before it.  A term that
+    overflows (|z|^k = inf, and inf * 0 = nan for a stored zero) fails
+    the check: an underflowed b_k says nothing about b_k |z|^k.
     """
     w = 6
     if nterms < 2 * w:
         return False
-    ks = np.arange(nterms)
-    terms = np.abs(row[:nterms]) * absz ** ks
+    start = nterms - 2 * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(row[start:nterms]) * absz ** np.arange(start, nterms)
+    if not np.isfinite(terms).all():
+        return False
     last = terms[-w:].max()
     prev = terms[-2 * w : -w].max()
     return last < tol / 4.0 and last <= prev + tol / 4.0
+
+
+def _geometric_terms_needed(N, q, tol):
+    """First k >= N with C(k, N) q^k < tol/8 and the term ratio
+    (k+1) q / (k+1-N) below 1, so the terms of row N fall from there on.
+
+    For laguerre |b[n][k]| = C(k, n) exactly (q = |z|); herron's rows
+    follow the same model with q = 2|z|/pi.  Needs 0 < q < 1.
+    """
+    log_q = math.log(q)
+    log_goal = math.log(tol / 8.0)
+    log_term = N * log_q  # C(N, N) q^N
+    k = N
+    while not (log_term < log_goal and (k + 1) * q < k + 1 - N):
+        k += 1
+        log_term += math.log(k / (k - N)) + log_q
+    return k
 
 
 def suggest_columns(family, N: int, absz: float, cfg: SeriesEvalConfig | None = None) -> int:
@@ -89,7 +111,10 @@ def suggest_columns(family, N: int, absz: float, cfg: SeriesEvalConfig | None = 
     spec = family_spec(family)
     cfg = cfg or SeriesEvalConfig()
     fallback = 2 * N + 32
-    need = _terms_needed(spec, N, float(absz), cfg)
+    absz = float(absz)
+    need = _terms_needed(spec, N, absz, cfg)
+    if need is None and spec.growth_exponent >= 1.0:
+        need = _geometric_terms_needed(N, _SERIES_RATIOS[spec.tag] * absz, cfg.tail_tolerance)
     if need is None:
         return fallback
     # kbasis_series trusts row n through column K - n
@@ -139,7 +164,10 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConf
     width = int(nterms.max())
     coeffs = table.b[lo : hi + 1, :width].T.copy()
     coeffs[np.arange(width)[:, None] >= nterms] = 0.0
-    coeffs = coeffs[:, :, None]
+    # columns past the last nonzero coefficient would only add exact zeros
+    nonzero = np.flatnonzero(coeffs.any(axis=1))
+    width = int(nonzero[-1]) + 1 if nonzero.size else 0
+    coeffs = coeffs[:width, :, None]
     acc = np.zeros((hi - lo + 1, zs.size), dtype=np.complex128)
     for k in range(width - 1, -1, -1):
         acc *= zs

@@ -24,6 +24,20 @@ Tables are built in 80-bit extended precision and stored as complex128;
 the build is a one-time O(K * (N + K)) pass, so the extra precision is
 essentially free and keeps every coefficient correctly rounded.
 
+Where the build stops: once k >= ||J||_inf (the largest absolute row sum
+of the truncated Jacobi matrix), a step v <- J v / k can no longer grow
+max|v|.  If max|v| is then also below 2^-1100, every later column rounds
+to 0 in complex128 (whose smallest subnormal is 2^-1074), so the loop
+stops and those columns are left as the zeros b was allocated with.
+Whatever K is, this happens near column 225 for the families on
+[-pi, pi] and near column 300 for hermite.  The laguerre and herron
+recurrence coefficients grow linearly in n, so ||J||_inf > K and their
+builds always run to column K.
+
+table_for keeps recently built tables in memory, keyed on (family, N, K),
+so repeated evaluations in one process build each table once; the shared
+arrays are read-only.
+
 Column reliability: build_table_recurrence omits one term in its last
 column (the K+1 column does not exist), so its row n is only reliable
 through column K - n; the default K = 2N + 32 keeps all n, m <= N sums
@@ -33,10 +47,9 @@ keeps the same default for interchangeability.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +63,8 @@ from .families import (
     moment_over_factorial_ld,
 )
 
-TABLE_FORMAT_VERSION = 1
+# below 2^-1100 an entry rounds to 0 in complex128 (smallest subnormal 2^-1074)
+_UNDERFLOW = np.longdouble(2.0) ** -1100
 
 
 def default_columns(N: int) -> int:
@@ -97,18 +111,28 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
     diag = -bet[:dim]
     off = gam[: dim - 1]
-    raw = np.zeros((N + 1, K + 1), dtype=np.longdouble)
+    row_sums = np.abs(diag)
+    row_sums[:-1] += off
+    row_sums[1:] += off
+    jnorm = row_sums.max()
+    # column k is stored as rawT[k] so that each step writes contiguously
+    rawT = np.zeros((K + 1, N + 1), dtype=np.longdouble)
     v = np.zeros(dim, dtype=np.longdouble)
     v[0] = 1.0
-    raw[0, 0] = 1.0
+    rawT[0, 0] = 1.0
+    kend = K + 1
     for k in range(1, K + 1):
+        if k >= jnorm and np.abs(v).max() < _UNDERFLOW:
+            kend = k
+            break
         w = diag * v
         w[:-1] += off * v[1:]
         w[1:] += off * v[:-1]
         v = w / np.longdouble(k)
-        raw[: min(k, N) + 1, k] = v[: min(k, N) + 1]
-    phases = np.multiply.outer(_phase_vector(N), _phase_vector(K))
-    b = (phases * raw).astype(np.complex128)
+        rawT[k, : min(k, N) + 1] = v[: min(k, N) + 1]
+    phases = np.multiply.outer(_phase_vector(N), _phase_vector(kend - 1))
+    b = np.zeros((N + 1, K + 1), dtype=np.complex128)
+    b[:, :kend] = phases * rawT[:kend].T
     return ChromaticTable(spec.id, N, K, b)
 
 
@@ -300,57 +324,19 @@ def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # table cache
 
-def cache_path(directory: str, family, N: int, K: int) -> str:
-    name = f"table_{family_spec(family)}_N{N}_K{K}_v{TABLE_FORMAT_VERSION}.json"
-    return os.path.join(directory, name.replace("(", "_").replace(")", "").replace(",", "_"))
+def table_for(family, N: int, K: int | None = None) -> ChromaticTable:
+    """The table for (family, N, K), built once per process and shared.
 
-
-def save_table(table: ChromaticTable, path: str) -> None:
-    doc = {
-        "format_version": TABLE_FORMAT_VERSION,
-        "family": str(table.family),
-        "N": table.N,
-        "K": table.K,
-        "b_real": [f"{v:.17g}" for v in table.b.real.ravel()],
-        "b_imag": [f"{v:.17g}" for v in table.b.imag.ravel()],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_table(path: str, family, N: int, K: int) -> ChromaticTable | None:
-    """Load a cached table; None on any mismatch (caller rebuilds)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if (
-        doc.get("format_version") != TABLE_FORMAT_VERSION
-        or doc.get("family") != str(family_spec(family))
-        or doc.get("N") != N
-        or doc.get("K") != K
-    ):
-        return None
-    shape = (N + 1, K + 1)
-    re = np.array([float(v) for v in doc["b_real"]]).reshape(shape)
-    im = np.array([float(v) for v in doc["b_imag"]]).reshape(shape)
-    return ChromaticTable(family_spec(family).id, N, K, re + 1j * im)
-
-
-def table_for(family, N: int, K: int | None = None, cache_dir: str | None = None) -> ChromaticTable:
-    """Fetch a table through the disk cache when a directory is given."""
+    The returned table's b is read-only, since every caller gets the same
+    array.
+    """
     if K is None:
         K = default_columns(N)
-    if cache_dir is None:
-        cache_dir = os.environ.get("CHROMEX_CACHE_DIR")
-    if cache_dir:
-        path = cache_path(cache_dir, family, N, K)
-        cached = load_table(path, family, N, K)
-        if cached is not None:
-            return cached
-        table = build_table(family, N, K)
-        save_table(table, path)
-        return table
-    return build_table(family, N, K)
+    return _cached_table(family_spec(family).id, N, K)
+
+
+@lru_cache(maxsize=32)
+def _cached_table(family: FamilyId, N: int, K: int) -> ChromaticTable:
+    table = build_table(family, N, K)
+    table.b.flags.writeable = False
+    return table

@@ -3,8 +3,8 @@
 Every subcommand emits CSV (default) or JSON with numbers serialized at 17
 significant digits, so identical configurations produce byte-identical
 output.  Random signals use numpy's PCG64 generator with an explicit seed
-(default 0).  Coefficient tables are cached under --cache-dir or
-$CHROMEX_CACHE_DIR, keyed by family, horizons and format version.
+(default 0).  Each command builds the coefficient tables it needs in
+memory; nothing is written to disk besides --out and filter files.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def cmd_poly(args):
 def cmd_basis(args):
     spec = family_spec(args.family)
     cols = max(suggest_columns(spec, args.n, np.abs(args.t).max()), args.columns)
-    table = table_for(spec, args.n, cols, args.cache_dir)
+    table = table_for(spec, args.n, cols)
     vals = kbasis_series(table, args.n, args.t.astype(complex))
     rows = [(float(t), args.n, v.real, v.imag) for t, v in zip(args.t, vals)]
     _write_rows(args.out, ["t", "n", "value_re", "value_im"], rows, args.format)
@@ -138,7 +138,7 @@ def cmd_basis(args):
 
 def cmd_table(args):
     spec = family_spec(args.family)
-    table = table_for(spec, args.n, args.columns, args.cache_dir)
+    table = table_for(spec, args.n, args.columns)
     rows = []
     for n in range(table.N + 1):
         for k in range(table.K + 1):
@@ -153,7 +153,7 @@ def cmd_expand(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
     cols = suggest_columns(spec, args.order, np.abs(args.t - args.u).max())
-    table = table_for(spec, args.order, cols, args.cache_dir)
+    table = table_for(spec, args.order, cols)
     ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t, table)
     fv = f.value(args.t)
     rows = [
@@ -167,7 +167,7 @@ def cmd_expand(args):
 def cmd_identity(args):
     spec = family_spec(args.family)
     extent = float(np.abs(args.z).max()) + abs(args.u)
-    table = table_for(spec, args.order, suggest_columns(spec, args.order, extent), args.cache_dir)
+    table = table_for(spec, args.order, suggest_columns(spec, args.order, extent))
     rows = []
     for z in args.z:
         if args.kind == "exponential":
@@ -185,7 +185,7 @@ def cmd_compare(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
     cols = suggest_columns(spec, args.order, np.abs(args.t - args.u).max())
-    table = table_for(spec, args.order, cols, args.cache_dir)
+    table = table_for(spec, args.order, cols)
     rows = expansions.taylor_vs_chromatic_comparison(spec, f, args.u, args.order, args.t, table)
     out = [
         (t, fv.real, ca.real, ty.real, abs(fv - ca), abs(fv - ty))
@@ -243,7 +243,7 @@ def cmd_apply_fir(args):
 def cmd_envelope(args):
     spec = family_spec(args.family)
     cols = suggest_columns(spec, args.order, np.abs(args.t).max())
-    table = table_for(spec, args.order, cols, args.cache_dir)
+    table = table_for(spec, args.order, cols)
     # one envelope per point: each certifies its series length at its own |t|
     vals = [expansions.error_envelope(spec, args.order, float(t), table) for t in args.t]
     rows = [(float(t), float(v)) for t, v in zip(args.t, vals)]
@@ -326,7 +326,7 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True, grid=None, cache=False):
+    def common(p, family=True, grid=None):
         if family:
             p.add_argument("--family", default="legendre", help="family string, e.g. jacobi(0.5,-0.25)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -335,9 +335,6 @@ def build_parser():
         if grid:
             p.add_argument(grid, type=_parse_grid, default=_parse_grid("-2:2:0.1"),
                            help="grid a:b:step")
-        if cache:
-            p.add_argument("--cache-dir", default=None,
-                           help="table cache directory (default $CHROMEX_CACHE_DIR)")
 
     p = sub.add_parser("families", help="list families or emit coefficients")
     common(p)
@@ -351,26 +348,26 @@ def build_parser():
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("basis", help="basis function K^n[m] over a grid")
-    common(p, grid="--t", cache=True)
+    common(p, grid="--t")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--columns", type=int, default=0, help="table columns override")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("table", help="emit the coefficient table")
-    common(p, cache=True)
+    common(p)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--columns", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("expand", help="chromatic approximation of a signal")
-    common(p, grid="--t", cache=True)
+    common(p, grid="--t")
     p.add_argument("--function", default="sinc")
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--order", type=int, default=15)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("identity", help="residuals of the classical identities")
-    common(p, grid="--z", cache=True)
+    common(p, grid="--z")
     p.add_argument("--kind", choices=("exponential", "translation", "constant_one"),
                    default="exponential")
     p.add_argument("--omega", type=float, default=1.0)
@@ -379,7 +376,7 @@ def build_parser():
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("compare", help="chromatic vs Taylor approximation")
-    common(p, grid="--t", cache=True)
+    common(p, grid="--t")
     p.add_argument("--function", default="shannon_random")
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--order", type=int, default=15)
@@ -407,7 +404,7 @@ def build_parser():
     p.set_defaults(func=cmd_apply_fir)
 
     p = sub.add_parser("envelope", help="truncation error envelope E_N")
-    common(p, grid="--t", cache=True)
+    common(p, grid="--t")
     p.add_argument("--order", type=int, default=15)
     p.set_defaults(func=cmd_envelope)
 

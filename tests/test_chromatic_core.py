@@ -12,14 +12,12 @@ from chromex import (
     compose_at_zero,
     compose_at_zero_from_tables,
     conversion_matrices,
-    load_table,
     orthonormality_matrix,
-    save_table,
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticJet, build_table_recurrence
-from chromex.families import moment_analytic
+from chromex.chromatic_core import ChromaticJet, _phase_vector, build_table_recurrence
+from chromex.families import family_spec, gamma_beta_arrays, moment_analytic
 from conftest import ALL_FAMILIES
 
 
@@ -69,6 +67,59 @@ def test_dual_route_table_agreement(family):
     block2 = t2.b[:, : 56 - 12 + 1]
     scale = np.abs(block1).max()
     assert np.abs(block1 - block2).max() < 1e-11 * scale
+
+
+def _build_table_full_width(family, N, K):
+    """The power iteration run through every column up to K: the reference
+    for build_table, which stops once the remaining columns underflow."""
+    spec = family_spec(family)
+    dim = (K + N) // 2 + 2
+    gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
+    diag = -bet[:dim]
+    off = gam[: dim - 1]
+    raw = np.zeros((N + 1, K + 1), dtype=np.longdouble)
+    v = np.zeros(dim, dtype=np.longdouble)
+    v[0] = 1.0
+    raw[0, 0] = 1.0
+    for k in range(1, K + 1):
+        w = diag * v
+        w[:-1] += off * v[1:]
+        w[1:] += off * v[:-1]
+        v = w / np.longdouble(k)
+        raw[: min(k, N) + 1, k] = v[: min(k, N) + 1]
+    phases = np.multiply.outer(_phase_vector(N), _phase_vector(K))
+    return (phases * raw).astype(np.complex128)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("N,K", [(36, 1428), (500, 1032), (21, 544), (21, 120)])
+def test_build_table_matches_full_width_loop(family, N, K):
+    # laguerre's entries C(k, n) pass the float64 range at N = 500 and are
+    # stored as inf by both builds
+    with np.errstate(over="ignore"):
+        got = build_table(family, N, K).b
+        ref = _build_table_full_width(family, N, K)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    nonzero = ref != 0
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+
+
+def test_table_for_shares_one_table_per_key():
+    t = table_for("legendre", 5, 14)
+    assert table_for(family_spec("legendre"), 5, 14) is t
+    assert table_for("legendre", 5) is table_for("legendre", 5, 42)
+    assert table_for("legendre", 5, 15) is not t
+    assert table_for("chebyshev_u", 5, 14) is not t
+
+
+def test_cached_table_is_read_only():
+    t = table_for("jacobi(0.5,-0.25)", 6, 20)
+    with pytest.raises(ValueError):
+        t.b[0, 0] = 2.0
+    # build_table hands each caller its own writable table
+    build_table("jacobi(0.5,-0.25)", 6, 20).b[0, 0] = 2.0
+    assert t.b[0, 0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -183,37 +234,6 @@ def test_compose_table_route_horizon_guard():
     mats = conversion_matrices("legendre", 6, t)
     with pytest.raises(HorizonError):
         compose_at_zero_from_tables(t, mats, 6, 6)
-
-
-def test_table_cache_round_trip(tmp_path):
-    t = build_table("jacobi(0.5,-0.25)", 6, 20)
-    path = tmp_path / "cache.json"
-    save_table(t, str(path))
-    loaded = load_table(str(path), "jacobi(0.5,-0.25)", 6, 20)
-    np.testing.assert_array_equal(loaded.b, t.b)
-    # mismatched horizons are rejected
-    assert load_table(str(path), "jacobi(0.5,-0.25)", 7, 20) is None
-    assert load_table(str(path), "legendre", 6, 20) is None
-
-
-def test_table_cache_version_mismatch(tmp_path):
-    import json
-
-    t = build_table("legendre", 4, 12)
-    path = tmp_path / "cache.json"
-    save_table(t, str(path))
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 999
-    path.write_text(json.dumps(doc))
-    assert load_table(str(path), "legendre", 4, 12) is None
-
-
-def test_table_for_uses_cache(tmp_path):
-    t1 = table_for("legendre", 5, 14, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    t2 = table_for("legendre", 5, 14, cache_dir=str(tmp_path))
-    np.testing.assert_array_equal(t1.b, t2.b)
 
 
 def test_gegenbauer_one_table_matches_chebyshev_u():

@@ -141,16 +141,6 @@ def test_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_table_cache_created(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, _ = run(
-        capsys, "table", "--family", "legendre", "--n", "4",
-        "--cache-dir", cache,
-    )
-    assert code == 0
-    assert len(os.listdir(cache)) == 1
-
-
 def test_json_format(capsys):
     code, out = run(capsys, "families", "--list", "--format", "json")
     assert code == 0

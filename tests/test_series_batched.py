@@ -8,13 +8,21 @@ message; for complex z it must agree within Horner's rounding bound.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromex import ConvergenceError, ParameterError, SeriesEvalConfig, build_table, kbasis_series
+from chromex import (
+    ConvergenceError,
+    ParameterError,
+    SeriesEvalConfig,
+    build_table,
+    kbasis_closed,
+    kbasis_series,
+)
 from chromex.basis_functions import (
     _RADIUS_GUARDS,
     _empirical_tail_ok,
@@ -83,8 +91,7 @@ def _table(family, N, K):
 
 
 def _sized_table(family, N, absz):
-    # suggest_columns falls back to 2N + 32 for the p = 1 families, too short at N = 40
-    return _table(family, N, max(suggest_columns(family, N, absz), 6 * N + 100))
+    return _table(family, N, suggest_columns(family, N, absz))
 
 
 def _extent(family):
@@ -119,6 +126,15 @@ def test_single_row_bitwise_equal_scalar_and_array(family):
             ref = _kbasis_series_scalar(table, n, t)
             assert np.ndim(one) == 0
             assert np.complex128(one).tobytes() == np.complex128(ref).tobytes()
+
+
+@pytest.mark.parametrize("R", [3.0, 10.0, 20.0])
+def test_rows_bitwise_equal_past_last_nonzero_column(R):
+    # every entry past column ~225 is 0, so the pass stops far short of K
+    table = _table("chebyshev_t", 25, 1417)
+    assert np.flatnonzero(table.b.any(axis=0))[-1] < 300
+    grid = np.linspace(-R, R, 9)
+    _assert_bitwise(_series_rows(table, 0, 25, grid), _rows_scalar(table, 25, grid))
 
 
 @pytest.mark.parametrize("lo,hi", [(0, 0), (3, 9), (12, 20)])
@@ -189,3 +205,33 @@ def test_property_batched_equals_scalar(family, N, frac, npts):
     if err_old is None:
         _assert_bitwise(new, old)
         assert math.isfinite(float(np.abs(new).max()))
+
+
+def test_property_emits_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_property_batched_equals_scalar()
+
+
+def test_tail_check_rejects_overflowing_terms_silently():
+    # |z|^k overflows past k ~ 237 at |z| = 20, and rows 0..30 are 0 past
+    # column 225, so the tail terms are inf * 0: not certified, and no warning
+    table = _table("legendre", 30, 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _empirical_tail_ok(table.b[0], 301, 20.0, 1e-12)
+        with pytest.raises(ConvergenceError, match="row 0 at"):
+            _series_rows(table, 0, 30, 20.0)
+
+
+@pytest.mark.parametrize("family", ["laguerre", "herron"])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 13, 20, 30, 40, 55, 70, 85, 100])
+def test_suggest_columns_certifies_p1_families(family, N):
+    """Tables sized by suggest_columns certify every row up to the guard."""
+    guard = _RADIUS_GUARDS[family]
+    for R in np.linspace(guard / 12, guard, 12):
+        table = build_table(family, N, suggest_columns(family, N, R))
+        z = np.array([-R, R])
+        got = _series_rows(table, 0, N, z)
+        ref = np.array([kbasis_closed(family, n, z) for n in range(N + 1)])
+        assert np.abs(got - ref).max() < 1e-12
