@@ -3,7 +3,6 @@ orthonormal polynomials: coefficient tables, basis functions, local
 expansions with error envelopes, FIR evaluation of the operators from
 samples, and power-space seminorms."""
 
-from ._kernels import USING_NUMBA
 from .basis_functions import (
     SeriesEvalConfig,
     bessel_j,
@@ -92,3 +91,7 @@ from .power_spaces import (
 )
 
 __version__ = "0.1.0"
+
+# every kernel is plain numpy; numba is not used (the constant stays for
+# code that still reads it)
+USING_NUMBA = False

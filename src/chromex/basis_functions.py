@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bessel_j_sequence, spherical_j_sequence
 from .chromatic_core import ChromaticTable
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
 from .families import family_spec
@@ -161,13 +160,13 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConf
                 )
             need = avail
         nterms[n - lo] = need
-    width = int(nterms.max())
+    # columns past the table's last nonzero column would only add exact
+    # zeros (so would those zeroed below, past every row's length)
+    nonzero = np.flatnonzero(table.b[lo : hi + 1, : int(nterms.max())].any(axis=0))
+    width = int(nonzero[-1]) + 1 if nonzero.size else 0
     coeffs = table.b[lo : hi + 1, :width].T.copy()
     coeffs[np.arange(width)[:, None] >= nterms] = 0.0
-    # columns past the last nonzero coefficient would only add exact zeros
-    nonzero = np.flatnonzero(coeffs.any(axis=1))
-    width = int(nonzero[-1]) + 1 if nonzero.size else 0
-    coeffs = coeffs[:width, :, None]
+    coeffs = coeffs[:, :, None]
     acc = np.zeros((hi - lo + 1, zs.size), dtype=np.complex128)
     for k in range(width - 1, -1, -1):
         acc *= zs
@@ -211,6 +210,87 @@ def kbasis_closed(family, n: int, z):
                 jb = bessel_j_sequence(n + 2, math.pi * t)
                 out[i] = (-1.0) ** n * (jb[n] + jb[n + 2])
     return complex(out[0]) if scalar else out
+
+
+def spherical_j_sequence(nmax, x):
+    """j_0..j_nmax at real x: Miller backward recurrence, normalized by
+    whichever of the closed forms j_0, j_1 is larger in magnitude."""
+    out = np.zeros(nmax + 1, dtype=np.float64)
+    ax = abs(x)
+    if ax < 1e-14:
+        out[0] = 1.0
+        return out
+    j0 = np.sin(ax) / ax
+    j1 = np.sin(ax) / (ax * ax) - np.cos(ax) / ax
+    if nmax == 0:
+        out[0] = j0
+        return out
+    start = nmax + int(np.sqrt(40.0 * (nmax + 1))) + 20
+    if ax > nmax:
+        start += int(ax)
+    fp1 = 0.0
+    f = 1e-305
+    for k in range(start, 0, -1):
+        fm1 = (2.0 * k + 1.0) / ax * f - fp1
+        fp1 = f
+        f = fm1
+        if k - 1 <= nmax:
+            out[k - 1] = f
+        if abs(f) > 1e250:
+            f *= 1e-250
+            fp1 *= 1e-250
+            for j in range(nmax + 1):
+                out[j] *= 1e-250
+    if abs(j0) >= abs(j1):
+        scale = j0 / out[0]
+    else:
+        scale = j1 / out[1]
+    for j in range(nmax + 1):
+        out[j] *= scale
+    if x < 0.0:
+        for j in range(1, nmax + 1, 2):
+            out[j] = -out[j]
+    return out
+
+
+def bessel_j_sequence(nmax, x):
+    """J_0..J_nmax at real x: Miller backward recurrence, normalized by
+    J_0(x) + 2 sum_k J_2k(x) = 1."""
+    out = np.zeros(nmax + 1, dtype=np.float64)
+    ax = abs(x)
+    if ax < 1e-14:
+        out[0] = 1.0
+        return out
+    start = nmax + int(np.sqrt(40.0 * (nmax + 1))) + 20
+    if ax > nmax:
+        start += int(ax)
+    if start % 2 == 1:
+        start += 1
+    fp1 = 0.0
+    f = 1e-305
+    even_sum = 0.0
+    for k in range(start, 0, -1):
+        fm1 = 2.0 * k / ax * f - fp1
+        fp1 = f
+        f = fm1
+        if (k - 1) % 2 == 0 and k - 1 > 0:
+            even_sum += 2.0 * f
+        if k - 1 <= nmax:
+            out[k - 1] = f
+        if abs(f) > 1e250:
+            f *= 1e-250
+            fp1 *= 1e-250
+            even_sum *= 1e-250
+            for j in range(nmax + 1):
+                out[j] *= 1e-250
+    even_sum += f  # the k-1 == 0 term
+    scale = 1.0 / even_sum
+    for j in range(nmax + 1):
+        out[j] *= scale
+    if x < 0.0:
+        for j in range(1, nmax + 1, 2):
+            out[j] = -out[j]
+    return out
 
 
 def spherical_j(n: int, x: float) -> float:

@@ -53,13 +53,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import christoffel_weights, poly_grid
 from .errors import HorizonError, ParameterError
 from .families import (
     FamilyId,
+    _gauss_pass,
     family_spec,
     gamma_beta_arrays,
-    jacobi_matrix,
     moment_over_factorial_ld,
 )
 
@@ -303,16 +302,8 @@ def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:
     With raw=True returns the real integrals of p_n p_m instead (no
     i-phases), which is what compose_at_zero consumes.
     """
-    spec = family_spec(family)
-    nq = N + 4
-    J = jacobi_matrix(spec, nq).dense()
-    nodes = np.linalg.eigvalsh(J)
-    gam, bet = gamma_beta_arrays(spec, nq - 1)
-    w = christoffel_weights(gam, bet, nodes)
-    w = w / w.sum()
-    gamN, betN = gamma_beta_arrays(spec, N)
-    P = poly_grid(gamN, betN, nodes)
-    Q = P * np.sqrt(w)[None, :]
+    # an (N+4)-point Gauss rule integrates every p_n p_m with n, m <= N
+    _, _, Q = _gauss_pass(family_spec(family), N + 4, N + 1)
     G = Q @ Q.T
     if raw:
         return G

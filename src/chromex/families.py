@@ -1,4 +1,5 @@
-"""Moment functionals: recursion coefficients, moments and Gauss quadrature.
+"""Moment functionals: recursion coefficients, the forward recurrence,
+moments and Gauss quadrature.
 
 Eight families are supported.  Each is defined by the recursion
 coefficients (gamma_n, beta_n) of its orthonormal polynomials
@@ -24,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import christoffel_weights
-from .errors import ParameterError, UnsupportedFamilyError
+from .errors import NumericError, ParameterError, UnsupportedFamilyError
 
 FAMILY_TAGS = (
     "legendre",
@@ -192,6 +192,27 @@ def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
     return gam, bet
 
 
+def three_term(gam, bet, x):
+    """Run the forward recurrence from p_{-1} = 0, p_0 = 1 at x.
+
+    Yields (p_j, p_{j+1}) for j = 0 .. len(gam) - 2, so float64
+    coefficients 0..N give p_0..p_N.  x is a float or a float64 array; an
+    array x yields the recurrence's own state arrays, so a caller may
+    rescale both in place and the recurrence continues from the rescaled
+    values.  The coefficients are read through memoryviews, which hand
+    out Python floats one at a time, so no list of all of them is held.
+    """
+    if np.ndim(x):
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+    else:
+        p_prev, p = 0.0, 1.0
+    g_prev = 1.0
+    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
+        p_next = ((x + b) * p - g_prev * p_prev) / g
+        yield p, p_next
+        p_prev, p, g_prev = p, p_next, g
+
+
 @dataclass(frozen=True)
 class JacobiMatrix:
     """Truncated symmetric tridiagonal encoding of the recurrence."""
@@ -329,8 +350,43 @@ def moment_jacobi_matrix(family, k: int, dimension: int | None = None) -> float:
     return float(np.linalg.matrix_power(J, k)[0, 0])
 
 
+def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):
+    """gauss_quadrature's (nodes, weights), plus Q[k, i] = p_k(x_i) sqrt(w_i)
+    for k < nrows, from one pass of the recurrence over all nodes.
+
+    Where |p| passes 1e140 at a node, p, p_{-1} and the rows stored so far
+    are scaled by 1e-140 there and the running sum s = sum_k p_k^2 by
+    1e-280, so Q = rows / sqrt(s * sum w) stays accurate where the weight
+    w = 1/s itself underflows.
+    """
+    J = jacobi_matrix(spec, n).dense()
+    try:
+        nodes = np.linalg.eigvalsh(J)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NumericError("Jacobi matrix eigendecomposition failed") from exc
+    gam, bet = gamma_beta_arrays(spec, n - 1)
+    s = np.ones(n)
+    E = np.zeros(n)  # rescales per node; 280 E is log10 of the factor taken out of s
+    rows = np.empty((nrows, n))
+    rows[:1] = 1.0
+    for j, (p, p_next) in enumerate(three_term(gam, bet, nodes)):
+        big = np.abs(p_next) > 1e140
+        if big.any():
+            p_next[big] *= 1e-140
+            p[big] *= 1e-140
+            rows[: j + 1, big] *= 1e-140
+            s[big] *= 1e-280
+            E += big
+        s += p_next * p_next
+        if j + 1 < nrows:
+            rows[j + 1] = p_next
+    w = 10.0 ** (-280.0 * E) / s  # E = 0 gives exactly 1 / s
+    total = w.sum()
+    return nodes, w / total, rows / np.sqrt(s * total)
+
+
 def gauss_quadrature(family, n: int):
-    """n-point Gauss rule for the family's measure.
+    """n-point Gauss rule for the family's measure: (nodes, weights).
 
     Nodes are the eigenvalues of the n-by-n Jacobi matrix; weights are the
     Christoffel numbers 1/sum_k p_k(node)^2 (equal to the squared first
@@ -338,15 +394,5 @@ def gauss_quadrature(family, n: int):
     """
     if n < 1:
         raise ParameterError("n must be positive")
-    spec = family_spec(family)
-    J = jacobi_matrix(spec, n).dense()
-    try:
-        nodes = np.linalg.eigvalsh(J)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        from .errors import NumericError
-
-        raise NumericError("Jacobi matrix eigendecomposition failed") from exc
-    gam, bet = gamma_beta_arrays(spec, n - 1)
-    w = christoffel_weights(gam, bet, nodes)
-    w = w / w.sum()
+    nodes, w, _ = _gauss_pass(family_spec(family), n)
     return nodes, w

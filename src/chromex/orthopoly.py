@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import poly_grid, poly_sequence
 from .errors import ParameterError
-from .families import FamilyId, family_spec, gamma_beta_arrays
+from .families import FamilyId, family_spec, gamma_beta_arrays, recursion_coefficients, three_term
 
 
 @dataclass(frozen=True)
@@ -17,6 +16,15 @@ class PolyEvaluation:
     degree: int
     values: np.ndarray                    # p_0(omega) .. p_N(omega)
     derivative_values: np.ndarray | None  # p'_0(omega) .. p'_N(omega)
+
+
+def _values(gam, bet, x) -> np.ndarray:
+    """p_0..p_{len(gam)-1} at x, a float or an array (one row per order)."""
+    out = np.empty(gam.shape + np.shape(x))
+    out[0] = 1.0
+    for j, (_, p) in enumerate(three_term(gam, bet, x), 1):
+        out[j] = p
+    return out
 
 
 def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyEvaluation:
@@ -30,7 +38,7 @@ def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyE
         raise ParameterError("N must be nonnegative")
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, N)
-    values = poly_sequence(gam, bet, float(omega))
+    values = _values(gam, bet, float(omega))
     dvals = None
     if derivatives:
         dvals = np.zeros(N + 1)
@@ -49,7 +57,7 @@ def eval_p_grid(family, N: int, omegas) -> np.ndarray:
     if N < 0:
         raise ParameterError("N must be nonnegative")
     gam, bet = gamma_beta_arrays(family, N)
-    return poly_grid(gam, bet, np.asarray(omegas, dtype=np.float64))
+    return _values(gam, bet, np.asarray(omegas, dtype=np.float64))
 
 
 def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
@@ -59,16 +67,20 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
     """
     if omega == sigma:
         raise ParameterError("omega == sigma: use cd_diagonal")
+    if N < 0:
+        raise ParameterError("N must be nonnegative")
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, N + 1)
-    po = poly_sequence(gam, bet, float(omega))
-    ps = poly_sequence(gam, bet, float(sigma))
-    return float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (omega - sigma))
+    # run both recurrences to their last pair, (p_N, p_{N+1})
+    pairs = zip(three_term(gam, bet, float(omega)), three_term(gam, bet, float(sigma)))
+    for (po, po1), (ps, ps1) in pairs:
+        pass
+    return float(gam[N] * (po1 * ps - ps1 * po) / (omega - sigma))
 
 
 def cd_diagonal(family, N: int, omega: float) -> float:
     """sum_{k<=N} p_k(omega)^2 via gamma_N (p'_{N+1} p_N - p_{N+1} p'_N)."""
     ev = eval_all_p(family, N + 1, omega, derivatives=True)
-    gam, _ = gamma_beta_arrays(family, N)
+    gam_N, _ = recursion_coefficients(family, N)
     p, d = ev.values, ev.derivative_values
-    return float(gam[N] * (d[N + 1] * p[N] - p[N + 1] * d[N]))
+    return float(gam_N * (d[N + 1] * p[N] - p[N + 1] * d[N]))

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import poly_pair_products
 from .errors import NumericError, ParameterError
 from .expansions import Exponential, FunctionSpec
-from .families import family_spec, gamma_beta_arrays
+from .families import family_spec, gamma_beta_arrays, three_term
 
 
 @dataclass(frozen=True)
@@ -104,29 +103,30 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
     return ConditionReport(horizon, kappa, flags, evidence)
 
 
-def _squared_jet_values(spec, f: FunctionSpec, t: float, N: int) -> np.ndarray:
-    """|K^k[f](t)|^2 for k <= N, exact fast path for exponentials."""
+_GUARD_TRIPPED = "polynomial magnitude guard tripped (|p| > 1e100)"
+
+
+def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray:
+    """|K^k[f](t)|^2 for k < len(gam), exact fast path for exponentials."""
     if isinstance(f, Exponential):
-        gam, bet = gamma_beta_arrays(spec, N)
-        prods = poly_pair_products(gam, bet, float(f.omega), float(f.omega))
-        if np.any(np.isnan(prods)):
-            raise NumericError("polynomial magnitude guard tripped (|p| > 1e100)")
-        return prods
-    jet = f.chromatic_jet(spec, t, N)
+        # |K^k[e^{i omega t}]| = |p_k(omega)|: one pass of the recurrence
+        sq = np.empty(len(gam))
+        sq[0] = 1.0
+        for j, (_, p) in enumerate(three_term(gam, bet, float(f.omega)), 1):
+            if not abs(p) <= 1e100:  # a NaN trips the guard too
+                raise NumericError(_GUARD_TRIPPED)
+            sq[j] = p * p
+        return sq
+    jet = f.chromatic_jet(spec, t, len(gam) - 1)
     return np.abs(jet) ** 2
-
-
-def _inv_gamma_cumsum(spec, N: int) -> np.ndarray:
-    gam, _ = gamma_beta_arrays(spec, N)
-    return np.cumsum(1.0 / gam)
 
 
 def nu_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostics:
     """nu_n = sum_{k<=n} |K^k[f](t)|^2 / sum_{k<=n} 1/gamma_k for n <= N."""
     spec = family_spec(family)
-    num = np.cumsum(_squared_jet_values(spec, f, t, N))
-    den = _inv_gamma_cumsum(spec, N)
-    return SequenceDiagnostics.from_values(num / den)
+    gam, bet = gamma_beta_arrays(spec, N)
+    num = np.cumsum(_squared_jet_values(spec, f, t, gam, bet))
+    return SequenceDiagnostics.from_values(num / np.cumsum(1.0 / gam))
 
 
 def beta_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostics:
@@ -140,9 +140,9 @@ def beta_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnost
             "beta_n need not converge",
             stacklevel=2,
         )
-    sq = _squared_jet_values(spec, f, t, N + 1)
-    gam, _ = gamma_beta_arrays(spec, N)
-    return SequenceDiagnostics.from_values(gam * (sq[:-1] + sq[1:]))
+    gam, bet = gamma_beta_arrays(spec, N + 1)
+    sq = _squared_jet_values(spec, f, t, gam, bet)
+    return SequenceDiagnostics.from_values(gam[:-1] * (sq[:-1] + sq[1:]))
 
 
 def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> SequenceDiagnostics:
@@ -156,9 +156,13 @@ def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> Sequ
         raise ParameterError("omega == sigma: use nu_sequence")
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, N)
-    prods = poly_pair_products(gam, bet, float(omega), float(sigma))
-    if np.any(np.isnan(prods)):
-        raise NumericError("polynomial magnitude guard tripped (|p| > 1e100)")
+    prods = np.empty(N + 1)
+    prods[0] = 1.0
+    pairs = zip(three_term(gam, bet, float(omega)), three_term(gam, bet, float(sigma)))
+    for j, ((_, p), (_, q)) in enumerate(pairs, 1):
+        if not (abs(p) <= 1e100 and abs(q) <= 1e100):  # a NaN trips the guard too
+            raise NumericError(_GUARD_TRIPPED)
+        prods[j] = p * q
     den = np.cumsum(1.0 / gam)
     return SequenceDiagnostics.from_values(np.abs(np.cumsum(prods)) / den)
 

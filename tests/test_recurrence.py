@@ -1,0 +1,231 @@
+"""Every three-term-recurrence output against the scalar loops it replaced.
+
+The ``*_loop`` functions below are the per-element loops that computed
+p_0..p_N, grids of p_n, the products p_k(omega) p_k(sigma) and the
+Christoffel weights before ``families.three_term`` took their place.
+Each step does the same float64 operations in the same order, so every
+output must be bitwise equal to theirs.  ``orthonormality_matrix`` is the
+one exception: it now divides by sqrt(s * sum w) instead of multiplying
+by sqrt(w), and is compared within ten machine epsilons.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from chromex import (
+    Exponential,
+    NumericError,
+    beta_sequence,
+    cd_diagonal,
+    cd_kernel,
+    eval_all_p,
+    eval_p_grid,
+    gauss_quadrature,
+    jacobi_matrix,
+    nu_sequence,
+    orthonormality_matrix,
+    sigma_sequence,
+)
+from chromex.families import gamma_beta_arrays
+
+from conftest import ALL_FAMILIES
+
+
+def poly_sequence_loop(gam, bet, omega):
+    n = gam.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    out[0] = 1.0
+    pm1 = 0.0
+    p = 1.0
+    for j in range(n - 1):
+        gm1 = gam[j - 1] if j >= 1 else 1.0
+        pn = ((omega + bet[j]) * p - gm1 * pm1) / gam[j]
+        pm1 = p
+        p = pn
+        out[j + 1] = p
+    return out
+
+
+def poly_grid_loop(gam, bet, omegas):
+    n = gam.shape[0]
+    m = omegas.shape[0]
+    out = np.empty((n, m), dtype=np.float64)
+    out[0, :] = 1.0
+    pm1 = np.zeros(m)
+    p = np.ones(m)
+    for j in range(n - 1):
+        gm1 = gam[j - 1] if j >= 1 else 1.0
+        pn = ((omegas + bet[j]) * p - gm1 * pm1) / gam[j]
+        pm1 = p
+        p = pn
+        out[j + 1, :] = p
+    return out
+
+
+def pair_products_loop(gam, bet, om, sg):
+    n = gam.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    out[0] = 1.0
+    pm1 = 0.0
+    p = 1.0
+    qm1 = 0.0
+    q = 1.0
+    for j in range(n - 1):
+        gm1 = gam[j - 1] if j >= 1 else 1.0
+        pn = ((om + bet[j]) * p - gm1 * pm1) / gam[j]
+        qn = ((sg + bet[j]) * q - gm1 * qm1) / gam[j]
+        pm1 = p
+        p = pn
+        qm1 = q
+        q = qn
+        if abs(p) > 1e100 or abs(q) > 1e100:
+            out[j + 1 :] = np.nan  # the callers raise NumericError on a NaN
+            return out
+        out[j + 1] = p * q
+    return out
+
+
+def christoffel_weights_loop(gam, bet, nodes):
+    nq = gam.shape[0]
+    m = nodes.shape[0]
+    w = np.empty(m, dtype=np.float64)
+    for i in range(m):
+        x = nodes[i]
+        pm1 = 0.0
+        p = 1.0
+        s = 1.0
+        scale = 0.0  # log10 of the factor taken out of s
+        for j in range(nq - 1):
+            gm1 = gam[j - 1] if j >= 1 else 1.0
+            pn = ((x + bet[j]) * p - gm1 * pm1) / gam[j]
+            pm1 = p
+            p = pn
+            if abs(p) > 1e140:
+                p *= 1e-140
+                pm1 *= 1e-140
+                s = s * 1e-280 + p * p
+                scale += 280.0
+            else:
+                s += p * p
+        w[i] = 10.0 ** (-scale) / s if scale > 0 else 1.0 / s
+    return w
+
+
+def _gauss_nodes(family, n):
+    return np.linalg.eigvalsh(jacobi_matrix(family, n).dense())
+
+
+OMEGAS = (-2.7, 0.0, 0.4, 1.3, 3.9)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_eval_all_p_matches_scalar_loop(family):
+    for N in (0, 1, 40, 300):
+        gam, bet = gamma_beta_arrays(family, N)
+        for om in OMEGAS:
+            np.testing.assert_array_equal(eval_all_p(family, N, om).values,
+                                          poly_sequence_loop(gam, bet, om))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_eval_p_grid_matches_scalar_loop(family):
+    for N, om in ((0, np.array([0.5])), (30, np.linspace(-3, 3, 17)), (120, np.linspace(-8, 8, 101))):
+        gam, bet = gamma_beta_arrays(family, N)
+        np.testing.assert_array_equal(eval_p_grid(family, N, om), poly_grid_loop(gam, bet, om))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cd_kernel_matches_scalar_loop(family):
+    for N in (0, 7, 250):
+        gam, bet = gamma_beta_arrays(family, N + 1)
+        for om, sg in ((0.4, 1.3), (-2.7, 0.0)):
+            po = poly_sequence_loop(gam, bet, om)
+            ps = poly_sequence_loop(gam, bet, sg)
+            old = float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
+            assert cd_kernel(family, N, om, sg) == old
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cd_diagonal_matches_two_builds(family):
+    # gamma_N from recursion_coefficients rounds like the array entry
+    for N in (0, 9, 200):
+        ev = eval_all_p(family, N + 1, 0.7, derivatives=True)
+        gam, _ = gamma_beta_arrays(family, N)
+        p, d = ev.values, ev.derivative_values
+        assert cd_diagonal(family, N, 0.7) == float(gam[N] * (d[N + 1] * p[N] - p[N + 1] * d[N]))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_power_sums_match_scalar_loop(family):
+    for N, om, sg in ((500, 1.0, 2.0), (3000, 0.3, 0.18), (40, 1.3, -0.4)):
+        gam, bet = gamma_beta_arrays(family, N + 1)
+        den = np.cumsum(1.0 / gam)
+        sq = pair_products_loop(gam, bet, om, om)
+        cross = pair_products_loop(gam, bet, om, sg)[: N + 1]
+        np.testing.assert_array_equal(nu_sequence(family, Exponential(om), 0.0, N).values,
+                                      np.cumsum(sq[: N + 1]) / den[: N + 1])
+        np.testing.assert_array_equal(sigma_sequence(family, om, sg, 0.0, N).values,
+                                      np.abs(np.cumsum(cross)) / den[: N + 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # conditions not evidenced
+            beta = beta_sequence(family, Exponential(om), 0.0, N).values
+        np.testing.assert_array_equal(beta, gam[: N + 1] * (sq[:-1] + sq[1:]))
+
+
+@pytest.mark.parametrize("family, omega", [("hermite", 40.0), ("laguerre", -50.0), ("legendre", 5.0)])
+def test_magnitude_guard_trips_at_first_large_p(family, omega):
+    gam, bet = gamma_beta_arrays(family, 400)
+    first = int(np.flatnonzero(np.abs(poly_sequence_loop(gam, bet, omega)) > 1e100)[0])
+    assert np.isnan(pair_products_loop(gam, bet, omega, omega)[first])
+    nu_sequence(family, Exponential(omega), 0.0, first - 1)
+    sigma_sequence(family, omega, 0.5, 0.0, first - 1)
+    sigma_sequence(family, 0.5, omega, 0.0, first - 1)
+    with pytest.raises(NumericError, match="guard"):
+        nu_sequence(family, Exponential(omega), 0.0, first)
+    with pytest.raises(NumericError, match="guard"):
+        sigma_sequence(family, omega, 0.5, 0.0, first)
+    with pytest.raises(NumericError, match="guard"):
+        sigma_sequence(family, 0.5, omega, 0.0, first)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_gauss_weights_match_scalar_loop(family):
+    for n in (1, 2, 32, 64):
+        gam, bet = gamma_beta_arrays(family, n - 1)
+        nodes = _gauss_nodes(family, n)
+        w = christoffel_weights_loop(gam, bet, nodes)
+        got_nodes, got_w = gauss_quadrature(family, n)
+        np.testing.assert_array_equal(got_nodes, nodes)
+        np.testing.assert_array_equal(got_w, w / w.sum())
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre", "herron"])
+def test_gauss_weights_match_scalar_loop_through_rescales(family):
+    n = 404
+    gam, bet = gamma_beta_arrays(family, n - 1)
+    w = christoffel_weights_loop(gam, bet, _gauss_nodes(family, n))
+    # without a rescale s <= n * 1e280, so every weight would exceed this
+    assert w.min() < 1e-284
+    np.testing.assert_array_equal(gauss_quadrature(family, n)[1], w / w.sum())
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_orthonormality_matches_old_route(family):
+    N = 100
+    nodes = _gauss_nodes(family, N + 4)
+    gam, bet = gamma_beta_arrays(family, N + 3)
+    w = christoffel_weights_loop(gam, bet, nodes)
+    Q = poly_grid_loop(gam[: N + 1], bet[: N + 1], nodes) * np.sqrt(w / w.sum())[None, :]
+    np.testing.assert_allclose(orthonormality_matrix(family, N, raw=True), Q @ Q.T,
+                               rtol=0, atol=10 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("family, N", [("hermite", 400), ("laguerre", 200), ("laguerre", 400),
+                                       ("herron", 300), ("herron", 400)])
+def test_orthonormality_at_large_order(family, N):
+    # the Christoffel weight of the outer nodes underflows here; the
+    # rescaled rows carry p_k sqrt(w) without forming it
+    G = orthonormality_matrix(family, N)
+    assert np.abs(G - np.eye(N + 1)).max() <= 1e-8
