@@ -43,6 +43,7 @@ _SYMMETRIC = frozenset(
 )
 
 PI_LD = np.longdouble("3.141592653589793238462643383279502884")
+_COEFF_BLOCK = 4096  # orders per array expression, so 80-bit temporaries stay small
 
 
 @dataclass(frozen=True)
@@ -130,43 +131,36 @@ def family_spec(family) -> FamilySpec:
     return FamilySpec(fid, symmetric, p, M, support, rho)
 
 
-def _gamma_beta_ld(spec: FamilySpec, n: int):
-    """(gamma_n, beta_n) in extended precision."""
+def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):
+    """(gamma_n, beta_n) in extended precision for a longdouble array of orders."""
     tag = spec.tag
-    one = np.longdouble(1.0)
-    nn = np.longdouble(n)
+    zero = np.zeros_like(nn)
     if tag == "legendre":
-        return PI_LD * (nn + 1) / np.sqrt(4 * (nn + 1) ** 2 - 1), np.longdouble(0.0)
+        return PI_LD * (nn + 1) / np.sqrt(4 * (nn + 1) ** 2 - 1), zero
     if tag == "chebyshev_t":
-        g = PI_LD / np.sqrt(np.longdouble(2.0)) if n == 0 else PI_LD / 2
-        return g, np.longdouble(0.0)
+        return np.where(nn == 0, PI_LD / np.sqrt(np.longdouble(2.0)), PI_LD / 2), zero
     if tag == "chebyshev_u":
-        return PI_LD / 2, np.longdouble(0.0)
+        return np.full_like(nn, PI_LD / 2), zero
     if tag == "gegenbauer":
         a = np.longdouble(spec.id.a)
-        g = PI_LD / 2 * np.sqrt((nn + 1) * (nn + 2 * a) / ((nn + a) * (nn + a + 1)))
-        return g, np.longdouble(0.0)
+        return PI_LD / 2 * np.sqrt((nn + 1) * (nn + 2 * a) / ((nn + a) * (nn + a + 1))), zero
     if tag == "jacobi":
-        a = np.longdouble(spec.id.a)
-        b = np.longdouble(spec.id.b)
+        a, b = np.longdouble(spec.id.a), np.longdouble(spec.id.b)
         s = 2 * nn + a + b
-        g = (
-            2 * PI_LD / (s + 2)
-            * np.sqrt((nn + 1) * (nn + a + 1) * (nn + b + 1) * (nn + a + b + 1)
-                      / ((s + 1) * (s + 3)))
-        )
-        if n == 0:
-            # the (a+b) factor of the printed closed form cancels at n = 0
-            beta = PI_LD * (a - b) / (a + b + 2)
-        else:
+        # at n = 0 the printed forms are 0/0 if a+b+1 = 0 (gamma) or a+b = 0 (beta)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = 2 * PI_LD / (s + 2) * np.sqrt(
+                (nn + 1) * (nn + a + 1) * (nn + b + 1) * (nn + a + b + 1) / ((s + 1) * (s + 3)))
             beta = PI_LD * (a - b) * (a + b) / ((s + 2) * s)
-        return g, beta
+        g0 = 2 * PI_LD / (a + b + 2) * np.sqrt((a + 1) * (b + 1) / (a + b + 3))
+        g = np.where((nn == 0) & (a + b + 1 == 0), g0, g)
+        return g, np.where(nn == 0, PI_LD * (a - b) / (a + b + 2), beta)
     if tag == "hermite":
-        return np.sqrt((nn + 1) / 2), np.longdouble(0.0)
+        return np.sqrt((nn + 1) / 2), zero
     if tag == "laguerre":
         return nn + 1, -(2 * nn + 1)
     if tag == "herron":
-        return nn + 1, np.longdouble(0.0)
+        return nn + 1, zero
     raise UnsupportedFamilyError(tag)
 
 
@@ -175,8 +169,8 @@ def recursion_coefficients(family, n: int):
     spec = family_spec(family)
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    g, b = _gamma_beta_ld(spec, n)
-    return float(g), float(b)
+    g, b = _gamma_beta_ld(spec, np.array([n], dtype=np.longdouble))
+    return float(g[0]), float(b[0])
 
 
 def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
@@ -185,10 +179,9 @@ def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
     dt = np.longdouble if longdouble else np.float64
     gam = np.empty(horizon + 1, dtype=dt)
     bet = np.empty(horizon + 1, dtype=dt)
-    for n in range(horizon + 1):
-        g, b = _gamma_beta_ld(spec, n)
-        gam[n] = g
-        bet[n] = b
+    for lo in range(0, horizon + 1, _COEFF_BLOCK):
+        nn = np.arange(lo, min(lo + _COEFF_BLOCK, horizon + 1), dtype=np.longdouble)
+        gam[lo : lo + nn.size], bet[lo : lo + nn.size] = _gamma_beta_ld(spec, nn)
     return gam, bet
 
 

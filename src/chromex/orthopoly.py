@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .families import FamilyId, family_spec, gamma_beta_arrays, recursion_coefficients, three_term
 
 
@@ -16,6 +16,13 @@ class PolyEvaluation:
     degree: int
     values: np.ndarray                    # p_0(omega) .. p_N(omega)
     derivative_values: np.ndarray | None  # p'_0(omega) .. p'_N(omega)
+
+
+def _finite(a, N: int):
+    """a, once checked finite: the Python-float arithmetic here overflows silently."""
+    if not np.isfinite(a).all():
+        raise NumericError(f"p_n(omega), n <= {N}, overflows float64; use a smaller N or |omega|")
+    return a
 
 
 def _values(gam, bet, x) -> np.ndarray:
@@ -31,24 +38,24 @@ def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyE
     """Evaluate p_0..p_N at a single omega by the forward recurrence.
 
     With derivatives=True also returns p'_n via the differentiated
-    recurrence p'_{n+1} = (p_n + (w+beta_n) p'_n)/gamma_n
-                           - (gamma_{n-1}/gamma_n) p'_{n-1}.
+    recurrence p'_{n+1} = (p_n + (w+beta_n) p'_n)/gamma_n - (gamma_{n-1}/gamma_n) p'_{n-1}.
+    Raises NumericError once a value overflows float64.
     """
     if N < 0:
         raise ParameterError("N must be nonnegative")
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, N)
-    values = _values(gam, bet, float(omega))
-    dvals = None
+    x = float(omega)
+    values = _finite(_values(gam, bet, x), N)
+    dvals = np.zeros(N + 1) if derivatives else None
     if derivatives:
-        dvals = np.zeros(N + 1)
-        p = values
-        dm1, d = 0.0, 0.0
-        for n in range(N):
-            gm1 = gam[n - 1] if n >= 1 else 1.0
-            dn = (p[n] + (omega + bet[n]) * d - gm1 * dm1) / gam[n]
-            dm1, d = d, dn
-            dvals[n + 1] = d
+        out = memoryview(dvals)
+        d_prev, d, g_prev = 0.0, 0.0, 1.0
+        for n, (g, b, p) in enumerate(zip(memoryview(gam[:-1]), memoryview(bet), memoryview(values)), 1):
+            d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
+            out[n] = d
+            g_prev = g
+        _finite(dvals, N)
     return PolyEvaluation(spec.id, N, values, dvals)
 
 
@@ -75,12 +82,12 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
     pairs = zip(three_term(gam, bet, float(omega)), three_term(gam, bet, float(sigma)))
     for (po, po1), (ps, ps1) in pairs:
         pass
-    return float(gam[N] * (po1 * ps - ps1 * po) / (omega - sigma))
+    return float(_finite(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1))
 
 
 def cd_diagonal(family, N: int, omega: float) -> float:
     """sum_{k<=N} p_k(omega)^2 via gamma_N (p'_{N+1} p_N - p_{N+1} p'_N)."""
     ev = eval_all_p(family, N + 1, omega, derivatives=True)
     gam_N, _ = recursion_coefficients(family, N)
-    p, d = ev.values, ev.derivative_values
-    return float(gam_N * (d[N + 1] * p[N] - p[N + 1] * d[N]))
+    (p, p1), (d, d1) = ev.values[N:].tolist(), ev.derivative_values[N:].tolist()
+    return _finite(gam_N * (d1 * p - p1 * d), N + 1)

@@ -48,6 +48,16 @@ def test_basis_matches_closed_form(capsys, tmp_path):
         assert abs(im) < 1e-12
 
 
+def test_basis_jacobi_with_a_plus_b_minus_one(capsys):
+    # jacobi(-1/2,-1/2) is chebyshev_t; its gamma_0 was once 0/0 = nan
+    code, out = run(capsys, "basis", "--family", "jacobi(-0.5,-0.5)", "--n", "2", "--t=0:1:0.5")
+    assert code == 0
+    _, ref = run(capsys, "basis", "--family", "chebyshev_t", "--n", "2", "--t=0:1:0.5")
+    got = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    np.testing.assert_allclose(got, np.loadtxt(ref.splitlines(), delimiter=",", skiprows=1),
+                               rtol=1e-13, atol=1e-15)
+
+
 def test_csv_header_and_precision(capsys):
     code, out = run(capsys, "poly", "--family", "legendre", "--n", "2", "--omega", "1:1:1")
     lines = out.strip().splitlines()

@@ -7,6 +7,7 @@ from chromex import (
     FamilyId,
     ParameterError,
     UnsupportedFamilyError,
+    build_table,
     euler_numbers,
     family_spec,
     gauss_quadrature,
@@ -15,6 +16,7 @@ from chromex import (
     parse_family,
     recursion_coefficients,
 )
+from chromex.families import gamma_beta_arrays
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 
 
@@ -169,6 +171,25 @@ def test_gegenbauer_one_equals_chebyshev_u():
         assert moment_jacobi_matrix("gegenbauer(1)", k) == pytest.approx(
             moment_analytic("chebyshev_u", k), rel=1e-12
         )
+
+
+def test_jacobi_minus_half_equals_chebyshev_t():
+    # a + b = -1: gamma_0's printed form is 0/0 there, and its cancelled form
+    # must give chebyshev_t's pi/sqrt(2)
+    g1, b1 = gamma_beta_arrays("jacobi(-0.5,-0.5)", 50)
+    g2, b2 = gamma_beta_arrays("chebyshev_t", 50)
+    assert np.all(np.abs(g1 - g2) <= 2 * np.spacing(g2))
+    np.testing.assert_array_equal(b1, b2)
+    for fam in ("jacobi(-0.5,-0.5)", "jacobi(-0.25,-0.75)"):
+        nodes, w = gauss_quadrature(fam, 40)
+        assert np.isfinite(nodes).all() and np.isfinite(w).all()
+        assert np.isfinite(build_table(fam, 12, 80).b).all()
+    ref_nodes, ref_w = gauss_quadrature("chebyshev_t", 40)
+    nodes, w = gauss_quadrature("jacobi(-0.5,-0.5)", 40)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w, ref_w, rtol=1e-12)
+    np.testing.assert_allclose(build_table("jacobi(-0.5,-0.5)", 12, 80).b,
+                               build_table("chebyshev_t", 12, 80).b, rtol=0, atol=1e-14)
 
 
 def test_jacobi_zero_zero_equals_legendre():

@@ -7,8 +7,14 @@ Each step does the same float64 operations in the same order, so every
 output must be bitwise equal to theirs.  ``orthonormality_matrix`` is the
 one exception: it now divides by sqrt(s * sum w) instead of multiplying
 by sqrt(w), and is compared within ten machine epsilons.
+
+``gamma_beta_ld_scalar`` and ``gamma_beta_arrays_loop`` are the per-order
+80-bit formulas and loop that the blocked array expressions replaced, and
+``derivative_loop`` is the numpy-scalar loop of ``eval_all_p``'s
+derivatives; both must be matched bitwise, signs of zero included.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -28,7 +34,13 @@ from chromex import (
     orthonormality_matrix,
     sigma_sequence,
 )
-from chromex.families import gamma_beta_arrays
+from chromex.families import (
+    _COEFF_BLOCK,
+    PI_LD,
+    family_spec,
+    gamma_beta_arrays,
+    recursion_coefficients,
+)
 
 from conftest import ALL_FAMILIES
 
@@ -113,6 +125,73 @@ def christoffel_weights_loop(gam, bet, nodes):
     return w
 
 
+def gamma_beta_ld_scalar(spec, n):
+    tag = spec.tag
+    nn = np.longdouble(n)
+    if tag == "legendre":
+        return PI_LD * (nn + 1) / np.sqrt(4 * (nn + 1) ** 2 - 1), np.longdouble(0.0)
+    if tag == "chebyshev_t":
+        g = PI_LD / np.sqrt(np.longdouble(2.0)) if n == 0 else PI_LD / 2
+        return g, np.longdouble(0.0)
+    if tag == "chebyshev_u":
+        return PI_LD / 2, np.longdouble(0.0)
+    if tag == "gegenbauer":
+        a = np.longdouble(spec.id.a)
+        g = PI_LD / 2 * np.sqrt((nn + 1) * (nn + 2 * a) / ((nn + a) * (nn + a + 1)))
+        return g, np.longdouble(0.0)
+    if tag == "jacobi":
+        a = np.longdouble(spec.id.a)
+        b = np.longdouble(spec.id.b)
+        s = 2 * nn + a + b
+        g = (
+            2 * PI_LD / (s + 2)
+            * np.sqrt((nn + 1) * (nn + a + 1) * (nn + b + 1) * (nn + a + b + 1)
+                      / ((s + 1) * (s + 3)))
+        )
+        if n == 0:
+            beta = PI_LD * (a - b) / (a + b + 2)
+        else:
+            beta = PI_LD * (a - b) * (a + b) / ((s + 2) * s)
+        return g, beta
+    if tag == "hermite":
+        return np.sqrt((nn + 1) / 2), np.longdouble(0.0)
+    if tag == "laguerre":
+        return nn + 1, -(2 * nn + 1)
+    assert tag == "herron"
+    return nn + 1, np.longdouble(0.0)
+
+
+def gamma_beta_arrays_loop(family, horizon):
+    # the float64 path stored each of these 80-bit values with one
+    # rounding, which astype(np.float64) repeats
+    spec = family_spec(family)
+    gam = np.empty(horizon + 1, dtype=np.longdouble)
+    bet = np.empty(horizon + 1, dtype=np.longdouble)
+    for n in range(horizon + 1):
+        g, b = gamma_beta_ld_scalar(spec, n)
+        gam[n] = g
+        bet[n] = b
+    return gam, bet
+
+
+def derivative_loop(gam, bet, p, omega):
+    N = gam.shape[0] - 1
+    dvals = np.zeros(N + 1)
+    dm1, d = 0.0, 0.0
+    for n in range(N):
+        gm1 = gam[n - 1] if n >= 1 else 1.0
+        dn = (p[n] + (omega + bet[n]) * d - gm1 * dm1) / gam[n]
+        dm1, d = d, dn
+        dvals[n + 1] = d
+    return dvals
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # signs of zero
+
+
 def _gauss_nodes(family, n):
     return np.linalg.eigvalsh(jacobi_matrix(family, n).dense())
 
@@ -127,6 +206,53 @@ def test_eval_all_p_matches_scalar_loop(family):
         for om in OMEGAS:
             np.testing.assert_array_equal(eval_all_p(family, N, om).values,
                                           poly_sequence_loop(gam, bet, om))
+
+
+# jacobi(0.3,-0.3) has a + b = 0, so its discarded n = 0 beta lane is 0/0
+COEFF_FAMILIES = ALL_FAMILIES + ["gegenbauer(-0.3)", "jacobi(1.5,2.5)", "jacobi(0.3,-0.3)"]
+
+
+@pytest.mark.parametrize("family", COEFF_FAMILIES)
+def test_gamma_beta_arrays_match_scalar_loop(family):
+    # an entry of the loop depends on n alone, so one long run covers every horizon
+    want_g, want_b = gamma_beta_arrays_loop(family, 30000)
+    for horizon in (0, 1, _COEFF_BLOCK - 1, _COEFF_BLOCK, _COEFF_BLOCK + 1, 30000):
+        for longdouble, dt in ((True, np.longdouble), (False, np.float64)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                g, b = gamma_beta_arrays(family, horizon, longdouble=longdouble)
+            assert_bitwise(g, want_g[: horizon + 1].astype(dt))
+            assert_bitwise(b, want_b[: horizon + 1].astype(dt))
+
+
+@pytest.mark.parametrize("family", COEFF_FAMILIES)
+def test_recursion_coefficients_match_scalar_formulas(family):
+    spec = family_spec(family)
+    for n in (0, 1, 7, 1000):
+        got = recursion_coefficients(family, n)
+        want = tuple(float(v) for v in gamma_beta_ld_scalar(spec, n))
+        assert got == want
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_eval_all_p_derivatives_match_scalar_loop(family):
+    for N in (0, 1, 40, 300):
+        gam, bet = gamma_beta_arrays(family, N)
+        for om in OMEGAS:
+            want = derivative_loop(gam, bet, poly_sequence_loop(gam, bet, om), om)
+            assert_bitwise(eval_all_p(family, N, om, derivatives=True).derivative_values, want)
+
+
+@pytest.mark.parametrize("call, args", [
+    (eval_all_p, ("hermite", 3000, 40.0)),
+    (cd_kernel, ("hermite", 3000, 40.0, 1.0)),
+    (cd_diagonal, ("hermite", 3000, 40.0)),
+    (cd_diagonal, ("legendre", 300, 7.0)),  # every p_n finite, the CD products overflow
+])
+def test_overflow_raises_numeric_error(call, args):
+    with pytest.raises(NumericError, match="smaller N or \\|omega\\|"):
+        call(*args)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
