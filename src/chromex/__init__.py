@@ -4,7 +4,6 @@ expansions with error envelopes, FIR evaluation of the operators from
 samples, and power-space seminorms."""
 
 from .basis_functions import (
-    SeriesEvalConfig,
     bessel_j,
     bessel_j_all,
     kbasis_closed,
@@ -20,7 +19,6 @@ from .chromatic_core import (
     build_table,
     chromatic_jet_from_taylor,
     compose_at_zero,
-    compose_at_zero_from_tables,
     conversion_matrices,
     orthonormality_matrix,
     table_for,

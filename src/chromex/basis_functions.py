@@ -9,49 +9,40 @@ two independent computations rather than two calls into one library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chromatic_core import ChromaticTable
+from .chromatic_core import ChromaticTable, default_columns
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
 from .families import family_spec
 
+# every series row is certified to this absolute tail and holds at most
+# this many terms; the laguerre and herron arguments stay inside these radii
+_TAIL_TOL = 1e-12
+_MAX_TERMS = 2048
 _RADIUS_GUARDS = {"laguerre": 0.5, "herron": 0.7}
 # geometric growth rate of |b[n][k]|^(1/k) for the p = 1 families
 # (poles of m at -i and +-i*pi/2 respectively)
 _SERIES_RATIOS = {"laguerre": 1.0, "herron": 2.0 / math.pi}
 
 
-@dataclass(frozen=True)
-class SeriesEvalConfig:
-    max_terms: int = 2048
-    tail_tolerance: float = 1e-12
-    radius_guard: float | None = None  # None: use the family default
-
-    def __post_init__(self):
-        if self.tail_tolerance <= 0 or self.max_terms <= 0:
-            raise ParameterError("tail_tolerance and max_terms must be positive")
-
-
-def _terms_needed(spec, n, absz, cfg):
+def _terms_needed(spec, n, absz):
     """Smallest series length certified by the coefficient bounds.
 
-    Returns None when the a-priori bound exceeds max_terms; callers may
+    Returns None when the a-priori bound exceeds _MAX_TERMS; callers may
     then fall back to the empirical tail check on the stored row.
     """
     p = spec.growth_exponent
-    tol = cfg.tail_tolerance
     if absz == 0.0:
         return n + 1
     if p < 1.0:
         # |b[n][k]| <= (M+1)^(2k) / k!^(1-p); conservative tail scan
         L = (spec.weak_bound_M + 1.0) ** 2 * absz
         log_l = math.log(L)
-        log_tol = math.log(tol / 2.0)
+        log_tol = math.log(_TAIL_TOL / 2.0)
         logr = 0.0
         k = 0
-        while k < cfg.max_terms:
+        while k < _MAX_TERMS:
             k += 1
             logr += log_l - (1.0 - p) * math.log(k)
             if logr < log_tol and L / (k + 1) ** (1.0 - p) < 0.5:
@@ -105,22 +96,20 @@ def _geometric_terms_needed(N, q, tol):
     return k
 
 
-def suggest_columns(family, N: int, absz: float, cfg: SeriesEvalConfig | None = None) -> int:
+def suggest_columns(family, N: int, absz: float) -> int:
     """Table columns sufficient to evaluate rows up to N at |z| <= absz."""
     spec = family_spec(family)
-    cfg = cfg or SeriesEvalConfig()
-    fallback = 2 * N + 32
     absz = float(absz)
-    need = _terms_needed(spec, N, absz, cfg)
+    need = _terms_needed(spec, N, absz)
     if need is None and spec.growth_exponent >= 1.0:
-        need = _geometric_terms_needed(N, _SERIES_RATIOS[spec.tag] * absz, cfg.tail_tolerance)
+        need = _geometric_terms_needed(N, _SERIES_RATIOS[spec.tag] * absz, _TAIL_TOL)
     if need is None:
-        return fallback
-    # kbasis_series trusts row n through column K - n
-    return max(fallback, need + N + 8)
+        return default_columns(N)
+    # 8 spare columns put the empirical tail window past the certified length
+    return max(default_columns(N), need + 8)
 
 
-def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConfig | None = None):
+def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
     """K^n[m](z) for lo <= n <= hi, summed from table rows lo..hi in one
     Horner pass; shape (hi - lo + 1, points) for scalar or array z.
 
@@ -129,33 +118,31 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConf
     Horner loop per row and point returns.
     """
     spec = family_spec(table.family)
-    cfg = cfg or SeriesEvalConfig()
     if not 0 <= lo <= table.N:
         raise ParameterError(f"order n={lo} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     absz = float(np.abs(zs).max())
-    guard = cfg.radius_guard
-    if guard is None:
-        guard = _RADIUS_GUARDS.get(spec.tag)
+    guard = _RADIUS_GUARDS.get(spec.tag)
     if guard is not None and absz > guard:
         raise ParameterError(
             f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}"
         )
-    # the a-priori scan does not depend on n: nterms(n) = max(base, n + 1)
-    base = _terms_needed(spec, 0, absz, cfg)
+    # the a-priori scan does not depend on n: nterms(n) = max(base, n + 1);
+    # a table's columns do not depend on its width, so all K + 1 are usable
+    base = _terms_needed(spec, 0, absz)
+    avail = min(table.K + 1, _MAX_TERMS)
     nterms = np.empty(hi - lo + 1, dtype=np.intp)
     for n in range(lo, hi + 1):
         if n > table.N:
             raise ParameterError(f"order n={n} outside table horizon")
         need = None if base is None else max(base, n + 1)
-        avail = min(table.reliable_columns(n) + 1, cfg.max_terms)
         if need is None or need > avail:
             # a-priori certificate out of reach: accept the full stored row
             # if its trailing terms demonstrate convergence below tolerance
-            if not _empirical_tail_ok(table.b[n], avail, absz, cfg.tail_tolerance):
+            if not _empirical_tail_ok(table.b[n], avail, absz, _TAIL_TOL):
                 raise ConvergenceError(
                     f"series tail for row {n} at |z|={absz:g} not below "
-                    f"{cfg.tail_tolerance:g} within {avail} columns; "
+                    f"{_TAIL_TOL:g} within {avail} columns; "
                     "rebuild the table with a larger K"
                 )
             need = avail
@@ -174,9 +161,9 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z, cfg: SeriesEvalConf
     return acc
 
 
-def kbasis_series(table: ChromaticTable, n: int, z, cfg: SeriesEvalConfig | None = None):
+def kbasis_series(table: ChromaticTable, n: int, z):
     """K^n[m](z) summed from table row n; z may be scalar or array."""
-    out = _series_rows(table, n, n, z, cfg)[0]
+    out = _series_rows(table, n, n, z)[0]
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 

@@ -14,11 +14,11 @@ matrix, evaluated by the scaled power iteration v_k = J v_{k-1} / k.  The
 entries of J^k e_0 are sums over lattice paths whose weights never change
 sign (gamma_n > 0; the diagonal -beta_n is nonnegative or negligible for
 every supported family), so each table entry is computed without
-cancellation.  Running the operator recurrence across rows instead
-(build_table_recurrence, kept as an independent cross-check) reproduces
-the same table but loses the tiny near-diagonal entries to cancellation
-beyond order ~25.  Entries with k < n, and with k - n odd for symmetric
-families, are exact structural zeros in both routes.
+cancellation.  (Running the operator recurrence across rows instead
+reproduces the same table but loses the tiny near-diagonal entries to
+cancellation beyond order ~25; the test suite keeps it as an oracle.)
+Entries with k < n, and with k - n odd for symmetric families, are exact
+structural zeros.
 
 Tables are built in 80-bit extended precision and stored as complex128;
 the build is a one-time O(K * (N + K)) pass, so the extra precision is
@@ -38,11 +38,12 @@ table_for keeps recently built tables in memory, keyed on (family, N, K),
 so repeated evaluations in one process build each table once; the shared
 arrays are read-only.
 
-Column reliability: build_table_recurrence omits one term in its last
-column (the K+1 column does not exist), so its row n is only reliable
-through column K - n; the default K = 2N + 32 keeps all n, m <= N sums
-inside that region.  The power-iteration builder has no such cascade but
-keeps the same default for interchangeability.
+Column reliability: column k needs only the Jacobi matrix's first
+(k + N) / 2 + 2 levels, which every K >= k includes, so a table's columns
+do not depend on K (build_table(f, N, K).b equals the first K + 1 columns
+of any wider table bit for bit) and every stored column is usable.
+basis_functions.suggest_columns decides how many columns an argument
+radius needs; the default K = 2N + 32 serves callers that know none.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .families import (
     _gauss_pass,
     family_spec,
     gamma_beta_arrays,
-    moment_over_factorial_ld,
 )
 
 # below 2^-1100 an entry rounds to 0 in complex128 (smallest subnormal 2^-1074)
@@ -81,10 +81,6 @@ class ChromaticTable:
         if not 0 <= n <= self.N:
             raise HorizonError(f"row {n} outside table horizon N={self.N}")
         return self.b[n]
-
-    def reliable_columns(self, n: int) -> int:
-        """Highest column of row n unaffected by the truncation cascade."""
-        return self.K - n
 
 
 def _phase_vector(K: int) -> np.ndarray:
@@ -135,35 +131,6 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     return ChromaticTable(spec.id, N, K, b)
 
 
-def build_table_recurrence(family, N: int, K: int | None = None) -> ChromaticTable:
-    """Build the table by the operator recurrence across rows.
-
-    Independent of build_table (which goes through Jacobi-matrix powers);
-    the two agree to rounding in the bulk, but this route loses relative
-    accuracy in the small near-diagonal entries beyond order ~25.  Kept
-    as the second half of a dual-route consistency check.
-    """
-    spec = family_spec(family)
-    if N < 0:
-        raise ParameterError("N must be nonnegative")
-    if K is None:
-        K = default_columns(N)
-    if K < N:
-        raise ParameterError(f"K={K} must be at least N={N}")
-    b = np.zeros((N + 1, K + 1), dtype=np.clongdouble)
-    b[0, :] = moment_over_factorial_ld(spec, K) * _phase_vector(K)
-    gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
-    for n in range(N):
-        gm1 = gam[n - 1] if n >= 1 else np.longdouble(1.0)
-        lo = n + 1
-        prev = b[n - 1, lo:K] if n >= 1 else 0.0
-        ks = np.arange(lo + 1, K + 1, dtype=np.longdouble)
-        b[n + 1, lo:K] = (ks * b[n, lo + 1 : K + 1] + 1j * bet[n] * b[n, lo:K] + gm1 * prev) / gam[n]
-        prev_last = b[n - 1, K] if n >= 1 else 0.0
-        b[n + 1, K] = (1j * bet[n] * b[n, K] + gm1 * prev_last) / gam[n]
-    return ChromaticTable(spec.id, N, K, b.astype(np.complex128))
-
-
 @dataclass(frozen=True)
 class ConversionMatrices:
     """Change of basis between {D^n} and {K^n}.
@@ -197,7 +164,8 @@ def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> 
     """Build both change-of-basis matrices; d2k is read off the table."""
     spec = family_spec(family)
     if table is None:
-        table = build_table(spec, N, default_columns(N))
+        # only the (N+1) x (N+1) corner is read
+        table = build_table(spec, N, N)
     if table.N < N or table.K < N:
         raise HorizonError("table horizon too small for conversion matrices")
     gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
@@ -273,27 +241,14 @@ def compose_at_zero(family, n: int, m: int) -> complex:
 
     Evaluated by Gauss quadrature with eigenvalue nodes and recurrence
     weights, which keeps the computation well conditioned at any order.
-    The equivalent table expression sum_k k2d[n][k] k! b[m][k] (available
-    as compose_at_zero_from_tables) loses roughly one digit per two
-    orders to cancellation and is only useful as a low-order cross-check.
+    The equivalent table expression sum_k k2d[n][k] k! b[m][k] loses
+    roughly one digit per two orders to cancellation; the test suite keeps
+    it as a low-order cross-check.
     """
     if n < 0 or m < 0:
         raise ParameterError("orders must be nonnegative")
     G = orthonormality_matrix(family, max(n, m), raw=True)
     return complex(1j ** (n + m) * G[n, m])
-
-
-def compose_at_zero_from_tables(table: ChromaticTable, matrices: ConversionMatrices,
-                                n: int, m: int) -> complex:
-    """Literal change-of-basis sum sum_k k2d[n][k] k! b[m][k].
-
-    Ill-conditioned beyond n + m around 25; prefer compose_at_zero.
-    """
-    if n > matrices.N or m > table.N:
-        raise HorizonError("table/matrix horizon too small")
-    if n + m > table.K:
-        raise HorizonError("table needs K >= n + m for a reliable row")
-    return complex(np.sum(matrices.k2d_scaled[n, : n + 1] * table.b[m, : n + 1]))
 
 
 def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every subcommand emits CSV (default) or JSON with numbers serialized at 17
 significant digits, so identical configurations produce byte-identical
 output.  Random signals use numpy's PCG64 generator with an explicit seed
-(default 0).  Each command builds the coefficient tables it needs in
-memory; nothing is written to disk besides --out and filter files.
+(default 0).  The library sizes and builds the coefficient tables each
+command needs in memory; nothing is written to disk besides --out and
+filter files.
 """
 
 from __future__ import annotations
@@ -152,9 +153,7 @@ def cmd_table(args):
 def cmd_expand(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
-    cols = suggest_columns(spec, args.order, np.abs(args.t - args.u).max())
-    table = table_for(spec, args.order, cols)
-    ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t, table)
+    ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t)
     fv = f.value(args.t)
     rows = [
         (float(t), fval.real, fval.imag, c.real, c.imag, abs(fval - c))
@@ -166,17 +165,13 @@ def cmd_expand(args):
 
 def cmd_identity(args):
     spec = family_spec(args.family)
-    extent = float(np.abs(args.z).max()) + abs(args.u)
-    table = table_for(spec, args.order, suggest_columns(spec, args.order, extent))
-    rows = []
-    for z in args.z:
-        if args.kind == "exponential":
-            r = expansions.identity_exponential(spec, args.omega, float(z), args.order, table)
-        elif args.kind == "translation":
-            r = expansions.identity_translation(spec, args.u, float(z), args.order, table)
-        else:
-            r = expansions.identity_constant_one(spec, float(z), args.order, table)
-        rows.append((float(z), r))
+    if args.kind == "exponential":
+        res = expansions.identity_exponential(spec, args.omega, args.z, args.order)
+    elif args.kind == "translation":
+        res = expansions.identity_translation(spec, args.u, args.z, args.order)
+    else:
+        res = expansions.identity_constant_one(spec, args.z, args.order)
+    rows = [(float(z), float(r)) for z, r in zip(args.z, res)]
     _write_rows(args.out, ["z", "residual"], rows, args.format)
     return 0
 
@@ -184,9 +179,7 @@ def cmd_identity(args):
 def cmd_compare(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
-    cols = suggest_columns(spec, args.order, np.abs(args.t - args.u).max())
-    table = table_for(spec, args.order, cols)
-    rows = expansions.taylor_vs_chromatic_comparison(spec, f, args.u, args.order, args.t, table)
+    rows = expansions.taylor_vs_chromatic_comparison(spec, f, args.u, args.order, args.t)
     out = [
         (t, fv.real, ca.real, ty.real, abs(fv - ca), abs(fv - ty))
         for t, fv, ca, ty in rows
@@ -242,10 +235,7 @@ def cmd_apply_fir(args):
 
 def cmd_envelope(args):
     spec = family_spec(args.family)
-    cols = suggest_columns(spec, args.order, np.abs(args.t).max())
-    table = table_for(spec, args.order, cols)
-    # one envelope per point: each certifies its series length at its own |t|
-    vals = [expansions.error_envelope(spec, args.order, float(t), table) for t in args.t]
+    vals = expansions.error_envelope(spec, args.order, args.t)
     rows = [(float(t), float(v)) for t, v in zip(args.t, vals)]
     _write_rows(args.out, ["t", "envelope"], rows, args.format)
     return 0

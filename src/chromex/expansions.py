@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import SeriesEvalConfig, _series_rows, kbasis_series, spherical_j_all
+from .basis_functions import _series_rows, spherical_j_all, suggest_columns
 from .chromatic_core import (
     ChromaticTable,
     TaylorJet,
@@ -209,9 +209,15 @@ class ApproximationResult:
     tail_bound: float | None
 
 
+def _sized(spec, N: int, extent, table: ChromaticTable | None) -> ChromaticTable:
+    """table, or the shared table wide enough for rows 0..N at |z| <= max(extent)."""
+    if table is not None:
+        return table
+    return table_for(spec, N, suggest_columns(spec, N, float(np.max(np.abs(extent)))))
+
+
 def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
-                            table: ChromaticTable | None = None,
-                            cfg: SeriesEvalConfig | None = None) -> ApproximationResult:
+                            table: ChromaticTable | None = None) -> ApproximationResult:
     """CA[f, N, u](z) = sum_{k<=N} (-1)^k K^k[f](u) K^k[m](z - u).
 
     z is a single point; use chromatic_approximation_grid for arrays.
@@ -219,11 +225,10 @@ def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
     if np.asarray(z).ndim != 0:
         raise ParameterError("z must be scalar; use chromatic_approximation_grid")
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
+    table = _sized(spec, N, z - u, table)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = _series_rows(table, 0, N, np.asarray(z) - u, cfg)
+    basis = _series_rows(table, 0, N, np.asarray(z) - u)
     value = np.sum(signs * jet * basis[:, 0])
     tail = None
     fnorm = f.norm_sq(spec)
@@ -233,24 +238,31 @@ def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
     return ApproximationResult(complex(value), N, tail)
 
 
-def chromatic_approximation_grid(family, f, u, N, zs, table=None, cfg=None):
+def chromatic_approximation_grid(family, f, u, N, zs, table=None):
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
+    zs = np.asarray(zs)
+    table = _sized(spec, N, zs - u, table)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = _series_rows(table, 0, N, np.asarray(zs) - u, cfg)
+    basis = _series_rows(table, 0, N, zs - u)
     return (signs * jet) @ basis
 
 
-def error_envelope(family, N: int, t: float, table: ChromaticTable | None = None) -> float:
-    """E_N(t) = sqrt(max(0, 1 - sum_{k<=N} |K^k[m](t)|^2)), clamped at 0."""
+def _per_point(values, z):
+    """A float for scalar z, else the array of per-point values."""
+    return float(values[0]) if np.ndim(z) == 0 else values
+
+
+def error_envelope(family, N: int, t, table: ChromaticTable | None = None):
+    """E_N(t) = sqrt(max(0, 1 - sum_{k<=N} |K^k[m](t)|^2)), clamped at 0.
+
+    t may be a scalar (returns a float) or an array, evaluated in one pass.
+    """
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
-    vals = _series_rows(table, 0, N, float(t))[:, 0]
-    s = float(np.sum(np.abs(vals) ** 2))
-    return math.sqrt(max(0.0, 1.0 - s))
+    table = _sized(spec, N, t, table)
+    vals = _series_rows(table, 0, N, np.asarray(t, dtype=float))
+    s = np.sum(np.abs(vals) ** 2, axis=0)
+    return _per_point(np.sqrt(np.maximum(0.0, 1.0 - s)), t)
 
 
 def local_norm_sq(family, f: FunctionSpec, t: float, N: int) -> float:
@@ -278,50 +290,46 @@ def local_convolution(family, f: FunctionSpec, g: FunctionSpec, u: float, t: flo
 # identity verifiers (all return the residual, never assert)
 
 def identity_exponential(family, omega: float, z, N: int,
-                         table: ChromaticTable | None = None) -> float:
-    """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |."""
+                         table: ChromaticTable | None = None):
+    """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |, for scalar or array z."""
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
+    table = _sized(spec, N, z, table)
     pv = eval_all_p(spec, N, omega).values
-    basis = _series_rows(table, 0, N, z)[:, 0]
-    s = np.sum((-1j) ** np.arange(N + 1) * pv * basis)
-    return float(abs(np.exp(1j * omega * np.asarray(z, dtype=complex)) - s))
+    basis = _series_rows(table, 0, N, z)
+    s = np.sum(((-1j) ** np.arange(N + 1) * pv)[:, None] * basis, axis=0)
+    return _per_point(np.abs(np.exp(1j * omega * np.atleast_1d(z).astype(complex)) - s), z)
 
 
-def identity_translation(family, u, z, N: int, table: ChromaticTable | None = None) -> float:
-    """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |."""
+def identity_translation(family, u, z, N: int, table: ChromaticTable | None = None):
+    """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |, for scalar or array z."""
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
-    bu = _series_rows(table, 0, N, u)[:, 0]
-    bz = _series_rows(table, 0, N, z)[:, 0]
-    lhs = kbasis_series(table, 0, np.asarray(z) + u)
-    s = np.sum((-1.0) ** np.arange(N + 1) * bu * bz)
-    return float(abs(lhs - s))
+    z = np.asarray(z)
+    table = _sized(spec, N, np.abs(z) + abs(u), table)
+    bu = _series_rows(table, 0, N, u)
+    bz = _series_rows(table, 0, N, z)
+    lhs = _series_rows(table, 0, 0, z + u)[0]
+    s = np.sum(((-1.0) ** np.arange(N + 1))[:, None] * bu * bz, axis=0)
+    return _per_point(np.abs(lhs - s), z)
 
 
-def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None) -> float:
-    """| 1 - sum_k (-1)^k K^k[1](0) K^k[m](z) |.
+def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None):
+    """| 1 - sum_k (-1)^k K^k[1](0) K^k[m](z) |, for scalar or array z.
 
     The coefficients K^k[1](0) come from the constant jet (column 0 of the
     monomial conversion matrix), not from any printed sign pattern.
     """
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
+    table = _sized(spec, N, z, table)
     cjet = Constant(1.0).chromatic_jet(spec, 0.0, N)
-    basis = _series_rows(table, 0, N, z)[:, 0]
-    s = np.sum((-1.0) ** np.arange(N + 1) * cjet * basis)
-    return float(abs(1.0 - s))
+    basis = _series_rows(table, 0, N, z)
+    s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
+    return _per_point(np.abs(1.0 - s), z)
 
 
 def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, grid,
                                    table: ChromaticTable | None = None):
     """Rows (t, f(t), CA[f,N,u](t), Taylor_N[f,u](t)) over the grid."""
     spec = family_spec(family)
-    if table is None:
-        table = table_for(spec, N)
     grid = np.asarray(grid, dtype=float)
     ca = chromatic_approximation_grid(spec, f, u, N, grid, table)
     tj = f.taylor_jet(u, N + 1)

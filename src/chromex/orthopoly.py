@@ -19,7 +19,8 @@ class PolyEvaluation:
 
 
 def _finite(a, N: int):
-    """a, once checked finite: the Python-float arithmetic here overflows silently."""
+    """a, once checked finite: Python floats overflow silently, and numpy
+    arrays do under the errstate that eval_p_grid sets."""
     if not np.isfinite(a).all():
         raise NumericError(f"p_n(omega), n <= {N}, overflows float64; use a smaller N or |omega|")
     return a
@@ -60,11 +61,16 @@ def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyE
 
 
 def eval_p_grid(family, N: int, omegas) -> np.ndarray:
-    """p_n(omega) for n <= N over a grid; shape (N+1, len(omegas))."""
+    """p_n(omega) for n <= N over a grid; shape (N+1, len(omegas)).
+
+    Raises NumericError once a value overflows float64.
+    """
     if N < 0:
         raise ParameterError("N must be nonnegative")
     gam, bet = gamma_beta_arrays(family, N)
-    return _values(gam, bet, np.asarray(omegas, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _values(gam, bet, np.asarray(omegas, dtype=np.float64))
+    return _finite(values, N)
 
 
 def cd_kernel(family, N: int, omega: float, sigma: float) -> float:

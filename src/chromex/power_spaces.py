@@ -103,7 +103,7 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
     return ConditionReport(horizon, kappa, flags, evidence)
 
 
-_GUARD_TRIPPED = "polynomial magnitude guard tripped (|p| > 1e100)"
+_GUARD_TRIPPED = "polynomial magnitude guard tripped (|p| > 1e100); use a smaller N or |omega|"
 
 
 def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray:

@@ -6,7 +6,6 @@ import pytest
 from chromex import (
     ConvergenceError,
     ParameterError,
-    SeriesEvalConfig,
     UnsupportedFamilyError,
     bessel_j,
     bessel_j_all,
@@ -71,11 +70,13 @@ def test_radius_guard():
     t = build_table("laguerre", 4)
     with pytest.raises(ParameterError):
         kbasis_series(t, 1, 0.9)
-    # explicit override admits wider arguments inside the convergence disc
-    cfg = SeriesEvalConfig(radius_guard=0.95, max_terms=4096)
-    val = kbasis_series(build_table("laguerre", 4, 600), 1, 0.9, cfg)
-    ref = kbasis_closed("laguerre", 1, 0.9)
-    assert val == pytest.approx(ref, rel=1e-8)
+
+
+def test_series_uses_every_column():
+    # row 20 at |z| = 3 needs all 73 columns of the default-width table
+    t = build_table("hermite", 20, 72)
+    grid = np.linspace(-3.0, 3.0, 61)
+    assert np.abs(kbasis_series(t, 20, grid) - kbasis_closed("hermite", 20, grid)).max() < 1e-12
 
 
 def test_convergence_error_when_table_too_short():

@@ -10,15 +10,50 @@ from chromex import (
     build_table,
     chromatic_jet_from_taylor,
     compose_at_zero,
-    compose_at_zero_from_tables,
     conversion_matrices,
     orthonormality_matrix,
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticJet, _phase_vector, build_table_recurrence
-from chromex.families import family_spec, gamma_beta_arrays, moment_analytic
+from chromex.chromatic_core import ChromaticJet, ChromaticTable, _phase_vector
+from chromex.families import (
+    family_spec,
+    gamma_beta_arrays,
+    moment_analytic,
+    moment_over_factorial_ld,
+)
 from conftest import ALL_FAMILIES
+
+
+def build_table_recurrence(family, N, K):
+    """The table by the operator recurrence across rows: an oracle for
+    build_table (Jacobi-matrix powers) that loses relative accuracy in the
+    small near-diagonal entries beyond order ~25.  Its last column omits
+    the missing K + 1 column's term, so row n is reliable through column
+    K - n only."""
+    spec = family_spec(family)
+    b = np.zeros((N + 1, K + 1), dtype=np.clongdouble)
+    b[0, :] = moment_over_factorial_ld(spec, K) * _phase_vector(K)
+    gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
+    for n in range(N):
+        gm1 = gam[n - 1] if n >= 1 else np.longdouble(1.0)
+        lo = n + 1
+        prev = b[n - 1, lo:K] if n >= 1 else 0.0
+        ks = np.arange(lo + 1, K + 1, dtype=np.longdouble)
+        b[n + 1, lo:K] = (ks * b[n, lo + 1 : K + 1] + 1j * bet[n] * b[n, lo:K] + gm1 * prev) / gam[n]
+        prev_last = b[n - 1, K] if n >= 1 else 0.0
+        b[n + 1, K] = (1j * bet[n] * b[n, K] + gm1 * prev_last) / gam[n]
+    return ChromaticTable(spec.id, N, K, b.astype(np.complex128))
+
+
+def compose_at_zero_from_tables(table, matrices, n, m):
+    """The literal change-of-basis sum sum_k k2d[n][k] k! b[m][k]: an
+    oracle for compose_at_zero, ill-conditioned beyond n + m around 25."""
+    if n > matrices.N or m > table.N:
+        raise HorizonError("table/matrix horizon too small")
+    if n + m > table.K:
+        raise HorizonError("table needs K >= n + m for a reliable row")
+    return complex(np.sum(matrices.k2d_scaled[n, : n + 1] * table.b[m, : n + 1]))
 
 
 def test_table_base_entries():
@@ -67,6 +102,22 @@ def test_dual_route_table_agreement(family):
     block2 = t2.b[:, : 56 - 12 + 1]
     scale = np.abs(block1).max()
     assert np.abs(block1 - block2).max() < 1e-11 * scale
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_columns_do_not_depend_on_K(family):
+    """A wider table only appends columns, so every stored column is usable."""
+    narrow = build_table(family, 20, 60).b
+    for K in (61, 100, 200):
+        assert narrow.tobytes() == build_table(family, 20, K).b[:, :61].tobytes()
+
+
+def test_conversion_matrices_read_a_square_table():
+    for family in ALL_FAMILIES:
+        for N in (20, 99):
+            wide = conversion_matrices(family, N, build_table(family, N, 2 * N + 32))
+            square = conversion_matrices(family, N)
+            assert square.d2k_scaled.tobytes() == wide.d2k_scaled.tobytes()
 
 
 def _build_table_full_width(family, N, K):

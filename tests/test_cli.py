@@ -101,6 +101,13 @@ def test_identity_subcommand(capsys):
         assert float(line.split(",")[1]) < 1e-8
 
 
+def test_poly_overflow_exits_1(capsys):
+    code = main(["poly", "--family", "hermite", "--n", "3000", "--omega=40"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "smaller N or |omega|" in captured.err
+
+
 def test_fir_design_and_apply_round_trip(capsys, tmp_path):
     filt_file = str(tmp_path / "filter.json")
     code, _ = run(

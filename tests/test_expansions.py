@@ -17,6 +17,7 @@ from chromex import (
     identity_constant_one,
     identity_exponential,
     identity_translation,
+    kbasis_closed,
     local_convolution,
     local_norm_sq,
     local_scalar,
@@ -234,3 +235,32 @@ def test_identity_exponential_matches_classical_hermite():
     fac = np.array([math.factorial(n) for n in range(N + 1)], dtype=float)
     classical = np.sum(H / fac * (1j * z / 2.0) ** np.arange(N + 1)) * np.exp(-z * z / 4.0)
     assert abs(classical - np.exp(1j * omega * z)) < 1e-10
+
+
+def test_approximation_sizes_its_own_table():
+    # |z - u| = 5 needs a wider table than the default 2N + 32 columns
+    f, u, N, z = Sinc(), 0.3, 15, 5.3
+    res = chromatic_approximation("legendre", f, u=u, N=N, z=z)
+    jet = f.chromatic_jet("legendre", u, N)
+    ref = sum((-1) ** k * jet[k] * kbasis_closed("legendre", k, z - u) for k in range(N + 1))
+    assert abs(res.value - ref) < 1e-10
+
+
+@pytest.mark.parametrize("family,R", [
+    ("legendre", 3.0), ("chebyshev_t", 2.0), ("hermite", 2.0), ("laguerre", 0.45), ("herron", 0.3),
+])
+def test_array_calls_match_per_point_calls(family, R):
+    """One pass over all points equals one call per point within rounding."""
+    N, z = 20, np.linspace(-R, R, 41)
+    calls = [
+        lambda x: error_envelope(family, N, x) ** 2,
+        lambda x: identity_exponential(family, 1.1, x, N),
+        lambda x: identity_translation(family, 0.1, 0.5 * x, N),
+        lambda x: identity_constant_one(family, x, N),
+    ]
+    for call in calls:
+        whole = call(z)
+        assert isinstance(whole, np.ndarray) and whole.shape == z.shape
+        points = [call(float(x)) for x in z]
+        assert all(isinstance(v, float) for v in points)
+        assert np.abs(whole - points).max() < 1e-14

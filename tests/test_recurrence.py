@@ -249,6 +249,7 @@ def test_eval_all_p_derivatives_match_scalar_loop(family):
     (cd_kernel, ("hermite", 3000, 40.0, 1.0)),
     (cd_diagonal, ("hermite", 3000, 40.0)),
     (cd_diagonal, ("legendre", 300, 7.0)),  # every p_n finite, the CD products overflow
+    (eval_p_grid, ("hermite", 3000, np.array([1.0, 40.0]))),
 ])
 def test_overflow_raises_numeric_error(call, args):
     with pytest.raises(NumericError, match="smaller N or \\|omega\\|"):
@@ -308,11 +309,12 @@ def test_magnitude_guard_trips_at_first_large_p(family, omega):
     nu_sequence(family, Exponential(omega), 0.0, first - 1)
     sigma_sequence(family, omega, 0.5, 0.0, first - 1)
     sigma_sequence(family, 0.5, omega, 0.0, first - 1)
-    with pytest.raises(NumericError, match="guard"):
+    remedy = "guard tripped .*; use a smaller N or \\|omega\\|"
+    with pytest.raises(NumericError, match=remedy):
         nu_sequence(family, Exponential(omega), 0.0, first)
-    with pytest.raises(NumericError, match="guard"):
+    with pytest.raises(NumericError, match=remedy):
         sigma_sequence(family, omega, 0.5, 0.0, first)
-    with pytest.raises(NumericError, match="guard"):
+    with pytest.raises(NumericError, match=remedy):
         sigma_sequence(family, 0.5, omega, 0.0, first)
 
 

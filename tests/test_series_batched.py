@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from chromex import (
     ConvergenceError,
     ParameterError,
-    SeriesEvalConfig,
     build_table,
     kbasis_closed,
     kbasis_series,
 )
 from chromex.basis_functions import (
+    _MAX_TERMS,
     _RADIUS_GUARDS,
+    _TAIL_TOL,
     _empirical_tail_ok,
     _series_rows,
     _terms_needed,
@@ -47,25 +48,22 @@ def series_eval_scalar(coeffs, zs, nterms):
     return out
 
 
-def _kbasis_series_scalar(table, n, z, cfg=None):
+def _kbasis_series_scalar(table, n, z):
     spec = family_spec(table.family)
-    cfg = cfg or SeriesEvalConfig()
     if not 0 <= n <= table.N:
         raise ParameterError(f"order n={n} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     absz = float(np.abs(zs).max())
-    guard = cfg.radius_guard
-    if guard is None:
-        guard = _RADIUS_GUARDS.get(spec.tag)
+    guard = _RADIUS_GUARDS.get(spec.tag)
     if guard is not None and absz > guard:
         raise ParameterError(f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}")
-    nterms = _terms_needed(spec, n, absz, cfg)
-    avail = min(table.reliable_columns(n) + 1, cfg.max_terms)
+    nterms = _terms_needed(spec, n, absz)
+    avail = min(table.K + 1, _MAX_TERMS)
     if nterms is None or nterms > avail:
-        if not _empirical_tail_ok(table.b[n], avail, absz, cfg.tail_tolerance):
+        if not _empirical_tail_ok(table.b[n], avail, absz, _TAIL_TOL):
             raise ConvergenceError(
                 f"series tail for row {n} at |z|={absz:g} not below "
-                f"{cfg.tail_tolerance:g} within {avail} columns; "
+                f"{_TAIL_TOL:g} within {avail} columns; "
                 "rebuild the table with a larger K"
             )
         nterms = avail
@@ -73,9 +71,9 @@ def _kbasis_series_scalar(table, n, z, cfg=None):
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def _rows_scalar(table, N, z, cfg=None):
+def _rows_scalar(table, N, z):
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    return np.array([_kbasis_series_scalar(table, n, zs, cfg) for n in range(N + 1)])
+    return np.array([_kbasis_series_scalar(table, n, zs) for n in range(N + 1)])
 
 
 def _outcome(fn, *args):
@@ -163,10 +161,10 @@ def test_error_parity(family, N, K, hi, z):
     assert err_new == err_old
 
 
-def _terms_used(table, n, absz, cfg=SeriesEvalConfig()):
+def _terms_used(table, n, absz):
     spec = family_spec(table.family)
-    need = _terms_needed(spec, n, absz, cfg)
-    avail = min(table.reliable_columns(n) + 1, cfg.max_terms)
+    need = _terms_needed(spec, n, absz)
+    avail = min(table.K + 1, _MAX_TERMS)
     return avail if need is None or need > avail else need
 
 
