@@ -1,7 +1,7 @@
 """Basis functions K^n[m](z): truncated series, closed forms, Bessel oracles.
 
-The Bessel and spherical Bessel evaluators are implemented in-house
-(ascending-series limits handled inside a Miller backward recurrence) so
+The Bessel and spherical Bessel evaluators are implemented in-house (one
+Miller backward recurrence, run over an array of arguments at once) so
 that the series/closed-form comparison is a genuine cross-check between
 two independent computations rather than two calls into one library.
 """
@@ -182,123 +182,109 @@ def kbasis_closed(family, n: int, z):
     elif tag == "herron":
         out = (-1.0) ** n / np.cosh(zs) * np.tanh(zs) ** n
     else:
-        if np.abs(zs.imag).max() > 0.0:
+        if (zs.imag != 0.0).any():
             raise ParameterError("Bessel-backed closed forms take real z only")
-        x = zs.real
-        out = np.empty(x.size, dtype=np.complex128)
-        for i, t in enumerate(x):
-            if tag == "legendre":
-                js = spherical_j_sequence(n, math.pi * t)
-                out[i] = (-1.0) ** n * math.sqrt(2 * n + 1) * js[n]
-            elif tag == "chebyshev_t":
-                jb = bessel_j_sequence(n, math.pi * t)
-                out[i] = jb[0] if n == 0 else (-1.0) ** n * math.sqrt(2.0) * jb[n]
-            else:  # chebyshev_u
-                jb = bessel_j_sequence(n + 2, math.pi * t)
-                out[i] = (-1.0) ** n * (jb[n] + jb[n + 2])
+        x = math.pi * zs.real
+        if tag == "legendre":
+            out = (-1.0) ** n * math.sqrt(2 * n + 1) * _miller(True, n, x, [n])[0]
+        elif tag == "chebyshev_t":
+            jb = _miller(False, n, x, [n])[0]
+            out = jb if n == 0 else (-1.0) ** n * math.sqrt(2.0) * jb
+        else:  # chebyshev_u
+            jb = _miller(False, n + 2, x, [n, n + 2])
+            out = (-1.0) ** n * (jb[0] + jb[1])
+        out = out.astype(np.complex128)
     return complex(out[0]) if scalar else out
 
 
-def spherical_j_sequence(nmax, x):
-    """j_0..j_nmax at real x: Miller backward recurrence, normalized by
-    whichever of the closed forms j_0, j_1 is larger in magnitude."""
-    out = np.zeros(nmax + 1, dtype=np.float64)
-    ax = abs(x)
-    if ax < 1e-14:
-        out[0] = 1.0
-        return out
-    j0 = np.sin(ax) / ax
-    j1 = np.sin(ax) / (ax * ax) - np.cos(ax) / ax
-    if nmax == 0:
-        out[0] = j0
-        return out
-    start = nmax + int(np.sqrt(40.0 * (nmax + 1))) + 20
-    if ax > nmax:
-        start += int(ax)
-    fp1 = 0.0
-    f = 1e-305
-    for k in range(start, 0, -1):
-        fm1 = (2.0 * k + 1.0) / ax * f - fp1
-        fp1 = f
-        f = fm1
-        if k - 1 <= nmax:
-            out[k - 1] = f
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp1 *= 1e-250
-            for j in range(nmax + 1):
-                out[j] *= 1e-250
-    if abs(j0) >= abs(j1):
-        scale = j0 / out[0]
-    else:
-        scale = j1 / out[1]
-    for j in range(nmax + 1):
-        out[j] *= scale
-    if x < 0.0:
-        for j in range(1, nmax + 1, 2):
-            out[j] = -out[j]
-    return out
+def _miller(spherical, nmax, x, rows):
+    """Distinct rows `rows` of j_0..j_nmax (spherical) or J_0..J_nmax at every
+    real x in one Miller backward recurrence; shape (len(rows), x.size).
 
-
-def bessel_j_sequence(nmax, x):
-    """J_0..J_nmax at real x: Miller backward recurrence, normalized by
-    J_0(x) + 2 sum_k J_2k(x) = 1."""
-    out = np.zeros(nmax + 1, dtype=np.float64)
-    ax = abs(x)
-    if ax < 1e-14:
-        out[0] = 1.0
+    Each point starts at its own index, measured from max(nmax, |x|) so
+    the start lies past the turning point at order |x|, and keeps its own
+    1e250 rescale and normalization: by whichever of the closed forms
+    j_0, j_1 is larger in magnitude, or by J_0 + 2 sum_k J_2k = 1.  Only
+    the requested rows are stored.
+    """
+    x = np.atleast_1d(np.asarray(x)).astype(np.float64, casting="same_kind")
+    if not np.isfinite(x).all():
+        raise ParameterError("non-finite Bessel argument; x must be finite")
+    out = np.zeros((len(rows), x.size))
+    out[np.asarray(rows) == 0] = 1.0  # j_n(0) = J_n(0) = [n == 0]
+    live = np.flatnonzero(np.abs(x) >= 1e-14)
+    if live.size == 0:
         return out
-    start = nmax + int(np.sqrt(40.0 * (nmax + 1))) + 20
-    if ax > nmax:
-        start += int(ax)
-    if start % 2 == 1:
-        start += 1
-    fp1 = 0.0
-    f = 1e-305
-    even_sum = 0.0
-    for k in range(start, 0, -1):
-        fm1 = 2.0 * k / ax * f - fp1
-        fp1 = f
-        f = fm1
-        if (k - 1) % 2 == 0 and k - 1 > 0:
+    top = np.maximum(nmax, np.floor(np.abs(x[live])))
+    start = top + np.floor(np.sqrt(40.0 * (top + 1))) + 20
+    if not spherical:
+        start += start % 2  # the last step then lands on the even J_0 term
+    # lanes in order of falling start: the ones started by step k are a prefix
+    order = np.argsort(-start, kind="stable")
+    live, start = live[order], start[order]
+    ax = np.abs(x[live])
+    if spherical:
+        j0 = np.sin(ax) / ax
+        j1 = np.sin(ax) / (ax * ax) - np.cos(ax) / ax
+        if nmax == 0:
+            out[:, live] = j0
+            return out
+    slot = {r: i for i, r in enumerate(rows)}
+    rec = np.zeros((len(rows), live.size))
+    # a lane that has not started holds f = fp1 = 0, which the recurrence
+    # keeps exactly 0; it starts from f = 1e-305 at its own start index
+    f = np.zeros(live.size)
+    fp1 = np.zeros(live.size)
+    even_sum = np.zeros(live.size)
+    m = 0
+    for k in range(int(start[0]), 0, -1):
+        while m < live.size and start[m] >= k:
+            f[m] = 1e-305
+            m += 1
+        fp1, f = f, ((2.0 * k + 1.0) if spherical else 2.0 * k) / ax * f - fp1
+        if not spherical and k % 2 == 1 and k > 1:
             even_sum += 2.0 * f
-        if k - 1 <= nmax:
-            out[k - 1] = f
-        if abs(f) > 1e250:
-            f *= 1e-250
-            fp1 *= 1e-250
-            even_sum *= 1e-250
-            for j in range(nmax + 1):
-                out[j] *= 1e-250
-    even_sum += f  # the k-1 == 0 term
-    scale = 1.0 / even_sum
-    for j in range(nmax + 1):
-        out[j] *= scale
-    if x < 0.0:
-        for j in range(1, nmax + 1, 2):
-            out[j] = -out[j]
+        if k - 1 in slot:  # every lane has started by row nmax
+            rec[slot[k - 1]] = f
+        if np.abs(f).max() > 1e250:
+            big = np.abs(f) > 1e250
+            f[big] *= 1e-250
+            fp1[big] *= 1e-250
+            even_sum[big] *= 1e-250
+            rec[:, big] *= 1e-250
+    # f and fp1 now hold the unnormalized rows 0 and 1
+    if spherical:
+        use_j0 = np.abs(j0) >= np.abs(j1)
+        scale = np.where(use_j0, j0, j1) / np.where(use_j0, f, fp1)
+    else:
+        scale = 1.0 / (even_sum + f)
+    rec *= scale
+    rec[np.ix_(np.asarray(rows) % 2 == 1, x[live] < 0.0)] *= -1.0  # odd rows
+    out[:, live] = rec
     return out
 
 
 def spherical_j(n: int, x: float) -> float:
-    """Spherical Bessel j_n(x), real x, n <= ~200, |x| <= ~1e4."""
+    """Spherical Bessel j_n(x), real finite x; accurate to 1e-14 absolute
+    (tested) for n <= 80, |x| <= 1e4."""
     if n < 0:
         raise ParameterError("order must be nonnegative")
-    return float(spherical_j_sequence(n, float(x))[n])
+    return float(_miller(True, n, float(x), [n])[0, 0])
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), real x."""
+    """Bessel function of the first kind J_n(x), real finite x; same
+    tested domain as spherical_j."""
     if n < 0:
         raise ParameterError("order must be nonnegative")
-    return float(bessel_j_sequence(n, float(x))[n])
+    return float(_miller(False, n, float(x), [n])[0, 0])
 
 
 def spherical_j_all(n: int, x: float) -> np.ndarray:
-    """j_0(x) .. j_n(x)."""
-    return spherical_j_sequence(n, float(x))
+    """j_0(x) .. j_n(x): the one-point case of _miller."""
+    return _miller(True, n, float(x), range(n + 1))[:, 0]
 
 
 def bessel_j_all(n: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_n(x)."""
-    return bessel_j_sequence(n, float(x))
+    """J_0(x) .. J_n(x): the one-point case of _miller."""
+    return _miller(False, n, float(x), range(n + 1))[:, 0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import _series_rows, spherical_j_all, suggest_columns
+from .basis_functions import _miller, _series_rows, suggest_columns
 from .chromatic_core import (
     ChromaticTable,
     TaylorJet,
@@ -102,6 +102,14 @@ class Constant(FunctionSpec):
         return TaylorJet(u, coeff)
 
 
+def _sinc_jets(ts, N):
+    """K^n[sinc](t) = (-1)^n sqrt(2n+1) j_n(pi t), n <= N, at every real t
+    in ts (Legendre family) from one Miller pass; shape (N + 1, len(ts))."""
+    n = np.arange(N + 1)
+    js = _miller(True, N, math.pi * np.asarray(ts), range(N + 1))
+    return (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
+
+
 @dataclass
 class Sinc(FunctionSpec):
     """sinc z = sin(pi z)/(pi z); unit norm under the Legendre functional."""
@@ -121,9 +129,7 @@ class Sinc(FunctionSpec):
         if spec.tag != "legendre":
             jet = self.taylor_jet(t, 2 * N + 16)
             return chromatic_jet_from_taylor(spec, jet, N).values
-        js = spherical_j_all(N, math.pi * t)
-        n = np.arange(N + 1)
-        return ((-1.0) ** n * np.sqrt(2 * n + 1) * js).astype(np.complex128)
+        return _sinc_jets([t], N)[:, 0]
 
     def taylor_jet(self, u, length):
         if u == 0:
@@ -161,9 +167,10 @@ class ShannonCombo(FunctionSpec):
         if spec.tag != "legendre":
             raise UnsupportedFamilyError("shannon_combo jets are Legendre-only")
         idx = self.first_index + np.arange(len(self.samples))
+        jets = _sinc_jets(t - idx, N)
         acc = np.zeros(N + 1, dtype=np.complex128)
-        for m, s in zip(idx, self.samples):
-            acc += s * Sinc().chromatic_jet(spec, t - m, N)
+        for s, jet in zip(self.samples, jets.T):
+            acc += s * jet
         return acc
 
     def taylor_jet(self, u, length):

@@ -181,14 +181,11 @@ def shannon_decay_report(n: int, t: float, m_range: int):
     Documents the O(1/|m|) decay that makes evaluating chromatic
     derivatives by differentiating the Shannon expansion impractical.
     """
-    from .basis_functions import spherical_j_all
+    from .basis_functions import _miller
 
-    rows = []
-    for m in range(-m_range, m_range + 1):
-        x = math.pi * (t - m)
-        js = spherical_j_all(n, x)
-        rows.append((m, abs(math.sqrt(2 * n + 1) * js[n])))
-    return rows
+    ms = np.arange(-m_range, m_range + 1)
+    js = _miller(True, n, math.pi * (t - ms), [n])[0]
+    return [(int(m), abs(math.sqrt(2 * n + 1) * j)) for m, j in zip(ms, js)]
 
 
 # ---------------------------------------------------------------------------
