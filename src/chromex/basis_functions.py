@@ -9,6 +9,7 @@ two independent computations rather than two calls into one library.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,28 +27,32 @@ _RADIUS_GUARDS = {"laguerre": 0.5, "herron": 0.7}
 _SERIES_RATIOS = {"laguerre": 1.0, "herron": 2.0 / math.pi}
 
 
+@lru_cache(maxsize=None)
+def _scan_table(p):
+    """(1 - p) log k and (k + 1)^(1 - p) for k = 1.._MAX_TERMS."""
+    return (np.array([(1.0 - p) * math.log(k) for k in range(1, _MAX_TERMS + 1)]),
+            np.array([(k + 1) ** (1.0 - p) for k in range(1, _MAX_TERMS + 1)]))
+
+
 def _terms_needed(spec, n, absz):
     """Smallest series length certified by the coefficient bounds.
 
     Returns None when the a-priori bound exceeds _MAX_TERMS; callers may
-    then fall back to the empirical tail check on the stored row.
+    then fall back to the empirical tail check on the stored row.  For p < 1
+    the log of |b[n][k]| <= (M+1)^(2k) / k!^(1-p) is summed for every k at
+    once: np.cumsum adds the float64 steps a scalar loop over k adds, in the
+    loop's order, so the first k meeting both conditions is the loop's.
     """
     p = spec.growth_exponent
     if absz == 0.0:
         return n + 1
     if p < 1.0:
-        # |b[n][k]| <= (M+1)^(2k) / k!^(1-p); conservative tail scan
+        slope, power = _scan_table(p)
         L = (spec.weak_bound_M + 1.0) ** 2 * absz
-        log_l = math.log(L)
-        log_tol = math.log(_TAIL_TOL / 2.0)
-        logr = 0.0
-        k = 0
-        while k < _MAX_TERMS:
-            k += 1
-            logr += log_l - (1.0 - p) * math.log(k)
-            if logr < log_tol and L / (k + 1) ** (1.0 - p) < 0.5:
-                return max(k + 1, n + 1)
-        return None
+        logr = np.cumsum(math.log(L) - slope)
+        hit = (logr < math.log(_TAIL_TOL / 2.0)) & (L / power < 0.5)
+        k = int(np.argmax(hit)) + 1
+        return max(k + 1, n + 1) if hit[k - 1] else None
     # p = 1: the coefficient growth rate is geometric with a known base
     # but carries an order-n polynomial factor, so no sharp a-priori
     # length exists; the radius guard plus the empirical trailing-decay
@@ -58,25 +63,21 @@ def _terms_needed(spec, n, absz):
     return None
 
 
-def _empirical_tail_ok(row, nterms, absz, tol):
-    """Trailing-term decay certificate when the a-priori bound is too loose.
-
-    The last window of computed terms must sit far below tolerance and
-    must not be growing relative to the window before it.  A term that
-    overflows (|z|^k = inf, and inf * 0 = nan for a stored zero) fails
-    the check: an underflowed b_k says nothing about b_k |z|^k.
-    """
+def _tails_converged(rows, nterms, absz):
+    """Trailing-term decay certificate per row when the a-priori bound is too
+    loose: the last window of a row's first nterms terms must sit far below
+    tolerance and must not grow relative to the window before it.  A term
+    that overflows (|z|^k = inf, and inf * 0 = nan for a stored zero) fails:
+    an underflowed b_k says nothing about b_k |z|^k."""
     w = 6
-    if nterms < 2 * w:
-        return False
+    if nterms < 2 * w or len(rows) == 0:
+        return np.zeros(len(rows), dtype=bool)
     start = nterms - 2 * w
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.abs(row[start:nterms]) * absz ** np.arange(start, nterms)
-    if not np.isfinite(terms).all():
-        return False
-    last = terms[-w:].max()
-    prev = terms[-2 * w : -w].max()
-    return last < tol / 4.0 and last <= prev + tol / 4.0
+        terms = np.abs(rows[:, start:nterms]) * absz ** np.arange(start, nterms)
+        last = terms[:, w:].max(axis=1)
+        prev = terms[:, :w].max(axis=1)
+    return np.isfinite(terms).all(axis=1) & (last < _TAIL_TOL / 4) & (last <= prev + _TAIL_TOL / 4)
 
 
 def _geometric_terms_needed(N, q, tol):
@@ -100,6 +101,8 @@ def suggest_columns(family, N: int, absz: float) -> int:
     """Table columns sufficient to evaluate rows up to N at |z| <= absz."""
     spec = family_spec(family)
     absz = float(absz)
+    if not math.isfinite(absz):
+        raise ParameterError("non-finite argument; z must be finite")
     need = _terms_needed(spec, N, absz)
     if need is None and spec.growth_exponent >= 1.0:
         need = _geometric_terms_needed(N, _SERIES_RATIOS[spec.tag] * absz, _TAIL_TOL)
@@ -121,7 +124,9 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
     if not 0 <= lo <= table.N:
         raise ParameterError(f"order n={lo} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    absz = float(np.abs(zs).max())
+    absz = float(np.abs(zs).max())  # NaN if any point is NaN
+    if not math.isfinite(absz):  # before the radius guard, which NaN passes
+        raise ParameterError("non-finite argument; z must be finite")
     guard = _RADIUS_GUARDS.get(spec.tag)
     if guard is not None and absz > guard:
         raise ParameterError(
@@ -131,22 +136,19 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
     # a table's columns do not depend on its width, so all K + 1 are usable
     base = _terms_needed(spec, 0, absz)
     avail = min(table.K + 1, _MAX_TERMS)
-    nterms = np.empty(hi - lo + 1, dtype=np.intp)
-    for n in range(lo, hi + 1):
-        if n > table.N:
-            raise ParameterError(f"order n={n} outside table horizon")
-        need = None if base is None else max(base, n + 1)
-        if need is None or need > avail:
-            # a-priori certificate out of reach: accept the full stored row
-            # if its trailing terms demonstrate convergence below tolerance
-            if not _empirical_tail_ok(table.b[n], avail, absz, _TAIL_TOL):
-                raise ConvergenceError(
-                    f"series tail for row {n} at |z|={absz:g} not below "
-                    f"{_TAIL_TOL:g} within {avail} columns; "
-                    "rebuild the table with a larger K"
-                )
-            need = avail
-        nterms[n - lo] = need
+    nterms = np.maximum(avail + 1 if base is None else base,
+                        np.arange(lo + 1, min(hi, table.N) + 2))
+    # rows past the a-priori reach (a suffix) count in full if their tails converge
+    late = int(np.searchsorted(nterms, avail, side="right"))
+    ok = _tails_converged(table.b[lo + late : lo + nterms.size], avail, absz)
+    if not ok.all():
+        raise ConvergenceError(
+            f"series tail for row {lo + late + int(np.argmin(ok))} at |z|={absz:g} "
+            f"not below {_TAIL_TOL:g} within {avail} columns; rebuild the table with a larger K"
+        )
+    nterms[late:] = avail
+    if hi > table.N:
+        raise ParameterError(f"order n={table.N + 1} outside table horizon")
     # columns past the table's last nonzero column would only add exact
     # zeros (so would those zeroed below, past every row's length)
     nonzero = np.flatnonzero(table.b[lo : hi + 1, : int(nterms.max())].any(axis=0))

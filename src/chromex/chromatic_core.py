@@ -187,6 +187,14 @@ def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> 
     return ConversionMatrices(spec.id, N, k2d64, k2d_scaled, d2k_scaled)
 
 
+@lru_cache(maxsize=32)
+def constant_jet(family, N: int) -> np.ndarray:
+    """K^n[1](0), n <= N (column 0 of k2d), built once and shared read-only."""
+    jet = conversion_matrices(family, N).k2d[:, 0].copy()
+    jet.flags.writeable = False
+    return jet
+
+
 @dataclass(frozen=True)
 class TaylorJet:
     """coefficients[k] = f^(k)(u) / k!"""

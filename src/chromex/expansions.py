@@ -12,7 +12,7 @@ from .chromatic_core import (
     ChromaticTable,
     TaylorJet,
     chromatic_jet_from_taylor,
-    conversion_matrices,
+    constant_jet,
     table_for,
     taylor_from_chromatic_jet,
 )
@@ -93,8 +93,7 @@ class Constant(FunctionSpec):
         return self.c * np.ones_like(np.asarray(z, dtype=np.complex128))
 
     def chromatic_jet(self, family, t, N):
-        mats = conversion_matrices(family, N)
-        return self.c * mats.k2d[:, 0].copy()
+        return self.c * constant_jet(family, N)
 
     def taylor_jet(self, u, length):
         coeff = np.zeros(length, dtype=np.complex128)

@@ -10,11 +10,14 @@ from chromex import (
     bessel_j,
     bessel_j_all,
     build_table,
+    error_envelope,
+    identity_exponential,
     kbasis_closed,
     kbasis_series,
     spherical_j,
     spherical_j_all,
 )
+from chromex.basis_functions import suggest_columns
 
 
 def test_series_at_zero():
@@ -70,6 +73,24 @@ def test_radius_guard():
     t = build_table("laguerre", 4)
     with pytest.raises(ParameterError):
         kbasis_series(t, 1, 0.9)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
+                               [0.5, math.nan]])
+def test_non_finite_arguments_raise_parameter_error(z):
+    """No table width certifies a non-finite argument, so the series and the
+    sizing refuse it up front instead of asking for a larger K."""
+    msg = "non-finite argument; z must be finite"
+    for family in ("legendre", "hermite", "laguerre"):
+        with pytest.raises(ParameterError, match=msg):
+            kbasis_series(build_table(family, 10), 0, z)
+        with pytest.raises(ParameterError, match=msg):
+            suggest_columns(family, 10, np.abs(z).max())
+        with pytest.raises(ParameterError, match=msg):
+            identity_exponential(family, 1.0, z, 10)
+    if np.isrealobj(z):
+        with pytest.raises(ParameterError, match=msg):
+            error_envelope("legendre", 10, z)
 
 
 def test_series_uses_every_column():

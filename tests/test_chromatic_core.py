@@ -15,7 +15,7 @@ from chromex import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticJet, ChromaticTable, _phase_vector
+from chromex.chromatic_core import ChromaticJet, ChromaticTable, _phase_vector, constant_jet
 from chromex.families import (
     family_spec,
     gamma_beta_arrays,
@@ -291,3 +291,15 @@ def test_gegenbauer_one_table_matches_chebyshev_u():
     t1 = build_table("gegenbauer(1)", 16, 64)
     t2 = build_table("chebyshev_u", 16, 64)
     assert np.abs(t1.b - t2.b).max() < 1e-15 * np.abs(t2.b).max()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_constant_jet_is_column_zero_of_k2d(family):
+    """The shared jet K^n[1](0) is the k2d column bit for bit, and read-only."""
+    for N in (0, 1, 20, 60):
+        jet = constant_jet(family, N)
+        ref = conversion_matrices(family, N).k2d[:, 0]
+        assert np.array_equal(jet, ref) and jet.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            jet[0] = 2.0
+        assert constant_jet(family, N) is jet

@@ -152,6 +152,18 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--family", "legendre", "--n", "3", "--t=nan"],
+    ["basis", "--family", "hermite", "--n", "3", "--t=-inf"],
+    ["envelope", "--family", "legendre", "--order", "10", "--t=nan"],
+])
+def test_non_finite_argument_exit_code(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "non-finite argument; z must be finite" in captured.err
+
+
 def test_domain_error_exit_code(capsys):
     code = main(["basis", "--family", "laguerre", "--n", "1", "--t", "0:2:1"])
     assert code == 1

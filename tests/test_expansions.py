@@ -24,6 +24,8 @@ from chromex import (
     table_for,
     taylor_vs_chromatic_comparison,
 )
+from chromex.basis_functions import _series_rows
+from chromex.chromatic_core import conversion_matrices
 from chromex.families import gamma_beta_arrays
 
 
@@ -173,6 +175,29 @@ def test_identity_constant_one():
     # which reduces to J_0 + 2 sum J_2n = 1
     jb = bessel_j_all(60, math.pi * 0.6)
     assert abs(jb[0] + 2 * np.sum(jb[2:61:2]) - 1.0) <= 1e-10
+
+
+def _constant_one_from_k2d(family, z, N, table):
+    """identity_constant_one with the jet read off the full k2d matrix."""
+    cjet = conversion_matrices(family, N).k2d[:, 0]
+    basis = _series_rows(table, 0, N, z)
+    s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
+    values = np.abs(1.0 - s)
+    return float(values[0]) if np.ndim(z) == 0 else values
+
+
+@pytest.mark.parametrize("family,R", [
+    ("legendre", 3.0), ("chebyshev_t", 2.0), ("jacobi(0.5,-0.25)", 2.0), ("hermite", 2.0),
+    ("laguerre", 0.45),
+])
+def test_identity_constant_one_bitwise_on_the_k2d_column(family, R):
+    N, z = 30, np.linspace(-R, R, 13)
+    table = table_for(family, N, 200)
+    whole = identity_constant_one(family, z, N, table)
+    assert whole.tobytes() == _constant_one_from_k2d(family, z, N, table).tobytes()
+    for x in z:
+        one = identity_constant_one(family, float(x), N, table)
+        assert one.hex() == _constant_one_from_k2d(family, float(x), N, table).hex()
 
 
 def test_operator_christoffel_darboux():

@@ -4,6 +4,10 @@
 row, then one scalar Horner loop per point.  For real z the batched pass
 must reproduce it bit for bit, including which row raises and with what
 message; for complex z it must agree within Horner's rounding bound.
+
+Its certification uses the scalar loops the library replaced with array
+passes, kept here as bitwise oracles: ``_terms_needed_loop`` scans the
+a-priori bound one k at a time, and ``_empirical_tail_ok`` checks one row.
 """
 
 import functools
@@ -25,9 +29,10 @@ from chromex import (
 from chromex.basis_functions import (
     _MAX_TERMS,
     _RADIUS_GUARDS,
+    _SERIES_RATIOS,
     _TAIL_TOL,
-    _empirical_tail_ok,
     _series_rows,
+    _tails_converged,
     _terms_needed,
     suggest_columns,
 )
@@ -48,16 +53,64 @@ def series_eval_scalar(coeffs, zs, nterms):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_loop(p, M, absz):
+    """First k of the scalar scan of |b[n][k]| <= L^k / k!^(1-p), or None.
+
+    It does not depend on n, so the sweep below memoizes it per argument.
+    """
+    L = (M + 1.0) ** 2 * absz
+    log_l = math.log(L)
+    log_tol = math.log(_TAIL_TOL / 2.0)
+    logr = 0.0
+    k = 0
+    while k < _MAX_TERMS:
+        k += 1
+        logr += log_l - (1.0 - p) * math.log(k)
+        if logr < log_tol and L / (k + 1) ** (1.0 - p) < 0.5:
+            return k
+    return None
+
+
+def _terms_needed_loop(spec, n, absz):
+    p = spec.growth_exponent
+    if absz == 0.0:
+        return n + 1
+    if p < 1.0:
+        k = _scan_loop(p, spec.weak_bound_M, absz)
+        return None if k is None else max(k + 1, n + 1)
+    q = _SERIES_RATIOS[spec.tag] * absz
+    if q >= 0.95:
+        raise ConvergenceError("argument too close to the convergence boundary")
+    return None
+
+
+def _empirical_tail_ok(row, nterms, absz, tol):
+    w = 6
+    if nterms < 2 * w:
+        return False
+    start = nterms - 2 * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(row[start:nterms]) * absz ** np.arange(start, nterms)
+    if not np.isfinite(terms).all():
+        return False
+    last = terms[-w:].max()
+    prev = terms[-2 * w : -w].max()
+    return last < tol / 4.0 and last <= prev + tol / 4.0
+
+
 def _kbasis_series_scalar(table, n, z):
     spec = family_spec(table.family)
     if not 0 <= n <= table.N:
         raise ParameterError(f"order n={n} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if not np.isfinite(zs).all():
+        raise ParameterError("non-finite argument; z must be finite")
     absz = float(np.abs(zs).max())
     guard = _RADIUS_GUARDS.get(spec.tag)
     if guard is not None and absz > guard:
         raise ParameterError(f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}")
-    nterms = _terms_needed(spec, n, absz)
+    nterms = _terms_needed_loop(spec, n, absz)
     avail = min(table.K + 1, _MAX_TERMS)
     if nterms is None or nterms > avail:
         if not _empirical_tail_ok(table.b[n], avail, absz, _TAIL_TOL):
@@ -151,6 +204,10 @@ def test_sub_range_matches_full_pass(lo, hi):
         ("laguerre", 4, None, 4, 0.9),  # radius guard
         ("herron", 4, None, 4, -0.75),  # radius guard
         ("legendre", 4, None, 5, 0.5),  # order beyond the table horizon
+        ("hermite", 10, None, 11, 6.0),  # a failing row comes before the horizon
+        ("legendre", 4, None, 4, [0.5, math.nan]),  # non-finite arguments
+        ("laguerre", 4, None, 4, math.inf),
+        ("hermite", 4, None, 4, complex(0.5, math.nan)),
     ],
 )
 def test_error_parity(family, N, K, hi, z):
@@ -163,7 +220,7 @@ def test_error_parity(family, N, K, hi, z):
 
 def _terms_used(table, n, absz):
     spec = family_spec(table.family)
-    need = _terms_needed(spec, n, absz)
+    need = _terms_needed_loop(spec, n, absz)
     avail = min(table.K + 1, _MAX_TERMS)
     return avail if need is None or need > avail else need
 
@@ -218,6 +275,7 @@ def test_tail_check_rejects_overflowing_terms_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not _empirical_tail_ok(table.b[0], 301, 20.0, 1e-12)
+        assert not _tails_converged(table.b[:1], 301, 20.0).any()
         with pytest.raises(ConvergenceError, match="row 0 at"):
             _series_rows(table, 0, 30, 20.0)
 
@@ -233,3 +291,49 @@ def test_suggest_columns_certifies_p1_families(family, N):
         got = _series_rows(table, 0, N, z)
         ref = np.array([kbasis_closed(family, n, z) for n in range(N + 1)])
         assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("family", [f for f in ALL_FAMILIES
+                                    if family_spec(f).growth_exponent < 1.0])
+def test_terms_needed_equals_scan_loop(family):
+    """The cumulative-sum scan returns the scalar loop's integer or None,
+    through hermite's None region at |z| >= 2.75."""
+    spec = family_spec(family)
+    radii = [0.0, *np.logspace(-8, 3, 45), *np.arange(4001) * 0.01]
+    for absz in radii:
+        for n in (0, 7, 40):
+            assert _terms_needed(spec, n, float(absz)) == _terms_needed_loop(spec, n, float(absz))
+    if spec.tag == "hermite":
+        assert _terms_needed(spec, 0, 2.75) is None
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_tails_converged_equals_row_check(family):
+    """One verdict per row, each the scalar check's, including rows that
+    fail, rows whose terms overflow and tables narrower than the window."""
+    for N, K in ((8, 10), (20, 60), (30, 300)):
+        table = _table(family, N, K)
+        for absz in (0.3, 3.0, 6.0, 20.0, 1e3):
+            got = _tails_converged(table.b, K + 1, absz)
+            ref = [_empirical_tail_ok(row, K + 1, absz, _TAIL_TOL) for row in table.b]
+            assert got.tolist() == ref
+
+
+@pytest.mark.parametrize("z,K,row", [(3.0, 60, 15), (6.0, 112, 11)])
+@pytest.mark.parametrize("lo", [0, 3])
+def test_first_failing_row_is_named(z, K, row, lo):
+    """hermite N = 20: rows from `row` on fail the tail check at |z| (at
+    |z| = 3 row 16 passes again), and the error names the first of them."""
+    table = _table("hermite", 20, K)
+    verdicts = [_empirical_tail_ok(r, K + 1, z, _TAIL_TOL) for r in table.b]
+    assert verdicts.index(False) == row
+    with pytest.raises(ConvergenceError, match=f"row {row} at \\|z\\|={z:g} "):
+        _series_rows(table, lo, 20, np.array([-z, 0.5]))
+
+
+def test_horizon_error_after_all_rows_certify():
+    table = _table("legendre", 12, 60)
+    with pytest.raises(ParameterError, match="order n=13 outside table horizon"):
+        _series_rows(table, 0, table.N + 1, 0.5)
+    with pytest.raises(ParameterError, match="order n=13 outside table horizon"):
+        _series_rows(table, 13, 13, 0.5)
