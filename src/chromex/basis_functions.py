@@ -22,9 +22,6 @@ from .families import family_spec
 _TAIL_TOL = 1e-12
 _MAX_TERMS = 2048
 _RADIUS_GUARDS = {"laguerre": 0.5, "herron": 0.7}
-# geometric growth rate of |b[n][k]|^(1/k) for the p = 1 families
-# (poles of m at -i and +-i*pi/2 respectively)
-_SERIES_RATIOS = {"laguerre": 1.0, "herron": 2.0 / math.pi}
 
 
 @lru_cache(maxsize=None)
@@ -56,8 +53,8 @@ def _terms_needed(spec, n, absz):
     # p = 1: the coefficient growth rate is geometric with a known base
     # but carries an order-n polynomial factor, so no sharp a-priori
     # length exists; the radius guard plus the empirical trailing-decay
-    # check on the stored row governs instead
-    q = _SERIES_RATIOS[spec.tag] * absz
+    # check on the stored row governs instead; spec.rho is that base
+    q = spec.rho * absz
     if q >= 0.95:
         raise ConvergenceError("argument too close to the convergence boundary")
     return None
@@ -105,7 +102,7 @@ def suggest_columns(family, N: int, absz: float) -> int:
         raise ParameterError("non-finite argument; z must be finite")
     need = _terms_needed(spec, N, absz)
     if need is None and spec.growth_exponent >= 1.0:
-        need = _geometric_terms_needed(N, _SERIES_RATIOS[spec.tag] * absz, _TAIL_TOL)
+        need = _geometric_terms_needed(N, spec.rho * absz, _TAIL_TOL)
     if need is None:
         return default_columns(N)
     # 8 spare columns put the empirical tail window past the certified length

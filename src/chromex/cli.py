@@ -66,27 +66,35 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be 'a:b:step' or a number")
     a, b, step = (float(p) for p in parts)
-    n = int(round((b - a) / step))
-    return a + step * np.arange(n + 1)
+    if not 0 < abs(step) < math.inf:
+        raise argparse.ArgumentTypeError("grid step must be finite and nonzero")
+    count = (b - a) / step
+    if not 0 <= count < math.inf:
+        raise argparse.ArgumentTypeError("grid ends must be finite, with a step from a toward b")
+    return a + step * np.arange(int(round(count)) + 1)
+
+
+_SCALED = {"exponential": expansions.Exponential, "cos": expansions.Cosine,
+           "constant": expansions.Constant}
 
 
 def _parse_function(text: str, seed: int) -> expansions.FunctionSpec:
-    if text == "sinc":
-        return expansions.Sinc()
-    if text.startswith("exponential:"):
-        return expansions.Exponential(float(text.split(":", 1)[1]))
-    if text.startswith("cos:"):
-        return expansions.Cosine(float(text.split(":", 1)[1]))
-    if text.startswith("constant:"):
-        return expansions.Constant(float(text.split(":", 1)[1]))
-    if text.startswith("shannon_random"):
-        count = 65
-        if ":" in text:
-            count = int(text.split(":", 1)[1])
-        rng = np.random.Generator(np.random.PCG64(seed))
-        samples = rng.uniform(-1.0, 1.0, count)
-        return expansions.ShannonCombo(samples, first_index=-(count // 2))
-    raise argparse.ArgumentTypeError(f"unknown function {text!r}")
+    name, colon, arg = text.partition(":")
+    try:
+        if text == "sinc":
+            return expansions.Sinc()
+        if name in _SCALED and colon:
+            return _SCALED[name](float(arg))
+        if name == "shannon_random":
+            count = int(arg) if colon else 65
+            rng = np.random.Generator(np.random.PCG64(seed))
+            samples = rng.uniform(-1.0, 1.0, count)
+            return expansions.ShannonCombo(samples, first_index=-(count // 2))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad function {text!r}; use sinc, exponential:W, cos:W, constant:C or shannon_random[:COUNT]"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +436,9 @@ def main(argv=None) -> int:
     except ChromexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except argparse.ArgumentTypeError as exc:  # a --function or --signal string
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

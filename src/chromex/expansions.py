@@ -9,6 +9,7 @@ import numpy as np
 
 from .basis_functions import _miller, _series_rows, suggest_columns
 from .chromatic_core import (
+    ChromaticJet,
     ChromaticTable,
     TaylorJet,
     chromatic_jet_from_taylor,
@@ -16,7 +17,7 @@ from .chromatic_core import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from .errors import ParameterError, UnsupportedFamilyError
+from .errors import ParameterError
 from .families import family_spec
 from .orthopoly import eval_all_p
 
@@ -25,16 +26,25 @@ from .orthopoly import eval_all_p
 # test-signal specifications
 
 class FunctionSpec:
-    """A function together with a way to obtain its chromatic jets."""
+    """A function together with its jets.  A subclass states the jet it
+    knows in closed form; the base class derives the other one through the
+    change of basis K^n = sum_k k2d[n][k] D^k."""
 
     def value(self, z):
         raise NotImplementedError
 
     def chromatic_jet(self, family, t, N) -> np.ndarray:
-        raise NotImplementedError
+        """K^n[f](t), n <= N, converted from the Taylor jet at t."""
+        return chromatic_jet_from_taylor(family, self.taylor_jet(t, N + 1), N).values
 
     def taylor_jet(self, u, length) -> TaylorJet:
-        raise NotImplementedError
+        """f^(k)(u)/k!, k < length, converted from the Legendre chromatic jet."""
+        if type(self).chromatic_jet is FunctionSpec.chromatic_jet:
+            raise NotImplementedError(f"{type(self).__name__} states neither jet")
+        cjet = self.chromatic_jet("legendre", float(u), length - 1)
+        return taylor_from_chromatic_jet(
+            "legendre", ChromaticJet(family_spec("legendre").id, u, cjet), length - 1
+        )
 
     def norm_sq(self, family) -> float | None:
         """Squared local norm sum |K^n[f]|^2 under the given family, when
@@ -124,25 +134,18 @@ class Sinc(FunctionSpec):
         return out
 
     def chromatic_jet(self, family, t, N):
-        spec = family_spec(family)
-        if spec.tag != "legendre":
-            jet = self.taylor_jet(t, 2 * N + 16)
-            return chromatic_jet_from_taylor(spec, jet, N).values
+        if family_spec(family).tag != "legendre":
+            return super().chromatic_jet(family, t, N)
         return _sinc_jets([t], N)[:, 0]
 
     def taylor_jet(self, u, length):
-        if u == 0:
-            # sinc z = sum_j (-1)^j pi^{2j} z^{2j} / (2j+1)!
-            coeff = np.zeros(length, dtype=np.complex128)
-            for j in range(0, (length - 1) // 2 + 1):
-                coeff[2 * j] = (-1.0) ** j * math.pi ** (2 * j) / math.factorial(2 * j + 1)
-            return TaylorJet(0.0, coeff)
-        cjet = self.chromatic_jet("legendre", float(u), length - 1)
-        from .chromatic_core import ChromaticJet
-
-        return taylor_from_chromatic_jet(
-            "legendre", ChromaticJet(family_spec("legendre").id, u, cjet), length - 1
-        )
+        if u != 0:
+            return super().taylor_jet(u, length)
+        # sinc z = sum_j (-1)^j pi^{2j} z^{2j} / (2j+1)!
+        coeff = np.zeros(length, dtype=np.complex128)
+        for j in range(0, (length - 1) // 2 + 1):
+            coeff[2 * j] = (-1.0) ** j * math.pi ** (2 * j) / math.factorial(2 * j + 1)
+        return TaylorJet(0.0, coeff)
 
 
 @dataclass
@@ -162,9 +165,8 @@ class ShannonCombo(FunctionSpec):
         return acc
 
     def chromatic_jet(self, family, t, N):
-        spec = family_spec(family)
-        if spec.tag != "legendre":
-            raise UnsupportedFamilyError("shannon_combo jets are Legendre-only")
+        if family_spec(family).tag != "legendre":
+            return super().chromatic_jet(family, t, N)
         idx = self.first_index + np.arange(len(self.samples))
         jets = _sinc_jets(t - idx, N)
         acc = np.zeros(N + 1, dtype=np.complex128)
@@ -172,13 +174,12 @@ class ShannonCombo(FunctionSpec):
             acc += s * jet
         return acc
 
-    def taylor_jet(self, u, length):
-        from .chromatic_core import ChromaticJet
 
-        cjet = self.chromatic_jet("legendre", float(u), length - 1)
-        return taylor_from_chromatic_jet(
-            "legendre", ChromaticJet(family_spec("legendre").id, u, cjet), length - 1
-        )
+def _taylor_sum(jet: TaylorJet, z):
+    """sum_k c_k (z - u)^k at scalar or array z, one row sum per point; a
+    real z stays real, so (z - u)^k is a float64 power."""
+    dz = np.asarray(z) - jet.u
+    return np.sum(jet.coefficients * dz[..., None] ** np.arange(len(jet)), axis=-1)
 
 
 @dataclass
@@ -188,16 +189,7 @@ class JetFunction(FunctionSpec):
     jet: TaylorJet
 
     def value(self, z):
-        dz = np.asarray(z, dtype=np.complex128) - self.jet.u
-        k = np.arange(len(self.jet))
-        return np.polyval(self.jet.coefficients[::-1], dz) if dz.ndim == 0 else np.array(
-            [np.sum(self.jet.coefficients * d ** k) for d in np.atleast_1d(dz)]
-        )
-
-    def chromatic_jet(self, family, t, N):
-        if t != self.jet.u:
-            raise ParameterError("jet-backed functions provide jets at their center only")
-        return chromatic_jet_from_taylor(family, self.jet, N).values
+        return _taylor_sum(self.jet, z)
 
     def taylor_jet(self, u, length):
         if u != self.jet.u or length > len(self.jet):
@@ -210,9 +202,11 @@ class JetFunction(FunctionSpec):
 
 @dataclass(frozen=True)
 class ApproximationResult:
-    value: complex
+    """value and tail_bound are per-point arrays when z is an array."""
+
+    value: complex | np.ndarray
     order: int
-    tail_bound: float | None
+    tail_bound: float | np.ndarray | None
 
 
 def _sized(spec, N: int, extent, table: ChromaticTable | None) -> ChromaticTable:
@@ -224,24 +218,19 @@ def _sized(spec, N: int, extent, table: ChromaticTable | None) -> ChromaticTable
 
 def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
                             table: ChromaticTable | None = None) -> ApproximationResult:
-    """CA[f, N, u](z) = sum_{k<=N} (-1)^k K^k[f](u) K^k[m](z - u).
-
-    z is a single point; use chromatic_approximation_grid for arrays.
-    """
-    if np.asarray(z).ndim != 0:
-        raise ParameterError("z must be scalar; use chromatic_approximation_grid")
+    """CA[f, N, u](z) = sum_{k<=N} (-1)^k K^k[f](u) K^k[m](z - u), for
+    scalar or array z, with the tail bound when ||f|| is known and z real."""
     spec = family_spec(family)
-    table = _sized(spec, N, z - u, table)
-    jet = f.chromatic_jet(spec, u, N)
-    signs = (-1.0) ** np.arange(N + 1)
-    basis = _series_rows(table, 0, N, np.asarray(z) - u)
-    value = np.sum(signs * jet * basis[:, 0])
+    dz = np.asarray(z) - u
+    table = _sized(spec, N, dz, table)
+    value = chromatic_approximation_grid(spec, f, u, N, z, table)
     tail = None
     fnorm = f.norm_sq(spec)
-    if fnorm is not None and np.isrealobj(np.asarray(z)) and np.isreal(u):
+    if fnorm is not None and np.isrealobj(z) and np.isreal(u):
+        jet = f.chromatic_jet(spec, u, N)
         tail_energy = max(0.0, fnorm - float(np.sum(np.abs(jet) ** 2)))
-        tail = math.sqrt(tail_energy) * error_envelope(spec, N, float(np.real(z - u)), table)
-    return ApproximationResult(complex(value), N, tail)
+        tail = math.sqrt(tail_energy) * error_envelope(spec, N, np.real(dz), table)
+    return ApproximationResult(value if dz.ndim else complex(value[0]), N, tail)
 
 
 def chromatic_approximation_grid(family, f, u, N, zs, table=None):
@@ -338,9 +327,7 @@ def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, gr
     spec = family_spec(family)
     grid = np.asarray(grid, dtype=float)
     ca = chromatic_approximation_grid(spec, f, u, N, grid, table)
-    tj = f.taylor_jet(u, N + 1)
-    k = np.arange(N + 1)
-    taylor = np.array([np.sum(tj.coefficients * (t - u) ** k) for t in grid])
+    taylor = _taylor_sum(f.taylor_jet(u, N + 1), grid)
     fvals = f.value(grid)
     return [
         (float(t), complex(fv), complex(cv), complex(tv))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis_functions import kbasis_closed
 from .errors import NumericError, ParameterError, UnsupportedFamilyError
 from .families import FamilyId, family_spec, parse_family
 from .orthopoly import eval_p_grid
@@ -181,11 +182,9 @@ def shannon_decay_report(n: int, t: float, m_range: int):
     Documents the O(1/|m|) decay that makes evaluating chromatic
     derivatives by differentiating the Shannon expansion impractical.
     """
-    from .basis_functions import _miller
-
     ms = np.arange(-m_range, m_range + 1)
-    js = _miller(True, n, math.pi * (t - ms), [n])[0]
-    return [(int(m), abs(math.sqrt(2 * n + 1) * j)) for m, j in zip(ms, js)]
+    ks = np.abs(kbasis_closed("legendre", n, t - ms))
+    return [(int(m), k) for m, k in zip(ms, ks)]
 
 
 # ---------------------------------------------------------------------------

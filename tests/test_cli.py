@@ -177,3 +177,28 @@ def test_json_format(capsys):
 
     doc = json.loads(out)
     assert len(doc) == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--function", "bogus"],
+    ["expand", "--function", "exponential:abc"],
+    ["expand", "--t=0:1:0"],
+    ["basis", "--t=0:1:-0.5"],
+])
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the grid while parsing
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error: " in captured.err.splitlines()[-1]
+
+
+def test_shannon_random_in_other_families(capsys):
+    code, out = run(capsys, "compare", "--family", "chebyshev_t", "--function", "shannon_random:17",
+                    "--order", "8", "--t=-1:1:0.5")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    assert np.abs(rows[:, 4]).max() < 1e-2

@@ -7,6 +7,9 @@ from chromex import (
     Constant,
     Cosine,
     Exponential,
+    FunctionSpec,
+    JetFunction,
+    ParameterError,
     ShannonCombo,
     Sinc,
     bessel_j_all,
@@ -21,6 +24,8 @@ from chromex import (
     local_convolution,
     local_norm_sq,
     local_scalar,
+    TaylorJet,
+    chromatic_jet_from_taylor,
     table_for,
     taylor_vs_chromatic_comparison,
 )
@@ -282,6 +287,7 @@ def test_array_calls_match_per_point_calls(family, R):
         lambda x: identity_exponential(family, 1.1, x, N),
         lambda x: identity_translation(family, 0.1, 0.5 * x, N),
         lambda x: identity_constant_one(family, x, N),
+        lambda x: abs(chromatic_approximation(family, Exponential(1.1), 0.0, N, x).value),
     ]
     for call in calls:
         whole = call(z)
@@ -289,3 +295,79 @@ def test_array_calls_match_per_point_calls(family, R):
         points = [call(float(x)) for x in z]
         assert all(isinstance(v, float) for v in points)
         assert np.abs(whole - points).max() < 1e-14
+
+
+def test_array_tail_bound_matches_per_point_calls():
+    f, u, N, z = Sinc(), 0.3, 15, np.linspace(-2.7, 3.3, 25)
+    whole = chromatic_approximation("legendre", f, u, N, z)
+    assert whole.value.shape == whole.tail_bound.shape == z.shape
+    for x, v, tail in zip(z, whole.value, whole.tail_bound):
+        point = chromatic_approximation("legendre", f, u, N, float(x))
+        assert isinstance(point.value, complex) and isinstance(point.tail_bound, float)
+        assert abs(point.value - v) < 1e-14 and abs(point.tail_bound - tail) < 1e-14
+
+
+@pytest.mark.parametrize("family", ["chebyshev_t", "hermite", "jacobi(0.5,-0.25)"])
+def test_shannon_combo_jets_in_every_family(rng, family):
+    samples = rng.uniform(-1.0, 1.0, 17)
+    f = ShannonCombo(samples, first_index=-8)
+    for t in (0.0, 0.4, -1.3):
+        ref = sum(s * Sinc().chromatic_jet(family, t - m, 12) for m, s in zip(range(-8, 9), samples))
+        assert np.abs(f.chromatic_jet(family, t, 12) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("omega,u,N", [(1.3, 0.4, 12), (0.7, -1.0, 20)])
+def test_base_class_derives_the_missing_jet(omega, u, N):
+    """The base-class conversions reproduce the closed-form jets."""
+    e = Exponential(omega)
+    derived = FunctionSpec.taylor_jet(e, u, N + 1)
+    assert derived.u == u
+    assert np.abs(derived.coefficients - e.taylor_jet(u, N + 1).coefficients).max() < 1e-13
+    c = Cosine(omega)
+    for family in ("legendre", "chebyshev_u", "hermite"):
+        derived = FunctionSpec.chromatic_jet(c, family, u, N)
+        assert np.abs(derived - c.chromatic_jet(family, u, N)).max() < 1e-13
+
+
+def test_jet_function():
+    u, N = 0.2, 20
+    jet = Exponential(0.9).taylor_jet(u, N + 1)
+    f = JetFunction(jet)
+    z = np.array([0.1, 0.2, 0.45])
+    np.testing.assert_allclose(f.value(z), Exponential(0.9).value(z), rtol=0, atol=1e-15)
+    assert f.value(u) == jet.coefficients[0]
+    for family in ("legendre", "hermite"):
+        ref = chromatic_jet_from_taylor(family, jet, 10).values
+        np.testing.assert_array_equal(f.chromatic_jet(family, u, 10), ref)
+    with pytest.raises(ParameterError):
+        f.chromatic_jet("legendre", u + 0.1, 10)
+    with pytest.raises(ParameterError):
+        f.taylor_jet(u, N + 2)
+
+
+def test_a_function_stating_neither_jet_raises():
+    class Bare(FunctionSpec):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().chromatic_jet("legendre", 0.0, 4)
+    with pytest.raises(NotImplementedError):
+        Bare().taylor_jet(0.0, 5)
+
+
+def _taylor_per_point(f, u, N, grid):
+    """The Taylor column as one sum per grid point."""
+    tj = f.taylor_jet(u, N + 1)
+    k = np.arange(N + 1)
+    return np.array([np.sum(tj.coefficients * (t - u) ** k) for t in np.asarray(grid, dtype=float)])
+
+
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_t", "hermite"])
+def test_comparison_taylor_column_bitwise_per_point(rng, family):
+    grid = np.arange(-1.5, 1.5001, 0.125)
+    shannon = ShannonCombo(rng.uniform(-1.0, 1.0, 33), first_index=-16)
+    for f in (Exponential(1.3), Cosine(0.7), Constant(2.0), Sinc(), shannon):
+        for u in (0.0, 0.3):
+            rows = taylor_vs_chromatic_comparison(family, f, u, 10, grid)
+            taylor = np.array([row[3] for row in rows])
+            np.testing.assert_array_equal(taylor, _taylor_per_point(f, u, 10, grid))

@@ -29,7 +29,6 @@ from chromex import (
 from chromex.basis_functions import (
     _MAX_TERMS,
     _RADIUS_GUARDS,
-    _SERIES_RATIOS,
     _TAIL_TOL,
     _series_rows,
     _tails_converged,
@@ -79,7 +78,7 @@ def _terms_needed_loop(spec, n, absz):
     if p < 1.0:
         k = _scan_loop(p, spec.weak_bound_M, absz)
         return None if k is None else max(k + 1, n + 1)
-    q = _SERIES_RATIOS[spec.tag] * absz
+    q = spec.rho * absz
     if q >= 0.95:
         raise ConvergenceError("argument too close to the convergence boundary")
     return None
