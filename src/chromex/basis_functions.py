@@ -15,98 +15,78 @@ import numpy as np
 
 from .chromatic_core import ChromaticTable, default_columns
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
-from .families import family_spec
+from .families import FamilyId, family_spec, gamma_beta_arrays
 
-# every series row is certified to this absolute tail and holds at most
-# this many terms; the laguerre and herron arguments stay inside these radii
+# a series row's dropped tail is certified below _TAIL_TOL 2^-53, under
+# anything a float64 sum can show, within at most _MAX_TERMS terms
 _TAIL_TOL = 1e-12
 _MAX_TERMS = 2048
-_RADIUS_GUARDS = {"laguerre": 0.5, "herron": 0.7}
 
 
 @lru_cache(maxsize=None)
-def _scan_table(p):
-    """(1 - p) log k and (k + 1)^(1 - p) for k = 1.._MAX_TERMS."""
-    return (np.array([(1.0 - p) * math.log(k) for k in range(1, _MAX_TERMS + 1)]),
-            np.array([(k + 1) ** (1.0 - p) for k in range(1, _MAX_TERMS + 1)]))
+def _log_ratios(family: FamilyId) -> np.ndarray:
+    """log(s_k / k), k = 1.._MAX_TERMS + 1, with s_k the largest absolute
+    row sum of the Jacobi matrix over levels 0..k.  J^k e_0 lives on those
+    levels, so |b[n][k]| = |(J^k e_0)[n]| / k! <= s_1 ... s_k / k!."""
+    gam, bet = gamma_beta_arrays(family, _MAX_TERMS + 1)
+    rows = np.abs(bet) + gam
+    rows[1:] += gam[:-1]
+    return np.log(np.maximum.accumulate(rows)[1:] / np.arange(1, _MAX_TERMS + 2))
 
 
 def _terms_needed(spec, n, absz):
-    """Smallest series length certified by the coefficient bounds.
+    """The first length L >= n + 1 whose dropped tail is certified, or None.
 
-    Returns None when the a-priori bound exceeds _MAX_TERMS; callers may
-    then fall back to the empirical tail check on the stored row.  For p < 1
-    the log of |b[n][k]| <= (M+1)^(2k) / k!^(1-p) is summed for every k at
-    once: np.cumsum adds the float64 steps a scalar loop over k adds, in the
-    loop's order, so the first k meeting both conditions is the loop's.
+    Term k is at most t_k = s_1 ... s_k |z|^k / k!, and every term ratio
+    from k = L on is at most r_L = max_{k >= L} s_{k+1} |z| / (k + 1), so
+    the tail is at most t_L / (1 - r_L) once r_L < 1.  Both fall as L
+    grows, so the lengths that pass form a suffix.  The suffix maximum
+    bounds the ratios past _MAX_TERMS too: in every family s_k is bounded,
+    grows like sqrt(k) (hermite) or grows linearly (laguerre, herron), so
+    s_{k+1} / (k + 1) never rises there.
     """
-    p = spec.growth_exponent
     if absz == 0.0:
         return n + 1
-    if p < 1.0:
-        slope, power = _scan_table(p)
-        L = (spec.weak_bound_M + 1.0) ** 2 * absz
-        logr = np.cumsum(math.log(L) - slope)
-        hit = (logr < math.log(_TAIL_TOL / 2.0)) & (L / power < 0.5)
-        k = int(np.argmax(hit)) + 1
-        return max(k + 1, n + 1) if hit[k - 1] else None
-    # p = 1: the coefficient growth rate is geometric with a known base
-    # but carries an order-n polynomial factor, so no sharp a-priori
-    # length exists; the radius guard plus the empirical trailing-decay
-    # check on the stored row governs instead; spec.rho is that base
-    q = spec.rho * absz
-    if q >= 0.95:
-        raise ConvergenceError("argument too close to the convergence boundary")
-    return None
+    # log t_L and log r_L at |z| = 1: cumulative sums and suffix maxima
+    lr = _log_ratios(spec.id)
+    logt, logr = np.cumsum(lr[:-1]), np.maximum.accumulate(lr[::-1])[::-1][1:]
+    logz = math.log(absz)
+    logr = logr + logz
+    with np.errstate(divide="ignore", invalid="ignore"):  # r_L >= 1 fails either way
+        tail = logt + logz * np.arange(1, _MAX_TERMS + 1) - np.log1p(-np.exp(logr))
+    hit = (logr < 0.0) & (tail < math.log(_TAIL_TOL * 2.0 ** -53))
+    L = int(np.argmax(hit)) + 1
+    return max(L, n + 1) if hit[L - 1] else None
 
 
-def _tails_converged(rows, nterms, absz):
-    """Trailing-term decay certificate per row when the a-priori bound is too
-    loose: the last window of a row's first nterms terms must sit far below
-    tolerance and must not grow relative to the window before it.  A term
-    that overflows (|z|^k = inf, and inf * 0 = nan for a stored zero) fails:
-    an underflowed b_k says nothing about b_k |z|^k."""
-    w = 6
-    if nterms < 2 * w or len(rows) == 0:
-        return np.zeros(len(rows), dtype=bool)
-    start = nterms - 2 * w
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.abs(rows[:, start:nterms]) * absz ** np.arange(start, nterms)
-        last = terms[:, w:].max(axis=1)
-        prev = terms[:, :w].max(axis=1)
-    return np.isfinite(terms).all(axis=1) & (last < _TAIL_TOL / 4) & (last <= prev + _TAIL_TOL / 4)
+@lru_cache(maxsize=None)
+def _reach(spec):
+    """The largest |z| some length certifies, to 2^-40 relative: the passing
+    |z| form an interval from 0, whose end bisection brackets."""
+    lo, hi = 0.0, 1.0
+    while _terms_needed(spec, 0, hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _terms_needed(spec, 0, mid) else (lo, mid)
+    return lo
 
 
-def _geometric_terms_needed(N, q, tol):
-    """First k >= N with C(k, N) q^k < tol/8 and the term ratio
-    (k+1) q / (k+1-N) below 1, so the terms of row N fall from there on.
-
-    For laguerre |b[n][k]| = C(k, n) exactly (q = |z|); herron's rows
-    follow the same model with q = 2|z|/pi.  Needs 0 < q < 1.
-    """
-    log_q = math.log(q)
-    log_goal = math.log(tol / 8.0)
-    log_term = N * log_q  # C(N, N) q^N
-    k = N
-    while not (log_term < log_goal and (k + 1) * q < k + 1 - N):
-        k += 1
-        log_term += math.log(k / (k - N)) + log_q
-    return k
+def _certified_length(spec, n, absz):
+    """_terms_needed, raising where |z| is not finite or no length certifies it."""
+    if not math.isfinite(absz):
+        raise ParameterError("non-finite argument; z must be finite")
+    need = _terms_needed(spec, n, absz)
+    if need is None:
+        remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
+        raise ConvergenceError(f"|z|={absz:g} is beyond the certified series reach "
+                               f"|z| <= {_reach(spec):.3g} for {spec}; {remedy}")
+    return need
 
 
 def suggest_columns(family, N: int, absz: float) -> int:
-    """Table columns sufficient to evaluate rows up to N at |z| <= absz."""
-    spec = family_spec(family)
-    absz = float(absz)
-    if not math.isfinite(absz):
-        raise ParameterError("non-finite argument; z must be finite")
-    need = _terms_needed(spec, N, absz)
-    if need is None and spec.growth_exponent >= 1.0:
-        need = _geometric_terms_needed(N, spec.rho * absz, _TAIL_TOL)
-    if need is None:
-        return default_columns(N)
-    # 8 spare columns put the empirical tail window past the certified length
-    return max(default_columns(N), need + 8)
+    """Table columns certifying rows up to N at |z| <= absz; raises past the reach."""
+    return max(default_columns(N), _certified_length(family_spec(family), N, float(absz)))
 
 
 def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
@@ -117,35 +97,18 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
     so for real z the shared pass returns bit for bit what one scalar
     Horner loop per row and point returns.
     """
-    spec = family_spec(table.family)
     if not 0 <= lo <= table.N:
         raise ParameterError(f"order n={lo} outside table horizon")
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     absz = float(np.abs(zs).max())  # NaN if any point is NaN
-    if not math.isfinite(absz):  # before the radius guard, which NaN passes
-        raise ParameterError("non-finite argument; z must be finite")
-    guard = _RADIUS_GUARDS.get(spec.tag)
-    if guard is not None and absz > guard:
-        raise ParameterError(
-            f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}"
-        )
-    # the a-priori scan does not depend on n: nterms(n) = max(base, n + 1);
-    # a table's columns do not depend on its width, so all K + 1 are usable
-    base = _terms_needed(spec, 0, absz)
-    avail = min(table.K + 1, _MAX_TERMS)
-    nterms = np.maximum(avail + 1 if base is None else base,
-                        np.arange(lo + 1, min(hi, table.N) + 2))
-    # rows past the a-priori reach (a suffix) count in full if their tails converge
-    late = int(np.searchsorted(nterms, avail, side="right"))
-    ok = _tails_converged(table.b[lo + late : lo + nterms.size], avail, absz)
-    if not ok.all():
-        raise ConvergenceError(
-            f"series tail for row {lo + late + int(np.argmin(ok))} at |z|={absz:g} "
-            f"not below {_TAIL_TOL:g} within {avail} columns; rebuild the table with a larger K"
-        )
-    nterms[late:] = avail
+    # row n needs max(base, n + 1) terms, and n + 1 <= N + 1 <= K + 1
+    base = _certified_length(family_spec(table.family), 0, absz)
+    if base > table.K + 1:
+        raise ConvergenceError(f"|z|={absz:g} needs {base} table columns, not {table.K + 1}; "
+                               f"rebuild the table with K >= {base - 1}")
     if hi > table.N:
         raise ParameterError(f"order n={table.N + 1} outside table horizon")
+    nterms = np.maximum(base, np.arange(lo + 1, hi + 2))
     # columns past the table's last nonzero column would only add exact
     # zeros (so would those zeroed below, past every row's length)
     nonzero = np.flatnonzero(table.b[lo : hi + 1, : int(nterms.max())].any(axis=0))

@@ -77,11 +77,6 @@ class ChromaticTable:
     K: int
     b: np.ndarray  # complex128, shape (N+1, K+1)
 
-    def row(self, n: int) -> np.ndarray:
-        if not 0 <= n <= self.N:
-            raise HorizonError(f"row {n} outside table horizon N={self.N}")
-        return self.b[n]
-
 
 def _phase_vector(K: int) -> np.ndarray:
     phase = np.ones(K + 1, dtype=np.complex128)
@@ -218,29 +213,23 @@ class ChromaticJet:
         return len(self.values)
 
 
-def chromatic_jet_from_taylor(family, jet: TaylorJet, N: int,
-                              matrices: ConversionMatrices | None = None) -> ChromaticJet:
+def chromatic_jet_from_taylor(family, jet: TaylorJet, N: int) -> ChromaticJet:
     """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N."""
     spec = family_spec(family)
     if len(jet) < N + 1:
         raise HorizonError(f"jet of length {len(jet)} too short for N={N}")
-    if matrices is None or matrices.N < N:
-        matrices = conversion_matrices(spec, N)
     coeff = np.asarray(jet.coefficients[: N + 1], dtype=np.complex128)
-    values = matrices.k2d_scaled[: N + 1, : N + 1] @ coeff
+    values = conversion_matrices(spec, N).k2d_scaled @ coeff
     return ChromaticJet(spec.id, jet.u, values)
 
 
-def taylor_from_chromatic_jet(family, cjet: ChromaticJet, N: int,
-                              matrices: ConversionMatrices | None = None) -> TaylorJet:
+def taylor_from_chromatic_jet(family, cjet: ChromaticJet, N: int) -> TaylorJet:
     """Invert the basis change: f^(n)(u)/n! = sum_k (-1)^k b[k][n] K^k[f](u)."""
     spec = family_spec(family)
     if len(cjet) < N + 1:
         raise HorizonError(f"chromatic jet of length {len(cjet)} too short for N={N}")
-    if matrices is None or matrices.N < N:
-        matrices = conversion_matrices(spec, N)
     vals = np.asarray(cjet.values[: N + 1], dtype=np.complex128)
-    coeff = matrices.d2k_scaled[: N + 1, : N + 1] @ vals
+    coeff = conversion_matrices(spec, N).d2k_scaled @ vals
     return TaylorJet(cjet.u, coeff)
 
 

@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except ChromexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except argparse.ArgumentTypeError as exc:  # a --function or --signal string
+    except (argparse.ArgumentTypeError, OSError) as exc:  # a bad --function string or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

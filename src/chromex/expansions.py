@@ -67,9 +67,9 @@ class Exponential(FunctionSpec):
         return ph * pv * np.exp(1j * self.omega * t)
 
     def taylor_jet(self, u, length):
-        k = np.arange(length)
-        coeff = (1j * self.omega) ** k / np.array([math.factorial(j) for j in k])
-        return TaylorJet(u, coeff * np.exp(1j * self.omega * u))
+        # (i w)^k / k! as one running product, so long jets underflow to 0
+        steps = np.r_[1.0, 1j * self.omega / np.arange(1, length)][:length]
+        return TaylorJet(u, np.cumprod(steps) * np.exp(1j * self.omega * u))
 
 
 @dataclass
@@ -87,12 +87,9 @@ class Cosine(FunctionSpec):
         return 0.5 * (plus + minus)
 
     def taylor_jet(self, u, length):
-        c = np.cos(self.omega * u)
-        s = np.sin(self.omega * u)
-        coeff = np.empty(length, dtype=np.complex128)
-        for j in range(length):
-            coeff[j] = self.omega ** j / math.factorial(j) * (c, -s, -c, s)[j % 4]
-        return TaylorJet(u, coeff)
+        plus = Exponential(self.omega).taylor_jet(u, length).coefficients
+        minus = Exponential(-self.omega).taylor_jet(u, length).coefficients
+        return TaylorJet(u, 0.5 * (plus + minus))
 
 
 @dataclass
@@ -141,10 +138,10 @@ class Sinc(FunctionSpec):
     def taylor_jet(self, u, length):
         if u != 0:
             return super().taylor_jet(u, length)
-        # sinc z = sum_j (-1)^j pi^{2j} z^{2j} / (2j+1)!
+        # sinc z = sum_j (-pi^2)^j z^{2j} / (2j+1)!, as one running product
+        j = np.arange(1, (length + 1) // 2)
         coeff = np.zeros(length, dtype=np.complex128)
-        for j in range(0, (length - 1) // 2 + 1):
-            coeff[2 * j] = (-1.0) ** j * math.pi ** (2 * j) / math.factorial(2 * j + 1)
+        coeff[::2] = np.cumprod(np.r_[1.0, -math.pi ** 2 / (2 * j * (2 * j + 1))])
         return TaylorJet(0.0, coeff)
 
 

@@ -101,7 +101,6 @@ class FamilySpec:
     id: FamilyId
     symmetric: bool
     growth_exponent: float          # p in the weak-boundedness definition
-    weak_bound_M: float | None      # absent for the p = 1 families
     support: str
     rho: float
 
@@ -121,14 +120,14 @@ def family_spec(family) -> FamilySpec:
     tag = fid.tag
     symmetric = tag in _SYMMETRIC
     if tag in ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "jacobi"):
-        p, M, support, rho = 0.0, (2.0 if tag == "legendre" else 4.0), "[-pi, pi]", 0.0
+        p, support, rho = 0.0, "[-pi, pi]", 0.0
     elif tag == "hermite":
-        p, M, support, rho = 0.5, 2.0, "real line", 0.0
+        p, support, rho = 0.5, "real line", 0.0
     elif tag == "laguerre":
-        p, M, support, rho = 1.0, None, "half line", 1.0
+        p, support, rho = 1.0, "half line", 1.0
     else:  # herron
-        p, M, support, rho = 1.0, None, "real line", 2.0 / math.pi
-    return FamilySpec(fid, symmetric, p, M, support, rho)
+        p, support, rho = 1.0, "real line", 2.0 / math.pi
+    return FamilySpec(fid, symmetric, p, support, rho)
 
 
 def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):

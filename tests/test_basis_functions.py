@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromex import (
     ConvergenceError,
@@ -17,7 +20,10 @@ from chromex import (
     spherical_j,
     spherical_j_all,
 )
-from chromex.basis_functions import suggest_columns
+from chromex.basis_functions import _log_ratios, _reach, _terms_needed, suggest_columns
+from chromex.families import family_spec
+
+from conftest import ALL_FAMILIES
 
 
 def test_series_at_zero():
@@ -61,18 +67,79 @@ def test_series_matches_closed_weakly_bounded(family):
 
 @pytest.mark.parametrize("family", ["laguerre", "herron"])
 def test_series_matches_closed_p1(family):
-    t = build_table(family, 20, 120)
-    grid = np.arange(-0.4, 0.4001, 0.05)
+    # inside the certified reaches 0.241 (laguerre) and 0.483 (herron)
+    R = {"laguerre": 0.2, "herron": 0.45}[family]
+    t = build_table(family, 20, suggest_columns(family, 20, R))
+    grid = np.linspace(-R, R, 17)
     for n in range(21):
         closed = kbasis_closed(family, n, grid)
         series = kbasis_series(t, n, grid.astype(complex))
-        assert np.abs(series - closed).max() < 1e-8
+        assert np.abs(series - closed).max() < 1e-12
 
 
 def test_radius_guard():
+    # past the row-sum bound's reach 0.241 no table width certifies laguerre
     t = build_table("laguerre", 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConvergenceError, match="reach \\|z\\| <= 0.241 for laguerre"):
         kbasis_series(t, 1, 0.9)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_series_raises_just_past_reach(family):
+    """No table width certifies |z| past the reach, so the error names the
+    reach and the closed form, and asks for no columns."""
+    spec = family_spec(family)
+    reach = _reach(spec)
+    past = reach * (1 + 1e-6)
+    remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
+    msg = re.escape(f"beyond the certified series reach |z| <= {reach:.3g} for {spec}; {remedy}")
+    with pytest.raises(ConvergenceError, match=msg) as err:
+        kbasis_series(build_table(family, 4), 0, np.array([0.0, -past]))
+    assert "column" not in str(err.value)
+    with pytest.raises(ConvergenceError, match=msg):
+        suggest_columns(family, 4, past)
+    assert suggest_columns(family, 4, reach) == _terms_needed(spec, 4, reach)
+
+
+EXTRA_FAMILIES = ["gegenbauer(0.2)", "gegenbauer(3)", "jacobi(-0.5,2)", "jacobi(3,-0.9)"]
+
+
+def _row_sum_bound(family, K):
+    """s_1 ... s_k / k! for k = 0..K, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.r_[0.0, np.cumsum(_log_ratios(family_spec(family).id)[:K])])
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + EXTRA_FAMILIES)
+@pytest.mark.parametrize("N,K", [(5, 400), (100, 600)])
+def test_row_sum_bound_holds_on_every_entry(family, N, K):
+    """|b[n][k]| <= s_1 ... s_k / k!: the bound every series length rests on."""
+    b = np.abs(build_table(family, N, K).b)
+    assert (b <= _row_sum_bound(family, K) * (1 + 1e-9) + 5e-324).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES + EXTRA_FAMILIES),
+       N=st.integers(0, 60), extra=st.integers(0, 300))
+def test_row_sum_bound_property(family, N, extra):
+    b = np.abs(build_table(family, N, N + extra).b)
+    assert (b <= _row_sum_bound(family, N + extra) * (1 + 1e-9) + 5e-324).all()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + EXTRA_FAMILIES)
+def test_log_ratios_never_rise_over_the_last_half(family):
+    """s_{k+1} / (k + 1) falls near the horizon, so the largest ratio there
+    also bounds every ratio past it (the claim in _terms_needed)."""
+    lr = _log_ratios(family_spec(family).id)
+    assert (np.diff(lr[lr.size // 2 :]) <= 0.0).all()
+
+
+def test_hermite_rows_match_closed_form_to_three():
+    """hermite rows sum to their closed form at |z| <= 3, well inside the reach 18.8."""
+    grid = np.linspace(-3.0, 3.0, 61)
+    t = build_table("hermite", 40, suggest_columns("hermite", 40, 3.0))
+    for n in range(41):
+        assert np.abs(kbasis_series(t, n, grid) - kbasis_closed("hermite", n, grid)).max() < 1e-12
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
@@ -94,10 +161,14 @@ def test_non_finite_arguments_raise_parameter_error(z):
 
 
 def test_series_uses_every_column():
-    # row 20 at |z| = 3 needs all 73 columns of the default-width table
-    t = build_table("hermite", 20, 72)
+    # |z| = 3 needs 131 hermite columns: a table of exactly that many
+    # serves, and one column fewer is refused with the count it needs
     grid = np.linspace(-3.0, 3.0, 61)
+    t = build_table("hermite", 20, 130)
     assert np.abs(kbasis_series(t, 20, grid) - kbasis_closed("hermite", 20, grid)).max() < 1e-12
+    with pytest.raises(ConvergenceError, match="needs 131 table columns, not 130; "
+                                               "rebuild the table with K >= 130"):
+        kbasis_series(build_table("hermite", 20, 129), 20, grid)
 
 
 def test_convergence_error_when_table_too_short():

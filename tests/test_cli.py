@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from chromex import spherical_j
+from chromex import kbasis_closed, spherical_j
 from chromex.cli import main
 
 
@@ -202,3 +202,47 @@ def test_shannon_random_in_other_families(capsys):
     assert code == 0
     rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
     assert np.abs(rows[:, 4]).max() < 1e-2
+
+
+@pytest.mark.parametrize("case", ["filter", "samples", "out"])
+def test_unreadable_or_unwritable_file_is_a_usage_error(capsys, tmp_path, case):
+    """A file the command line names but that cannot be opened gives one
+    error line and exit 2, not a traceback."""
+    filt = str(tmp_path / "k1.json")
+    assert main(["design-fir", "--n", "1", "--half-width", "8", "--filter-file", filt,
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    missing = str(tmp_path / "missing" / "x")
+    argv = {
+        "filter": ["apply-fir", "--filter-file", missing],
+        "samples": ["apply-fir", "--filter-file", filt, "--samples", missing],
+        "out": ["apply-fir", "--filter-file", filt, "--out", missing],
+    }[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert missing in captured.err
+
+
+def test_long_exponential_comparison(capsys):
+    code, out = run(capsys, "compare", "--function", "exponential:1.0", "--order", "200",
+                    "--t=-1:1:0.5")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    assert rows.shape == (5, 6) and rows[:, 4:].max() < 1e-14
+
+
+def test_hermite_basis_past_the_old_scan(capsys):
+    code, out = run(capsys, "basis", "--family", "hermite", "--n", "10", "--t=-3:3:0.5")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    closed = kbasis_closed("hermite", 10, rows[:, 0])
+    assert np.abs(rows[:, 2] + 1j * rows[:, 3] - closed).max() < 1e-15
+
+
+def test_laguerre_basis_past_the_reach(capsys):
+    code = main(["basis", "--family", "laguerre", "--n", "4", "--t=-0.45:0.45:0.05"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: |z|=0.45 is beyond the certified series reach "
+                            "|z| <= 0.241 for laguerre; use kbasis_closed\n")

@@ -2,12 +2,12 @@
 
 ``_kbasis_series_scalar`` is the per-row reference: certification row by
 row, then one scalar Horner loop per point.  For real z the batched pass
-must reproduce it bit for bit, including which row raises and with what
-message; for complex z it must agree within Horner's rounding bound.
+must reproduce it bit for bit, including which error it raises and with
+what message; for complex z it must agree within Horner's rounding bound.
 
-Its certification uses the scalar loops the library replaced with array
-passes, kept here as bitwise oracles: ``_terms_needed_loop`` scans the
-a-priori bound one k at a time, and ``_empirical_tail_ok`` checks one row.
+Its certification is the scalar loop the library replaced with array
+passes, kept here as an oracle: ``_terms_needed_loop`` walks the row-sum
+bound t_L = s_1 ... s_L |z|^L / L! one length at a time.
 """
 
 import functools
@@ -28,14 +28,13 @@ from chromex import (
 )
 from chromex.basis_functions import (
     _MAX_TERMS,
-    _RADIUS_GUARDS,
     _TAIL_TOL,
+    _reach,
     _series_rows,
-    _tails_converged,
     _terms_needed,
     suggest_columns,
 )
-from chromex.families import family_spec
+from chromex.families import family_spec, gamma_beta_arrays
 
 from conftest import ALL_FAMILIES
 
@@ -53,49 +52,36 @@ def series_eval_scalar(coeffs, zs, nterms):
 
 
 @functools.lru_cache(maxsize=None)
-def _scan_loop(p, M, absz):
-    """First k of the scalar scan of |b[n][k]| <= L^k / k!^(1-p), or None.
-
-    It does not depend on n, so the sweep below memoizes it per argument.
-    """
-    L = (M + 1.0) ** 2 * absz
-    log_l = math.log(L)
-    log_tol = math.log(_TAIL_TOL / 2.0)
-    logr = 0.0
-    k = 0
-    while k < _MAX_TERMS:
-        k += 1
-        logr += log_l - (1.0 - p) * math.log(k)
-        if logr < log_tol and L / (k + 1) ** (1.0 - p) < 0.5:
-            return k
-    return None
+def _ratio_bounds(family):
+    """s_k / k for k = 1.._MAX_TERMS + 1, s_k the largest absolute row sum
+    of the Jacobi matrix over levels 0..k, and each one's maximum with
+    every later one, one k at a time."""
+    gam, bet = gamma_beta_arrays(family, _MAX_TERMS + 1)
+    s, ratios = 0.0, []
+    for i in range(_MAX_TERMS + 2):
+        s = max(s, abs(float(bet[i])) + float(gam[i]) + (float(gam[i - 1]) if i else 0.0))
+        if i:
+            ratios.append(s / i)
+    later = ratios[:]
+    for k in range(len(later) - 2, -1, -1):
+        later[k] = max(later[k], later[k + 1])
+    return ratios, later
 
 
-def _terms_needed_loop(spec, n, absz):
-    p = spec.growth_exponent
+@functools.lru_cache(maxsize=None)
+def _terms_needed_loop(family, n, absz):
+    """The first L >= n + 1, L <= _MAX_TERMS, with r_L < 1 and
+    t_L / (1 - r_L) below _TAIL_TOL 2^-53, or None."""
     if absz == 0.0:
         return n + 1
-    if p < 1.0:
-        k = _scan_loop(p, spec.weak_bound_M, absz)
-        return None if k is None else max(k + 1, n + 1)
-    q = spec.rho * absz
-    if q >= 0.95:
-        raise ConvergenceError("argument too close to the convergence boundary")
+    ratios, later = _ratio_bounds(family)
+    log_t = 0.0
+    for L in range(1, _MAX_TERMS + 1):
+        log_t += math.log(ratios[L - 1]) + math.log(absz)
+        r = later[L] * absz
+        if L > n and r < 1.0 and log_t - math.log1p(-r) < math.log(_TAIL_TOL * 2.0 ** -53):
+            return L
     return None
-
-
-def _empirical_tail_ok(row, nterms, absz, tol):
-    w = 6
-    if nterms < 2 * w:
-        return False
-    start = nterms - 2 * w
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.abs(row[start:nterms]) * absz ** np.arange(start, nterms)
-    if not np.isfinite(terms).all():
-        return False
-    last = terms[-w:].max()
-    prev = terms[-2 * w : -w].max()
-    return last < tol / 4.0 and last <= prev + tol / 4.0
 
 
 def _kbasis_series_scalar(table, n, z):
@@ -106,20 +92,15 @@ def _kbasis_series_scalar(table, n, z):
     if not np.isfinite(zs).all():
         raise ParameterError("non-finite argument; z must be finite")
     absz = float(np.abs(zs).max())
-    guard = _RADIUS_GUARDS.get(spec.tag)
-    if guard is not None and absz > guard:
-        raise ParameterError(f"|z|={absz:g} beyond radius guard {guard:g} for {spec.tag}")
-    nterms = _terms_needed_loop(spec, n, absz)
-    avail = min(table.K + 1, _MAX_TERMS)
-    if nterms is None or nterms > avail:
-        if not _empirical_tail_ok(table.b[n], avail, absz, _TAIL_TOL):
-            raise ConvergenceError(
-                f"series tail for row {n} at |z|={absz:g} not below "
-                f"{_TAIL_TOL:g} within {avail} columns; "
-                "rebuild the table with a larger K"
-            )
-        nterms = avail
-    out = series_eval_scalar(table.b[n], zs, nterms)
+    base = _terms_needed_loop(spec.id, 0, absz)
+    if base is None:
+        remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
+        raise ConvergenceError(f"|z|={absz:g} is beyond the certified series reach "
+                               f"|z| <= {_reach(spec):.3g} for {spec}; {remedy}")
+    if base > table.K + 1:
+        raise ConvergenceError(f"|z|={absz:g} needs {base} table columns, not {table.K + 1}; "
+                               f"rebuild the table with K >= {base - 1}")
+    out = series_eval_scalar(table.b[n], zs, _terms_needed_loop(spec.id, n, absz))
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
@@ -145,8 +126,8 @@ def _sized_table(family, N, absz):
 
 
 def _extent(family):
-    """A radius every family's series reaches: inside the p = 1 guards."""
-    return {"laguerre": 0.45, "herron": 0.6, "hermite": 2.0}.get(family_spec(family).tag, 4.0)
+    """A radius inside every family's certified reach."""
+    return {"laguerre": 0.2, "herron": 0.45, "hermite": 3.0}.get(family_spec(family).tag, 4.0)
 
 
 def _assert_bitwise(a, b):
@@ -198,12 +179,12 @@ def test_sub_range_matches_full_pass(lo, hi):
 @pytest.mark.parametrize(
     "family,N,K,hi,z",
     [
-        ("hermite", 10, None, 10, 6.0),  # a-priori bound out of reach, tail not converged
+        ("hermite", 10, None, 10, 6.0),  # undersized K
         ("legendre", 30, 40, 30, 3.0),  # undersized K
-        ("laguerre", 4, None, 4, 0.9),  # radius guard
-        ("herron", 4, None, 4, -0.75),  # radius guard
+        ("laguerre", 4, None, 4, 0.9),  # beyond the certified reach
+        ("herron", 4, None, 4, -0.75),  # beyond the certified reach
         ("legendre", 4, None, 5, 0.5),  # order beyond the table horizon
-        ("hermite", 10, None, 11, 6.0),  # a failing row comes before the horizon
+        ("hermite", 10, None, 11, 6.0),  # an undersized K comes before the horizon
         ("legendre", 4, None, 4, [0.5, math.nan]),  # non-finite arguments
         ("laguerre", 4, None, 4, math.inf),
         ("hermite", 4, None, 4, complex(0.5, math.nan)),
@@ -217,13 +198,6 @@ def test_error_parity(family, N, K, hi, z):
     assert err_new == err_old
 
 
-def _terms_used(table, n, absz):
-    spec = family_spec(table.family)
-    need = _terms_needed_loop(spec, n, absz)
-    avail = min(table.K + 1, _MAX_TERMS)
-    return avail if need is None or need > avail else need
-
-
 def test_complex_argument_within_horner_bound():
     rng = np.random.default_rng(7)
     eps = np.finfo(float).eps
@@ -235,7 +209,7 @@ def test_complex_argument_within_horner_bound():
         ref = _rows_scalar(table, 24, z)
         absz = np.abs(z)
         for n in range(25):
-            nterms = _terms_used(table, n, float(absz.max()))
+            nterms = _terms_needed_loop(family_spec(family).id, n, float(absz.max()))
             # Higham's rounding bound for Horner: 2 L eps sum_k |b_k| |z|^k
             bound = 2 * nterms * eps * np.polyval(np.abs(table.b[n, :nterms])[::-1], absz)
             assert np.all(np.abs(got[n] - ref[n]) <= bound)
@@ -267,67 +241,48 @@ def test_property_emits_no_warnings():
         test_property_batched_equals_scalar()
 
 
-def test_tail_check_rejects_overflowing_terms_silently():
-    # |z|^k overflows past k ~ 237 at |z| = 20, and rows 0..30 are 0 past
-    # column 225, so the tail terms are inf * 0: not certified, and no warning
-    table = _table("legendre", 30, 300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not _empirical_tail_ok(table.b[0], 301, 20.0, 1e-12)
-        assert not _tails_converged(table.b[:1], 301, 20.0).any()
-        with pytest.raises(ConvergenceError, match="row 0 at"):
-            _series_rows(table, 0, 30, 20.0)
-
-
 @pytest.mark.parametrize("family", ["laguerre", "herron"])
 @pytest.mark.parametrize("N", [0, 1, 2, 3, 5, 8, 13, 20, 30, 40, 55, 70, 85, 100])
 def test_suggest_columns_certifies_p1_families(family, N):
-    """Tables sized by suggest_columns certify every row up to the guard."""
-    guard = _RADIUS_GUARDS[family]
-    for R in np.linspace(guard / 12, guard, 12):
-        table = build_table(family, N, suggest_columns(family, N, R))
+    """Tables sized by suggest_columns certify every row up to |z| = 0.2
+    (laguerre) and 0.45 (herron), inside the reaches 0.241 and 0.483."""
+    top = _extent(family)
+    for R in np.linspace(top / 12, top, 12):
+        table = _table(family, N, suggest_columns(family, N, R))
         z = np.array([-R, R])
         got = _series_rows(table, 0, N, z)
         ref = np.array([kbasis_closed(family, n, z) for n in range(N + 1)])
         assert np.abs(got - ref).max() < 1e-12
 
 
-@pytest.mark.parametrize("family", [f for f in ALL_FAMILIES
-                                    if family_spec(f).growth_exponent < 1.0])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_terms_needed_equals_scan_loop(family):
-    """The cumulative-sum scan returns the scalar loop's integer or None,
-    through hermite's None region at |z| >= 2.75."""
+    """The array scan returns the scalar loop's length or None, through
+    each family's reach and past it."""
     spec = family_spec(family)
-    radii = [0.0, *np.logspace(-8, 3, 45), *np.arange(4001) * 0.01]
+    reach = _reach(spec)
+    radii = [0.0, *np.logspace(-8, 3, 45), *np.linspace(0.0, 1.2 * reach, 120)[1:]]
     for absz in radii:
-        for n in (0, 7, 40):
-            assert _terms_needed(spec, n, float(absz)) == _terms_needed_loop(spec, n, float(absz))
-    if spec.tag == "hermite":
-        assert _terms_needed(spec, 0, 2.75) is None
+        for n in (0, 40):
+            assert _terms_needed(spec, n, float(absz)) == _terms_needed_loop(spec.id, n, float(absz))
+    assert _terms_needed(spec, 0, reach) is not None
+    assert _terms_needed(spec, 0, reach * (1 + 1e-6)) is None
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_tails_converged_equals_row_check(family):
-    """One verdict per row, each the scalar check's, including rows that
-    fail, rows whose terms overflow and tables narrower than the window."""
+    """The batched certification gives each row the scalar check's verdict:
+    the same values bit for bit, or the same error, including tables
+    narrower than the certified length and radii past the reach."""
     for N, K in ((8, 10), (20, 60), (30, 300)):
         table = _table(family, N, K)
-        for absz in (0.3, 3.0, 6.0, 20.0, 1e3):
-            got = _tails_converged(table.b, K + 1, absz)
-            ref = [_empirical_tail_ok(row, K + 1, absz, _TAIL_TOL) for row in table.b]
-            assert got.tolist() == ref
-
-
-@pytest.mark.parametrize("z,K,row", [(3.0, 60, 15), (6.0, 112, 11)])
-@pytest.mark.parametrize("lo", [0, 3])
-def test_first_failing_row_is_named(z, K, row, lo):
-    """hermite N = 20: rows from `row` on fail the tail check at |z| (at
-    |z| = 3 row 16 passes again), and the error names the first of them."""
-    table = _table("hermite", 20, K)
-    verdicts = [_empirical_tail_ok(r, K + 1, z, _TAIL_TOL) for r in table.b]
-    assert verdicts.index(False) == row
-    with pytest.raises(ConvergenceError, match=f"row {row} at \\|z\\|={z:g} "):
-        _series_rows(table, lo, 20, np.array([-z, 0.5]))
+        for absz in (0.1, 0.3, 3.0, 6.0, 20.0, 1e3):
+            z = np.array([-absz, 0.5 * absz])
+            new, err_new = _outcome(_series_rows, table, 0, N, z)
+            old, err_old = _outcome(_rows_scalar, table, N, z)
+            assert err_new == err_old
+            if err_old is None:
+                _assert_bitwise(new, old)
 
 
 def test_horizon_error_after_all_rows_certify():
