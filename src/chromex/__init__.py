@@ -7,6 +7,7 @@ from .basis_functions import (
     bessel_j,
     bessel_j_all,
     kbasis_closed,
+    kbasis_rows,
     kbasis_series,
     spherical_j,
     spherical_j_all,

@@ -1,4 +1,4 @@
-"""Basis functions K^n[m](z): truncated series, closed forms, Bessel oracles.
+"""Basis functions K^n[m](z): truncated series, Gauss rules, closed forms, Bessel oracles.
 
 The Bessel and spherical Bessel evaluators are implemented in-house (one
 Miller backward recurrence, run over an array of arguments at once) so
@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chromatic_core import ChromaticTable, default_columns
+from .chromatic_core import ChromaticTable, default_columns, table_for
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, family_spec, gamma_beta_arrays
+from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays
 
 # a series row's dropped tail is certified below _TAIL_TOL 2^-53, under
 # anything a float64 sum can show, within at most _MAX_TERMS terms
@@ -121,6 +121,72 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
         acc *= zs
         acc += coeffs[k]
     return acc
+
+
+@lru_cache(maxsize=32)
+def _gauss_rows(family: FamilyId, M: int, nrows: int):
+    """Nodes x_j and A[n, j] = i^n Q[n, j] sqrt(w_j), n < nrows, of the M-point Gauss rule."""
+    nodes, w, Q = _gauss_pass(family_spec(family), M, nrows)
+    return nodes, np.array([1.0, 1j, -1.0, -1j])[np.arange(nrows) % 4, None] * (Q * np.sqrt(w))
+
+
+def _gauss_size(spec, hi, absz, imz):
+    """The fewest nodes M, a multiple of 16 above hi, leaving rows 0..hi within
+    4 e^{pi |Im z|} sum_{k>d} a^k / k!, d = 2M - 1 - hi, a = pi |z| / 2 (README,
+    Numerical notes); once d + 2 > a, that tail is at most its first term over 1 - a / (d + 2)."""
+    a, M = 0.5 * math.pi * absz, 16 * (hi // 16 + 1)
+    log_tol = math.log(_TAIL_TOL / 4.0) - math.pi * imz
+    # rounding: M products, and nodes off by eps ||J|| <= eps pi turn each
+    # phase by |z| times that; it grows with M, so it also ends the search
+    scale = 2.0 ** -52 * math.exp(min(math.pi * imz, 700.0))
+    d = 2 * M - 1 - hi
+    while (M + math.pi * absz) * scale <= _TAIL_TOL and (d + 2 <= a or (
+            (d + 1) * math.log(a) - math.lgamma(d + 2) - math.log1p(-a / (d + 2)) > log_tol)):
+        M, d = M + 16, d + 32
+    rounding = (M + math.pi * absz) * scale
+    if rounding > _TAIL_TOL:
+        raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {rounding:.3g} of {M} "
+                               f"Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller |z|")
+    return M
+
+
+def kbasis_rows(family, lo: int, hi: int, z, table: ChromaticTable | None = None):
+    """K^n[m](z), lo <= n <= hi, shape (hi - lo + 1, points), at scalar or array z, real or
+    complex: hermite, laguerre and herron by one cumulative product of their closed forms; the
+    families on [-pi, pi] by the series (from `table`, else the shared table) where max|z| <= 1,
+    else as K = i^n P W e^{ixz} on a cached Gauss rule, real for symmetric families at real z."""
+    spec = family_spec(family)
+    if not 0 <= lo <= hi:
+        raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if not np.isfinite(zs).all():
+        raise ParameterError("non-finite argument; z must be finite")
+    absz = float(np.abs(zs).max())
+    if spec.tag in ("hermite", "laguerre", "herron"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if spec.tag == "hermite" and float(np.max(zs.real ** 2 - zs.imag ** 2)) > 2800.0:
+                raise ConvergenceError(f"e^(-z^2/4) underflows at |z|={absz:g}; use |z| <= 52.9")
+            if spec.tag == "hermite":
+                first = np.exp(-zs * zs / 4.0)
+                step = -zs / np.sqrt(2.0 * np.arange(1, hi + 1))[:, None]
+            elif spec.tag == "laguerre":
+                first = 1.0 / (1.0 - 1j * zs)
+                step = -zs * first
+            else:  # 1 / cosh overflows to an exact 0
+                first, step = 1.0 / np.cosh(zs), -np.tanh(zs)
+            rows = np.cumprod(np.vstack([first, np.broadcast_to(step, (hi, zs.size))]), axis=0)[lo:]
+        if not np.isfinite(rows).all():
+            raise ConvergenceError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
+                                   "z is near a pole or |Im z| is too large")
+        return rows
+    if absz <= 1.0:
+        return _series_rows(table or table_for(spec, hi, suggest_columns(spec, hi, 1.0)), lo, hi, zs)
+    imz = float(np.abs(zs.imag).max())
+    nodes, A = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
+    rows = A[lo : hi + 1] @ np.exp(1j * np.multiply.outer(nodes, zs))
+    if spec.symmetric and imz == 0.0:
+        rows.imag = 0.0  # even rows sum cos(xz), odd rows sin(xz)
+    return rows
 
 
 def kbasis_series(table: ChromaticTable, n: int, z):

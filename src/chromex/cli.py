@@ -224,10 +224,19 @@ def cmd_design_fir(args):
     return 0
 
 
+def _parse_file(path, load):
+    """load(path), reporting a file that does not parse as a usage error."""
+    try:
+        return load(path)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError too
+        raise argparse.ArgumentTypeError(f"malformed file {path}: {exc}") from exc
+
+
 def cmd_apply_fir(args):
-    filt = fir_design.load_filter(args.filter_file)
+    filt = _parse_file(args.filter_file, fir_design.load_filter)
     if args.samples:
-        samples = np.loadtxt(args.samples, delimiter=",", skiprows=1, ndmin=1)
+        samples = _parse_file(args.samples, lambda path: np.loadtxt(
+            path, delimiter=",", skiprows=1, ndmin=1))
     else:
         f = _parse_function(args.signal, args.seed)
         idx = np.arange(-args.extent, args.extent + 1)

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import _miller, _series_rows, suggest_columns
+from .basis_functions import _miller, kbasis_rows
 from .chromatic_core import (
     ChromaticJet,
     ChromaticTable,
     TaylorJet,
     chromatic_jet_from_taylor,
     constant_jet,
-    table_for,
     taylor_from_chromatic_jet,
 )
 from .errors import ParameterError
@@ -206,20 +205,12 @@ class ApproximationResult:
     tail_bound: float | np.ndarray | None
 
 
-def _sized(spec, N: int, extent, table: ChromaticTable | None) -> ChromaticTable:
-    """table, or the shared table wide enough for rows 0..N at |z| <= max(extent)."""
-    if table is not None:
-        return table
-    return table_for(spec, N, suggest_columns(spec, N, float(np.max(np.abs(extent)))))
-
-
 def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
                             table: ChromaticTable | None = None) -> ApproximationResult:
     """CA[f, N, u](z) = sum_{k<=N} (-1)^k K^k[f](u) K^k[m](z - u), for
     scalar or array z, with the tail bound when ||f|| is known and z real."""
     spec = family_spec(family)
     dz = np.asarray(z) - u
-    table = _sized(spec, N, dz, table)
     value = chromatic_approximation_grid(spec, f, u, N, z, table)
     tail = None
     fnorm = f.norm_sq(spec)
@@ -232,11 +223,9 @@ def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
 
 def chromatic_approximation_grid(family, f, u, N, zs, table=None):
     spec = family_spec(family)
-    zs = np.asarray(zs)
-    table = _sized(spec, N, zs - u, table)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = _series_rows(table, 0, N, zs - u)
+    basis = kbasis_rows(spec, 0, N, np.asarray(zs) - u, table)
     return (signs * jet) @ basis
 
 
@@ -250,9 +239,7 @@ def error_envelope(family, N: int, t, table: ChromaticTable | None = None):
 
     t may be a scalar (returns a float) or an array, evaluated in one pass.
     """
-    spec = family_spec(family)
-    table = _sized(spec, N, t, table)
-    vals = _series_rows(table, 0, N, np.asarray(t, dtype=float))
+    vals = kbasis_rows(family, 0, N, np.asarray(t, dtype=float), table)
     s = np.sum(np.abs(vals) ** 2, axis=0)
     return _per_point(np.sqrt(np.maximum(0.0, 1.0 - s)), t)
 
@@ -285,9 +272,8 @@ def identity_exponential(family, omega: float, z, N: int,
                          table: ChromaticTable | None = None):
     """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |, for scalar or array z."""
     spec = family_spec(family)
-    table = _sized(spec, N, z, table)
     pv = eval_all_p(spec, N, omega).values
-    basis = _series_rows(table, 0, N, z)
+    basis = kbasis_rows(spec, 0, N, z, table)
     s = np.sum(((-1j) ** np.arange(N + 1) * pv)[:, None] * basis, axis=0)
     return _per_point(np.abs(np.exp(1j * omega * np.atleast_1d(z).astype(complex)) - s), z)
 
@@ -296,10 +282,9 @@ def identity_translation(family, u, z, N: int, table: ChromaticTable | None = No
     """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |, for scalar or array z."""
     spec = family_spec(family)
     z = np.asarray(z)
-    table = _sized(spec, N, np.abs(z) + abs(u), table)
-    bu = _series_rows(table, 0, N, u)
-    bz = _series_rows(table, 0, N, z)
-    lhs = _series_rows(table, 0, 0, z + u)[0]
+    bu = kbasis_rows(spec, 0, N, u, table)
+    bz = kbasis_rows(spec, 0, N, z, table)
+    lhs = kbasis_rows(spec, 0, 0, z + u, table)[0]
     s = np.sum(((-1.0) ** np.arange(N + 1))[:, None] * bu * bz, axis=0)
     return _per_point(np.abs(lhs - s), z)
 
@@ -311,9 +296,8 @@ def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None
     monomial conversion matrix), not from any printed sign pattern.
     """
     spec = family_spec(family)
-    table = _sized(spec, N, z, table)
     cjet = Constant(1.0).chromatic_jet(spec, 0.0, N)
-    basis = _series_rows(table, 0, N, z)
+    basis = kbasis_rows(spec, 0, N, z, table)
     s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
     return _per_point(np.abs(1.0 - s), z)
 

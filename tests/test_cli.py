@@ -204,24 +204,30 @@ def test_shannon_random_in_other_families(capsys):
     assert np.abs(rows[:, 4]).max() < 1e-2
 
 
-@pytest.mark.parametrize("case", ["filter", "samples", "out"])
+@pytest.mark.parametrize("case", ["filter", "samples", "out", "bad_filter", "bad_samples"])
 def test_unreadable_or_unwritable_file_is_a_usage_error(capsys, tmp_path, case):
-    """A file the command line names but that cannot be opened gives one
-    error line and exit 2, not a traceback."""
+    """A file the command line names but that cannot be opened, or that
+    does not parse, gives one error line and exit 2, not a traceback."""
     filt = str(tmp_path / "k1.json")
     assert main(["design-fir", "--n", "1", "--half-width", "8", "--filter-file", filt,
                  "--out", str(tmp_path / "report.csv")]) == 0
     missing = str(tmp_path / "missing" / "x")
-    argv = {
-        "filter": ["apply-fir", "--filter-file", missing],
-        "samples": ["apply-fir", "--filter-file", filt, "--samples", missing],
-        "out": ["apply-fir", "--filter-file", filt, "--out", missing],
+    bad_filter, bad_samples = tmp_path / "bad.json", tmp_path / "bad.csv"
+    bad_filter.write_text("garbage\n")
+    bad_samples.write_text("x\n1.0\nabc\n")
+    named, argv = {
+        "filter": (missing, ["apply-fir", "--filter-file", missing]),
+        "samples": (missing, ["apply-fir", "--filter-file", filt, "--samples", missing]),
+        "out": (missing, ["apply-fir", "--filter-file", filt, "--out", missing]),
+        "bad_filter": (str(bad_filter), ["apply-fir", "--filter-file", str(bad_filter)]),
+        "bad_samples": (str(bad_samples),
+                        ["apply-fir", "--filter-file", filt, "--samples", str(bad_samples)]),
     }[case]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert missing in captured.err
+    assert named in captured.err
 
 
 def test_long_exponential_comparison(capsys):

@@ -29,7 +29,7 @@ from chromex import (
     table_for,
     taylor_vs_chromatic_comparison,
 )
-from chromex.basis_functions import _series_rows
+from chromex.basis_functions import kbasis_rows
 from chromex.chromatic_core import conversion_matrices
 from chromex.families import gamma_beta_arrays
 
@@ -185,7 +185,7 @@ def test_identity_constant_one():
 def _constant_one_from_k2d(family, z, N, table):
     """identity_constant_one with the jet read off the full k2d matrix."""
     cjet = conversion_matrices(family, N).k2d[:, 0]
-    basis = _series_rows(table, 0, N, z)
+    basis = kbasis_rows(family, 0, N, z, table)
     s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
     values = np.abs(1.0 - s)
     return float(values[0]) if np.ndim(z) == 0 else values
