@@ -21,6 +21,7 @@ from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays
 # anything a float64 sum can show, within at most _MAX_TERMS terms
 _TAIL_TOL = 1e-12
 _MAX_TERMS = 2048
+_CHUNK = 1024  # the Gauss route's points per matrix product
 
 
 @lru_cache(maxsize=None)
@@ -139,22 +140,26 @@ def _gauss_size(spec, hi, absz, imz):
     # rounding: M products, and nodes off by eps ||J|| <= eps pi turn each
     # phase by |z| times that; it grows with M, so it also ends the search
     scale = 2.0 ** -52 * math.exp(min(math.pi * imz, 700.0))
-    d = 2 * M - 1 - hi
-    while (M + math.pi * absz) * scale <= _TAIL_TOL and (d + 2 <= a or (
-            (d + 1) * math.log(a) - math.lgamma(d + 2) - math.log1p(-a / (d + 2)) > log_tol)):
-        M, d = M + 16, d + 32
-    rounding = (M + math.pi * absz) * scale
-    if rounding > _TAIL_TOL:
-        raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {rounding:.3g} of {M} "
-                               f"Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller |z|")
-    return M
+    while (M + math.pi * absz) * scale <= _TAIL_TOL:
+        d = 2 * M - 1 - hi
+        if d + 2 > a and (d + 1) * math.log(a) - math.lgamma(d + 2) - math.log1p(-a / (d + 2)) <= log_tol:
+            return M
+        M += 16
+    raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {(M + math.pi * absz) * scale:.3g} "
+                           f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller |z|")
 
 
-def kbasis_rows(family, lo: int, hi: int, z, table: ChromaticTable | None = None):
+@lru_cache(maxsize=64)
+def _unit_table(family: FamilyId, hi: int) -> ChromaticTable:
+    """The shared table certifying rows 0..hi at every |z| <= 1, sized once."""
+    return table_for(family, hi, suggest_columns(family, hi, 1.0))
+
+
+def kbasis_rows(family, lo: int, hi: int, z):
     """K^n[m](z), lo <= n <= hi, shape (hi - lo + 1, points), at scalar or array z, real or
     complex: hermite, laguerre and herron by one cumulative product of their closed forms; the
-    families on [-pi, pi] by the series (from `table`, else the shared table) where max|z| <= 1,
-    else as K = i^n P W e^{ixz} on a cached Gauss rule, real for symmetric families at real z."""
+    families on [-pi, pi] by the series where max|z| <= 1, else as K = i^n P W e^{ixz} on a
+    cached Gauss rule, _CHUNK points at a time, real for symmetric families at real z."""
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
@@ -180,10 +185,13 @@ def kbasis_rows(family, lo: int, hi: int, z, table: ChromaticTable | None = None
                                    "z is near a pole or |Im z| is too large")
         return rows
     if absz <= 1.0:
-        return _series_rows(table or table_for(spec, hi, suggest_columns(spec, hi, 1.0)), lo, hi, zs)
+        return _series_rows(_unit_table(spec.id, hi), lo, hi, zs)
     imz = float(np.abs(zs.imag).max())
     nodes, A = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
-    rows = A[lo : hi + 1] @ np.exp(1j * np.multiply.outer(nodes, zs))
+    rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
+    for s in range(0, zs.size, _CHUNK):  # e^{ixz} is M x points: bound its memory
+        phases = np.multiply.outer(1j * nodes, zs[s : s + _CHUNK])
+        rows[:, s : s + _CHUNK] = A[lo : hi + 1] @ np.exp(phases, out=phases)
     if spec.symmetric and imz == 0.0:
         rows.imag = 0.0  # even rows sum cos(xz), odd rows sin(xz)
     return rows

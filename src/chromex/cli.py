@@ -224,19 +224,20 @@ def cmd_design_fir(args):
     return 0
 
 
-def _parse_file(path, load):
-    """load(path), reporting a file that does not parse as a usage error."""
+def _parse_file(path, load, **kw):
+    """load(path, **kw), reporting a file that does not parse as a usage error."""
     try:
-        return load(path)
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError too
+        return load(path, **kw)
+    except ChromexError:  # a parsed file the library rejects (say, its format_version)
+        raise
+    except ValueError as exc:  # not JSON, or a non-numeric cell
         raise argparse.ArgumentTypeError(f"malformed file {path}: {exc}") from exc
 
 
 def cmd_apply_fir(args):
     filt = _parse_file(args.filter_file, fir_design.load_filter)
     if args.samples:
-        samples = _parse_file(args.samples, lambda path: np.loadtxt(
-            path, delimiter=",", skiprows=1, ndmin=1))
+        samples = _parse_file(args.samples, np.loadtxt, delimiter=",", skiprows=1, ndmin=1)
     else:
         f = _parse_function(args.signal, args.seed)
         idx = np.arange(-args.extent, args.extent + 1)

@@ -195,6 +195,8 @@ class JetFunction(FunctionSpec):
 
 # ---------------------------------------------------------------------------
 # approximation and envelopes
+# The evaluating functions below accept a `table=` and ignore it: kbasis_rows
+# sizes its own.  It goes once callers stop passing it (ROADMAP item 8).
 
 @dataclass(frozen=True)
 class ApproximationResult:
@@ -211,13 +213,13 @@ def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
     scalar or array z, with the tail bound when ||f|| is known and z real."""
     spec = family_spec(family)
     dz = np.asarray(z) - u
-    value = chromatic_approximation_grid(spec, f, u, N, z, table)
+    value = chromatic_approximation_grid(spec, f, u, N, z)
     tail = None
     fnorm = f.norm_sq(spec)
     if fnorm is not None and np.isrealobj(z) and np.isreal(u):
         jet = f.chromatic_jet(spec, u, N)
         tail_energy = max(0.0, fnorm - float(np.sum(np.abs(jet) ** 2)))
-        tail = math.sqrt(tail_energy) * error_envelope(spec, N, np.real(dz), table)
+        tail = math.sqrt(tail_energy) * error_envelope(spec, N, np.real(dz))
     return ApproximationResult(value if dz.ndim else complex(value[0]), N, tail)
 
 
@@ -225,7 +227,7 @@ def chromatic_approximation_grid(family, f, u, N, zs, table=None):
     spec = family_spec(family)
     jet = f.chromatic_jet(spec, u, N)
     signs = (-1.0) ** np.arange(N + 1)
-    basis = kbasis_rows(spec, 0, N, np.asarray(zs) - u, table)
+    basis = kbasis_rows(spec, 0, N, np.asarray(zs) - u)
     return (signs * jet) @ basis
 
 
@@ -239,7 +241,7 @@ def error_envelope(family, N: int, t, table: ChromaticTable | None = None):
 
     t may be a scalar (returns a float) or an array, evaluated in one pass.
     """
-    vals = kbasis_rows(family, 0, N, np.asarray(t, dtype=float), table)
+    vals = kbasis_rows(family, 0, N, np.asarray(t, dtype=float))
     s = np.sum(np.abs(vals) ** 2, axis=0)
     return _per_point(np.sqrt(np.maximum(0.0, 1.0 - s)), t)
 
@@ -273,18 +275,17 @@ def identity_exponential(family, omega: float, z, N: int,
     """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |, for scalar or array z."""
     spec = family_spec(family)
     pv = eval_all_p(spec, N, omega).values
-    basis = kbasis_rows(spec, 0, N, z, table)
+    basis = kbasis_rows(spec, 0, N, z)
     s = np.sum(((-1j) ** np.arange(N + 1) * pv)[:, None] * basis, axis=0)
     return _per_point(np.abs(np.exp(1j * omega * np.atleast_1d(z).astype(complex)) - s), z)
 
 
 def identity_translation(family, u, z, N: int, table: ChromaticTable | None = None):
     """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |, for scalar or array z."""
-    spec = family_spec(family)
     z = np.asarray(z)
-    bu = kbasis_rows(spec, 0, N, u, table)
-    bz = kbasis_rows(spec, 0, N, z, table)
-    lhs = kbasis_rows(spec, 0, 0, z + u, table)[0]
+    bu = kbasis_rows(family, 0, N, u)
+    bz = kbasis_rows(family, 0, N, z)
+    lhs = kbasis_rows(family, 0, 0, z + u)[0]
     s = np.sum(((-1.0) ** np.arange(N + 1))[:, None] * bu * bz, axis=0)
     return _per_point(np.abs(lhs - s), z)
 
@@ -297,7 +298,7 @@ def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None
     """
     spec = family_spec(family)
     cjet = Constant(1.0).chromatic_jet(spec, 0.0, N)
-    basis = kbasis_rows(spec, 0, N, z, table)
+    basis = kbasis_rows(spec, 0, N, z)
     s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
     return _per_point(np.abs(1.0 - s), z)
 
@@ -307,7 +308,7 @@ def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, gr
     """Rows (t, f(t), CA[f,N,u](t), Taylor_N[f,u](t)) over the grid."""
     spec = family_spec(family)
     grid = np.asarray(grid, dtype=float)
-    ca = chromatic_approximation_grid(spec, f, u, N, grid, table)
+    ca = chromatic_approximation_grid(spec, f, u, N, grid)
     taylor = _taylor_sum(f.taylor_jet(u, N + 1), grid)
     fvals = f.value(grid)
     return [

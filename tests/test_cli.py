@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -228,6 +229,21 @@ def test_unreadable_or_unwritable_file_is_a_usage_error(capsys, tmp_path, case):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+@pytest.mark.parametrize("change", [{"format_version": 99}, {"family": "bogus"}])
+def test_a_filter_file_the_library_rejects_keeps_its_error(capsys, tmp_path, change):
+    """A filter file that parses but that the library refuses exits 1 with
+    the library's message, not as a malformed file."""
+    filt = tmp_path / "k1.json"
+    assert main(["design-fir", "--n", "1", "--half-width", "8", "--filter-file", str(filt),
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    filt.write_text(json.dumps({**json.loads(filt.read_text()), **change}))
+    capsys.readouterr()
+    code = main(["apply-fir", "--filter-file", str(filt)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "malformed" not in captured.err
 
 
 def test_long_exponential_comparison(capsys):

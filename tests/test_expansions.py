@@ -182,10 +182,10 @@ def test_identity_constant_one():
     assert abs(jb[0] + 2 * np.sum(jb[2:61:2]) - 1.0) <= 1e-10
 
 
-def _constant_one_from_k2d(family, z, N, table):
+def _constant_one_from_k2d(family, z, N):
     """identity_constant_one with the jet read off the full k2d matrix."""
     cjet = conversion_matrices(family, N).k2d[:, 0]
-    basis = kbasis_rows(family, 0, N, z, table)
+    basis = kbasis_rows(family, 0, N, z)
     s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
     values = np.abs(1.0 - s)
     return float(values[0]) if np.ndim(z) == 0 else values
@@ -199,10 +199,10 @@ def test_identity_constant_one_bitwise_on_the_k2d_column(family, R):
     N, z = 30, np.linspace(-R, R, 13)
     table = table_for(family, N, 200)
     whole = identity_constant_one(family, z, N, table)
-    assert whole.tobytes() == _constant_one_from_k2d(family, z, N, table).tobytes()
+    assert whole.tobytes() == _constant_one_from_k2d(family, z, N).tobytes()
     for x in z:
         one = identity_constant_one(family, float(x), N, table)
-        assert one.hex() == _constant_one_from_k2d(family, float(x), N, table).hex()
+        assert one.hex() == _constant_one_from_k2d(family, float(x), N).hex()
 
 
 def test_operator_christoffel_darboux():

@@ -28,7 +28,7 @@ from chromex import (
     kbasis_rows,
     kbasis_series,
 )
-from chromex.basis_functions import _TAIL_TOL, _reach, suggest_columns
+from chromex.basis_functions import _CHUNK, _TAIL_TOL, _reach, suggest_columns
 from chromex.families import family_spec
 
 from conftest import ALL_FAMILIES
@@ -153,6 +153,16 @@ def test_item3_commands_give_the_mpmath_values():
                                [float(v) for v in env], rtol=0, atol=BOUND)
     ca = chromatic_approximation_grid("legendre", Sinc(), 0.0, 15, np.array(zs, float))
     assert np.abs(ca - np.array([float(v) for v in sinc])).max() < 1e-12
+
+
+def test_a_grid_past_one_chunk_matches_the_closed_forms():
+    """The Gauss route fills its rows _CHUNK points at a time."""
+    t = np.linspace(-30.0, 30.0, 2 * _CHUNK + 37)
+    got = kbasis_rows("legendre", 0, 20, t)
+    ref = np.array([kbasis_closed("legendre", n, t) for n in range(21)])
+    assert np.abs(got - ref).max() <= BOUND
+    # the last chunk holds t[-37:], whose max|t| sizes the same rule
+    np.testing.assert_array_equal(got[:, -37:], kbasis_rows("legendre", 0, 20, t[-37:]))
 
 
 def test_rows_refuse_what_no_route_certifies():
