@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HorizonError, ParameterError
+from .errors import HorizonError, NumericError, ParameterError
 from .families import (
     FamilyId,
     _gauss_pass,
@@ -173,10 +173,9 @@ def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> 
         shifted[1:] = k2d[n, : n + 1]
         k2d[n + 1, : n + 2] = (shifted + 1j * bet[n] * k2d[n, : n + 2] + gm1 * prev) / gam[n]
     k2d64 = k2d.astype(np.complex128)
-    fac = np.ones(N + 1, dtype=np.longdouble)
-    for k in range(1, N + 1):
-        fac[k] = fac[k - 1] * k
-    k2d_scaled = (k2d * fac[None, :]).astype(np.complex128)
+    fac = np.cumprod(np.maximum(np.arange(N + 1), 1), dtype=np.longdouble)
+    with np.errstate(over="ignore"):  # past N = 170, k2d k! overflows to inf
+        k2d_scaled = (k2d * fac[None, :]).astype(np.complex128)
     signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     d2k_scaled = (table.b[: N + 1, : N + 1].T * signs[None, :]).copy()
     return ConversionMatrices(spec.id, N, k2d64, k2d_scaled, d2k_scaled)
@@ -219,7 +218,10 @@ def chromatic_jet_from_taylor(family, jet: TaylorJet, N: int) -> ChromaticJet:
     if len(jet) < N + 1:
         raise HorizonError(f"jet of length {len(jet)} too short for N={N}")
     coeff = np.asarray(jet.coefficients[: N + 1], dtype=np.complex128)
-    values = conversion_matrices(spec, N).k2d_scaled @ coeff
+    k2d_scaled = conversion_matrices(spec, N).k2d_scaled
+    if not np.isfinite(k2d_scaled).all():
+        raise NumericError(f"the Taylor conversion k2d[n][k] k! overflows float64 at N={N}; use a smaller N")
+    values = k2d_scaled @ coeff
     return ChromaticJet(spec.id, jet.u, values)
 
 

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import expansions, fir_design, power_spaces
-from .basis_functions import kbasis_series, suggest_columns
+from .basis_functions import kbasis_rows
 from .chromatic_core import build_table, orthonormality_matrix, table_for
 from .errors import ChromexError
 from .families import (
@@ -136,10 +136,7 @@ def cmd_poly(args):
 
 
 def cmd_basis(args):
-    spec = family_spec(args.family)
-    cols = max(suggest_columns(spec, args.n, np.abs(args.t).max()), args.columns)
-    table = table_for(spec, args.n, cols)
-    vals = kbasis_series(table, args.n, args.t.astype(complex))
+    vals = kbasis_rows(family_spec(args.family), args.n, args.n, args.t)[0]
     rows = [(float(t), args.n, v.real, v.imag) for t, v in zip(args.t, vals)]
     _write_rows(args.out, ["t", "n", "value_re", "value_im"], rows, args.format)
     return 0
@@ -243,10 +240,8 @@ def cmd_apply_fir(args):
         idx = np.arange(-args.extent, args.extent + 1)
         samples = f.value(idx.astype(float)).real
     N = filt.half_width
-    rows = []
-    for t in range(N, samples.size - N):
-        y = fir_design.apply_filter(filt, samples, t)
-        rows.append((t, float(np.real(y))))
+    rows = [(t, float(np.real(fir_design.apply_filter(filt, samples, t))))
+            for t in range(N, samples.size - N)]
     _write_rows(args.out, ["t", "output"], rows, args.format)
     return 0
 
@@ -263,12 +258,9 @@ def cmd_power_norm(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
     diag = power_spaces.nu_sequence(spec, f, args.t, args.order)
-    step = max(1, args.order // args.points)
-    rows = []
     running = np.cumsum(diag.values)
-    for n in range(0, args.order + 1, step):
-        cesaro = running[n] / (n + 1)
-        rows.append((n, float(diag.values[n]), float(cesaro)))
+    rows = [(n, float(diag.values[n]), float(running[n] / (n + 1)))
+            for n in range(0, args.order + 1, max(1, args.order // args.points))]
     _write_rows(args.out, ["n", "raw", "cesaro"], rows, args.format)
     return 0
 
@@ -301,12 +293,8 @@ def cmd_check(args):
     checks.append(("structural zeros below diagonal", float(sub.max()) == 0.0))
 
     if spec.tag not in ("gegenbauer", "jacobi"):
-        ok = True
-        for k in range(0, 21):
-            ana = moment_analytic(spec, k)
-            jac = moment_jacobi_matrix(spec, k)
-            if ana != 0 and abs(jac - ana) / abs(ana) > 1e-10:
-                ok = False
+        pairs = [(moment_analytic(spec, k), moment_jacobi_matrix(spec, k)) for k in range(21)]
+        ok = not any(ana != 0 and abs(jac - ana) / abs(ana) > 1e-10 for ana, jac in pairs)
         checks.append(("moment oracle agreement", ok))
 
     om = 0.7
@@ -358,7 +346,7 @@ def build_parser():
     p = sub.add_parser("basis", help="basis function K^n[m] over a grid")
     common(p, grid="--t")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--columns", type=int, default=0, help="table columns override")
+    p.add_argument("--columns", type=int, default=0, help="ignored: kbasis_rows sizes its own")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("table", help="emit the coefficient table")

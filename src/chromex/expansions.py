@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,8 +18,8 @@ from .chromatic_core import (
     taylor_from_chromatic_jet,
 )
 from .errors import ParameterError
-from .families import family_spec
-from .orthopoly import eval_all_p
+from .families import FamilyId, _gauss_pass, family_spec
+from .orthopoly import eval_all_p, eval_p_grid
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +108,29 @@ class Constant(FunctionSpec):
         return TaylorJet(u, coeff)
 
 
-def _sinc_jets(ts, N):
-    """K^n[sinc](t) = (-1)^n sqrt(2n+1) j_n(pi t), n <= N, at every real t
-    in ts (Legendre family) from one Miller pass; shape (N + 1, len(ts))."""
+@lru_cache(maxsize=16)
+def _sinc_connection(family: FamilyId, N: int) -> np.ndarray:
+    """C[n, k] = i^(n-k) int p_n p^leg_k dmu_leg, n, k <= N, exact on the (N + 1)-point
+    Gauss-Legendre rule (degree <= 2N); k > n and, if symmetric, odd n - k give exact 0."""
+    nodes, w, Q = _gauss_pass(family_spec("legendre"), N + 1, N + 1)
+    n, odd = np.arange(N + 1), 0.0 if family_spec(family).symmetric else 1.0
+    phase = np.array([1.0, 1j * odd, -1.0, -1j * odd])[(n[:, None] - n) % 4]
+    C = np.tril(phase * ((eval_p_grid(family, N, nodes) * np.sqrt(w)) @ Q.T))
+    C.flags.writeable = False
+    return C
+
+
+def _sinc_jets(family, ts, N):
+    """K^n[sinc](t) = i^n int p_n(w) e^{iwt} dmu_leg = sum_k C[n, k] K^k_leg[sinc](t),
+    n <= N, at every real t in ts, shape (N + 1, len(ts)); the Legendre jets
+    (-1)^k sqrt(2k+1) j_k(pi t) come from one Miller pass (legendre skips C = I).
+    As sum_k |K^k_leg|^2 <= 1, row n rounds off by about (N + 1) eps c_n, where
+    c_n = ||C[n, :]||_2 also bounds |K^n[sinc]| (Cauchy-Schwarz)."""
+    spec = family_spec(family)
     n = np.arange(N + 1)
     js = _miller(True, N, math.pi * np.asarray(ts), range(N + 1))
-    return (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
+    jets = (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
+    return jets if spec.tag == "legendre" else _sinc_connection(spec.id, N) @ jets
 
 
 @dataclass
@@ -130,9 +148,7 @@ class Sinc(FunctionSpec):
         return out
 
     def chromatic_jet(self, family, t, N):
-        if family_spec(family).tag != "legendre":
-            return super().chromatic_jet(family, t, N)
-        return _sinc_jets([t], N)[:, 0]
+        return _sinc_jets(family, [t], N)[:, 0]
 
     def taylor_jet(self, u, length):
         if u != 0:
@@ -153,22 +169,12 @@ class ShannonCombo(FunctionSpec):
     first_index: int = 0
 
     def value(self, z):
-        zs = np.asarray(z, dtype=np.complex128)
         idx = self.first_index + np.arange(len(self.samples))
-        acc = np.zeros_like(zs)
-        for m, s in zip(idx, self.samples):
-            acc += s * Sinc().value(zs - m)
-        return acc
+        return Sinc().value(np.asarray(z)[..., None] - idx) @ self.samples
 
     def chromatic_jet(self, family, t, N):
-        if family_spec(family).tag != "legendre":
-            return super().chromatic_jet(family, t, N)
         idx = self.first_index + np.arange(len(self.samples))
-        jets = _sinc_jets(t - idx, N)
-        acc = np.zeros(N + 1, dtype=np.complex128)
-        for s, jet in zip(self.samples, jets.T):
-            acc += s * jet
-        return acc
+        return _sinc_jets(family, t - idx, N) @ self.samples
 
 
 def _taylor_sum(jet: TaylorJet, z):

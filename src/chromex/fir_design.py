@@ -211,13 +211,16 @@ def save_filter(filt: FirFilter, path: str) -> None:
 def load_filter(path: str) -> FirFilter:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != FILTER_FORMAT_VERSION:
-        raise ParameterError(f"unsupported filter format version in {path}")
-    return FirFilter(
-        family=parse_family(doc["family"]),
-        operator_order=int(doc["operator_order"]),
-        half_width=int(doc["half_width"]),
-        taps=np.array([float(c) for c in doc["taps"]]),
-        passband_edge=float(doc["passband_edge"]),
-        stopband_edge=float(doc["stopband_edge"]),
-    )
+    if not isinstance(doc, dict) or doc.get("format_version") != FILTER_FORMAT_VERSION:
+        raise ParameterError(f"{path} is not a filter file of format version {FILTER_FORMAT_VERSION}")
+    try:
+        return FirFilter(
+            family=parse_family(doc["family"]),
+            operator_order=int(doc["operator_order"]),
+            half_width=int(doc["half_width"]),
+            taps=np.array([float(c) for c in doc["taps"]]),
+            passband_edge=float(doc["passband_edge"]),
+            stopband_edge=float(doc["stopband_edge"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ParameterError(f"filter file {path} lacks or mistypes {exc}") from exc

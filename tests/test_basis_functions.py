@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def test_hermite_closed_value():
 def test_laguerre_and_herron_trivia():
     assert kbasis_closed("laguerre", 1, 0.0) == 0.0
     assert kbasis_closed("herron", 0, 0.0) == 1.0
+
+
+def test_herron_closed_form_underflows_quietly_past_710():
+    """sech z = 1 / cosh z is an exact 0 once cosh overflows, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kbasis_closed("herron", 3, np.array([711.0, -800.0, 1e4]))
+    assert np.all(out == 0.0)
 
 
 def test_closed_unsupported_families():

@@ -5,6 +5,7 @@ import pytest
 
 from chromex import (
     HorizonError,
+    NumericError,
     ParameterError,
     TaylorJet,
     build_table,
@@ -183,6 +184,17 @@ def test_lemma_bound_inequalities(family, M, p):
     assert np.all(np.abs(t.b[:, :61]) * kfac ** (1 - p) <= (M + 1) ** (2 * np.arange(61)) + 1e-12)
     bound = (3 * M) ** np.arange(61)[:, None]
     assert np.all(np.abs(mats.k2d) * kfac[None, :] ** p <= bound + 1e-12)
+
+
+def test_conversion_past_order_170_raises_instead_of_nan():
+    """k2d[n][k] k! overflows float64 from about n = 187 on [-pi, pi]: the
+    matrices build without a warning, and the conversion that would use
+    the infinite entries raises instead of returning NaN."""
+    mats = conversion_matrices("legendre", 200)
+    assert np.isfinite(mats.k2d).all() and not np.isfinite(mats.k2d_scaled).all()
+    jet = TaylorJet(0.0, np.r_[1.0, np.zeros(200)])
+    with pytest.raises(NumericError, match="N=200"):
+        chromatic_jet_from_taylor("legendre", jet, 200)
 
 
 def test_conversion_matrix_entries():

@@ -166,9 +166,10 @@ def test_non_finite_argument_exit_code(capsys, argv):
 
 
 def test_domain_error_exit_code(capsys):
-    code = main(["basis", "--family", "laguerre", "--n", "1", "--t", "0:2:1"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    code = main(["basis", "--family", "hermite", "--n", "1", "--t=60"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: e^(-z^2/4) underflows")
 
 
 def test_json_format(capsys):
@@ -263,8 +264,36 @@ def test_hermite_basis_past_the_old_scan(capsys):
 
 
 def test_laguerre_basis_past_the_reach(capsys):
-    code = main(["basis", "--family", "laguerre", "--n", "4", "--t=-0.45:0.45:0.05"])
+    """Past the series reach 0.241, basis takes the closed-form product."""
+    code, out = run(capsys, "basis", "--family", "laguerre", "--n", "4", "--t=-0.45:0.45:0.05")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    closed = kbasis_closed("laguerre", 4, rows[:, 0])
+    assert np.abs(rows[:, 2] + 1j * rows[:, 3] - closed).max() <= 1e-15
+
+
+def test_legendre_basis_past_the_old_series(capsys):
+    """basis --t=14:16:1 once printed 2.22, -88.5 and -1505 from the series."""
+    code, out = run(capsys, "basis", "--family", "legendre", "--n", "10", "--t=14:16:1")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 2], [-0.100536701487, 0.09074918503, -0.0820731797], rtol=1e-9)
+    assert np.abs(rows[:, 2] - kbasis_closed("legendre", 10, rows[:, 0]).real).max() <= 1e-14
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"format_version": 1}'])
+def test_json_that_is_not_a_filter_is_a_library_error(capsys, tmp_path, text):
+    filt = tmp_path / "f.json"
+    filt.write_text(text)
+    code = main(["apply-fir", "--filter-file", str(filt)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == ("error: |z|=0.45 is beyond the certified series reach "
-                            "|z| <= 0.241 for laguerre; use kbasis_closed\n")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_chebyshev_t_sinc_power_norm(capsys):
+    """raw nu_60 once printed 4.6e7 through the Taylor conversion."""
+    code, out = run(capsys, "power-norm", "--family", "chebyshev_t", "--function", "sinc", "--order", "60")
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
+    assert rows[-1, 0] == 60 and rows[-1, 1] == pytest.approx(0.0319219625011, rel=1e-9)

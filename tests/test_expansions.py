@@ -1,7 +1,11 @@
 import math
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromex import (
     Constant,
@@ -26,6 +30,7 @@ from chromex import (
     local_scalar,
     TaylorJet,
     chromatic_jet_from_taylor,
+    gauss_quadrature,
     table_for,
     taylor_vs_chromatic_comparison,
 )
@@ -389,3 +394,111 @@ def test_long_taylor_jets_match_mpmath(length):
         assert got.dtype == np.complex128 and got.shape == (length,)
         want = np.array([complex(v) for v in ref])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# sinc and Shannon jets in every family: K^n[sinc](t) = i^n int p_n e^{iwt} dmu_leg
+
+EPS = np.finfo(float).eps
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _rows_80bit(family, N, x):
+    """p_0..p_N at x by the recurrence, in 80-bit arithmetic."""
+    gam, bet = gamma_beta_arrays(family, N, longdouble=True)
+    P = np.empty((N + 1, x.size), dtype=np.longdouble)
+    P[0], prev, g_prev = 1.0, 0.0, 1.0
+    for k in range(N):
+        P[k + 1] = ((x + bet[k]) * P[k] - g_prev * prev) / gam[k]
+        prev, g_prev = P[k], gam[k]
+    return P
+
+
+@lru_cache(maxsize=None)
+def _legendre_rule_80bit(M):
+    """The M-point Gauss-Legendre rule in 80-bit arithmetic: the float64
+    nodes polished by two Newton steps on p_M, Christoffel weights."""
+    gam, _ = gamma_beta_arrays("legendre", M, longdouble=True)
+    x = gauss_quadrature("legendre", M)[0].astype(np.longdouble)
+    for _ in range(2):
+        p, prev, dp, dprev, g_prev = np.ones_like(x), np.zeros_like(x), 0.0 * x, 0.0 * x, 1.0
+        for k in range(M):
+            p, prev, dp, dprev, g_prev = ((x * p - g_prev * prev) / gam[k], p,
+                                          (p + x * dp - g_prev * dprev) / gam[k], dp, gam[k])
+        x = x - p / dp
+    return x, 1.0 / (_rows_80bit("legendre", M - 1, x) ** 2).sum(axis=0)
+
+
+def _shannon_jets_80bit(family, N, offsets, samples):
+    """i^n sum_j w_j p_n(x_j) sum_m s_m e^{i x_j (t - m)}, n <= N, for the float64
+    offsets t - m, on the 160-point rule: exact for |t - m| <= 48 and N <= 60
+    (its degree-259 remainder is below 1e-40), and it rounds near 1e-19.
+    Also returns c_n = ||p_n||_{L^2(mu_leg)}."""
+    x, w = _legendre_rule_80bit(160)
+    P = _rows_80bit(family, N, x)
+    arg = np.multiply.outer(x, np.asarray(offsets, dtype=np.longdouble))
+    s = np.asarray(samples, dtype=np.longdouble)
+    re, im = (P * w) @ (np.cos(arg) @ s), (P * w) @ (np.sin(arg) @ s)
+    c = np.sqrt((P ** 2) @ w)
+    return _PHASES[np.arange(N + 1) % 4] * (re.astype(float) + 1j * im.astype(float)), c.astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["legendre", "chebyshev_t", "chebyshev_u", "gegenbauer(1)",
+                               "gegenbauer(0.25)", "jacobi(0.5,-0.25)", "jacobi(-0.5,2.0)",
+                               "hermite", "herron"]),
+       N=st.integers(0, 60), t=st.floats(-40.0, 40.0), first=st.integers(-4, 4),
+       samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_sinc_and_shannon_jets_match_the_direct_gauss_legendre_product(family, N, t, first, samples):
+    """Within the stated rounding bound (N + 1) eps c_n, with a factor 4 to spare."""
+    ref, c = _shannon_jets_80bit(family, N, [t], [1.0])
+    bound = 4 * (N + 1) * EPS * np.maximum(1.0, c)
+    assert np.all(np.abs(Sinc().chromatic_jet(family, t, N) - ref) <= bound)
+    f = ShannonCombo(np.array(samples), first_index=first)
+    ref, _ = _shannon_jets_80bit(family, N, t - (first + np.arange(len(samples))), samples)
+    assert np.all(np.abs(f.chromatic_jet(family, t, N) - ref) <= bound * max(1.0, np.abs(samples).sum()))
+
+
+def _mp_shannon_jets(family, N, t, samples=(1.0,), first=0):
+    """i^n int p_n(w) e^{iwt} sum_m s_m e^{-iw(first + m)} dw / (2 pi) over [-pi, pi],
+    n <= N, on mpmath's 64-point Gauss-Legendre rule (its remainder is below 1e-40
+    for N <= 40 and |t - m| <= 3), with p_n from the classical T_n and H_n."""
+    X, W = mp.gauss_quadrature(64, "legendre")
+    jets = []
+    for x, wx in zip(X, W):
+        w = mp.pi * x
+        if family == "chebyshev_t":  # p_n = sqrt(2) T_n(w / pi), p_0 = 1
+            T = [mp.mpf(1), x]
+            for n in range(1, N):
+                T.append(2 * x * T[n] - T[n - 1])
+            p = [T[0]] + [mp.sqrt(2) * v for v in T[1:]]
+        else:  # hermite: p_n = H_n(w) / sqrt(2^n n!)
+            H = [mp.mpf(1), 2 * w]
+            for n in range(1, N):
+                H.append(2 * w * H[n] - 2 * n * H[n - 1])
+            p = [v / mp.sqrt(2 ** n * mp.factorial(n)) for n, v in enumerate(H)]
+        F = sum(s * mp.expj(w * (t - first - m)) for m, s in enumerate(samples))
+        jets.append([wx * v * F / 2 for v in p])
+    return np.array([complex(1j ** n * mp.fsum(row[n] for row in jets)) for n in range(N + 1)])
+
+
+def test_chebyshev_t_sinc_jets_match_mpmath():
+    """The Taylor-conversion route was off by 6e-12, 1.6e-7 and 9.7e-4 here."""
+    with mp.workdps(30):
+        ref = _mp_shannon_jets("chebyshev_t", 40, mp.mpf(1) / 2)
+    for N in (15, 30, 40):
+        got = Sinc().chromatic_jet("chebyshev_t", 0.5, N)
+        assert np.abs(got - ref[: N + 1]).max() <= 4 * (N + 1) * EPS  # c_n <= 1 here
+
+
+@pytest.mark.parametrize("family", ["chebyshev_t", "hermite"])
+def test_local_norm_and_scalar_match_mpmath(rng, family):
+    samples, t, N = rng.uniform(-1.0, 1.0, 5), 0.5, 40
+    f, g = Sinc(), ShannonCombo(samples, first_index=-2)
+    with mp.workdps(30):
+        jf = _mp_shannon_jets(family, N, mp.mpf(1) / 2)
+        jg = _mp_shannon_jets(family, N, mp.mpf(1) / 2, samples, -2)
+    nf, ng = np.sum(np.abs(jf) ** 2), np.sum(np.abs(jg) ** 2)
+    assert local_norm_sq(family, f, t, N) == pytest.approx(nf, rel=1e-13)
+    assert local_norm_sq(family, g, t, N) == pytest.approx(ng, rel=1e-13)
+    assert abs(local_scalar(family, f, g, t, N) - np.sum(jf * np.conj(jg))) <= 1e-13 * math.sqrt(nf * ng)
