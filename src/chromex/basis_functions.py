@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chromatic_core import ChromaticTable, default_columns, table_for
+from .chromatic_core import ChromaticTable, _i_pow, default_columns, table_for
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
 from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays
 
@@ -79,9 +79,8 @@ def _certified_length(spec, n, absz):
         raise ParameterError("non-finite argument; z must be finite")
     need = _terms_needed(spec, n, absz)
     if need is None:
-        remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
         raise ConvergenceError(f"|z|={absz:g} is beyond the certified series reach "
-                               f"|z| <= {_reach(spec):.3g} for {spec}; {remedy}")
+                               f"|z| <= {_reach(spec):.3g} for {spec}; use kbasis_rows")
     return need
 
 
@@ -128,7 +127,7 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
 def _gauss_rows(family: FamilyId, M: int, nrows: int):
     """Nodes x_j and A[n, j] = i^n Q[n, j] sqrt(w_j), n < nrows, of the M-point Gauss rule."""
     nodes, w, Q = _gauss_pass(family_spec(family), M, nrows)
-    return nodes, np.array([1.0, 1j, -1.0, -1j])[np.arange(nrows) % 4, None] * (Q * np.sqrt(w))
+    return nodes, _i_pow(np.arange(nrows))[:, None] * (Q * np.sqrt(w))
 
 
 def _gauss_size(spec, hi, absz, imz):
@@ -177,8 +176,8 @@ def kbasis_rows(family, lo: int, hi: int, z):
             elif spec.tag == "laguerre":
                 first = 1.0 / (1.0 - 1j * zs)
                 step = -zs * first
-            else:  # 1 / cosh overflows to an exact 0
-                first, step = 1.0 / np.cosh(zs), -np.tanh(zs)
+            else:
+                first, step = _sech(zs), -np.tanh(zs)
             rows = np.cumprod(np.vstack([first, np.broadcast_to(step, (hi, zs.size))]), axis=0)[lo:]
         if not np.isfinite(rows).all():
             raise ConvergenceError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
@@ -195,6 +194,13 @@ def kbasis_rows(family, lo: int, hi: int, z):
     if spec.symmetric and imz == 0.0:
         rows.imag = 0.0  # even rows sum cos(xz), odd rows sin(xz)
     return rows
+
+
+def _sech(zs):
+    """sech z = 2 e^{-sz} / (1 + e^{-2sz}), s = sign(Re z) (1 at Re z = 0), at any z: |e^{-sz}| <= 1,
+    so nothing overflows; past |Re z| = 710, where it is below 2^-1022, it is an exact 0."""
+    e = np.exp(np.where(zs.real < 0.0, zs, -zs))
+    return np.where(np.abs(zs.real) > 710.0, 0.0, 2.0 * e / (1.0 + e * e))
 
 
 def kbasis_series(table: ChromaticTable, n: int, z):
@@ -216,8 +222,7 @@ def kbasis_closed(family, n: int, z):
     elif tag == "laguerre":
         out = 1.0 / (1.0 - 1j * zs) * (-zs / (1.0 - 1j * zs)) ** n
     elif tag == "herron":
-        with np.errstate(over="ignore"):  # 1 / cosh overflows to an exact 0
-            out = (-1.0) ** n / np.cosh(zs) * np.tanh(zs) ** n
+        out = (-1.0) ** n * _sech(zs) * np.tanh(zs) ** n
     else:
         if (zs.imag != 0.0).any():
             raise ParameterError("Bessel-backed closed forms take real z only")

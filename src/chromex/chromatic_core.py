@@ -78,12 +78,9 @@ class ChromaticTable:
     b: np.ndarray  # complex128, shape (N+1, K+1)
 
 
-def _phase_vector(K: int) -> np.ndarray:
-    phase = np.ones(K + 1, dtype=np.complex128)
-    phase[1::4] = 1j
-    phase[2::4] = -1
-    phase[3::4] = -1j
-    return phase
+def _i_pow(n):
+    """i^n, exact, for an integer or an integer array n."""
+    return np.array([1.0, 1j, -1.0, -1j])[np.asarray(n) % 4]
 
 
 def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
@@ -120,7 +117,7 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
         w[1:] += off * v[:-1]
         v = w / np.longdouble(k)
         rawT[k, : min(k, N) + 1] = v[: min(k, N) + 1]
-    phases = np.multiply.outer(_phase_vector(N), _phase_vector(kend - 1))
+    phases = np.multiply.outer(_i_pow(np.arange(N + 1)), _i_pow(np.arange(kend)))
     b = np.zeros((N + 1, K + 1), dtype=np.complex128)
     b[:, :kend] = phases * rawT[:kend].T
     return ChromaticTable(spec.id, N, K, b)
@@ -247,7 +244,7 @@ def compose_at_zero(family, n: int, m: int) -> complex:
     if n < 0 or m < 0:
         raise ParameterError("orders must be nonnegative")
     G = orthonormality_matrix(family, max(n, m), raw=True)
-    return complex(1j ** (n + m) * G[n, m])
+    return complex(_i_pow(n + m) * G[n, m])
 
 
 def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:
@@ -262,8 +259,7 @@ def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:
     if raw:
         return G
     idx = np.arange(N + 1)
-    phases = (1j ** (idx[:, None] + idx[None, :])) * np.where(idx % 2 == 0, 1, -1)[:, None]
-    return phases * G
+    return _i_pow(3 * idx[:, None] + idx) * G  # (-1)^n i^(n+m) = i^(3n+m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from .chromatic_core import (
     ChromaticJet,
     ChromaticTable,
     TaylorJet,
+    _i_pow,
     chromatic_jet_from_taylor,
     constant_jet,
     taylor_from_chromatic_jet,
@@ -63,8 +64,7 @@ class Exponential(FunctionSpec):
 
     def chromatic_jet(self, family, t, N):
         pv = eval_all_p(family, N, self.omega).values
-        ph = 1j ** np.arange(N + 1)
-        return ph * pv * np.exp(1j * self.omega * t)
+        return _i_pow(np.arange(N + 1)) * pv * np.exp(1j * self.omega * t)
 
     def taylor_jet(self, u, length):
         # (i w)^k / k! as one running product, so long jets underflow to 0
@@ -213,28 +213,37 @@ class ApproximationResult:
     tail_bound: float | np.ndarray | None
 
 
+def _expansion_sum(jet, rows):
+    """sum_k (-1)^k jet[k] rows[k]: the chromatic expansion with coefficients
+    jet[k] = K^k[f](u) over basis rows[k] = K^k[m](z - u), per point of rows."""
+    return ((-1.0) ** np.arange(len(jet)) * jet) @ rows
+
+
+def _envelope(rows):
+    """E_N = sqrt(max(0, 1 - sum_{k<=N} |K^k[m]|^2)), clamped at 0, per point of rows K^0..K^N[m]."""
+    return np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(rows) ** 2, axis=0)))
+
+
 def chromatic_approximation(family, f: FunctionSpec, u, N: int, z,
                             table: ChromaticTable | None = None) -> ApproximationResult:
     """CA[f, N, u](z) = sum_{k<=N} (-1)^k K^k[f](u) K^k[m](z - u), for
     scalar or array z, with the tail bound when ||f|| is known and z real."""
     spec = family_spec(family)
     dz = np.asarray(z) - u
-    value = chromatic_approximation_grid(spec, f, u, N, z)
+    jet = f.chromatic_jet(spec, u, N)
+    rows = kbasis_rows(spec, 0, N, dz)
+    value = _expansion_sum(jet, rows)
     tail = None
     fnorm = f.norm_sq(spec)
     if fnorm is not None and np.isrealobj(z) and np.isreal(u):
-        jet = f.chromatic_jet(spec, u, N)
         tail_energy = max(0.0, fnorm - float(np.sum(np.abs(jet) ** 2)))
-        tail = math.sqrt(tail_energy) * error_envelope(spec, N, np.real(dz))
+        tail = math.sqrt(tail_energy) * _per_point(_envelope(rows), dz)
     return ApproximationResult(value if dz.ndim else complex(value[0]), N, tail)
 
 
 def chromatic_approximation_grid(family, f, u, N, zs, table=None):
     spec = family_spec(family)
-    jet = f.chromatic_jet(spec, u, N)
-    signs = (-1.0) ** np.arange(N + 1)
-    basis = kbasis_rows(spec, 0, N, np.asarray(zs) - u)
-    return (signs * jet) @ basis
+    return _expansion_sum(f.chromatic_jet(spec, u, N), kbasis_rows(spec, 0, N, np.asarray(zs) - u))
 
 
 def _per_point(values, z):
@@ -243,13 +252,8 @@ def _per_point(values, z):
 
 
 def error_envelope(family, N: int, t, table: ChromaticTable | None = None):
-    """E_N(t) = sqrt(max(0, 1 - sum_{k<=N} |K^k[m](t)|^2)), clamped at 0.
-
-    t may be a scalar (returns a float) or an array, evaluated in one pass.
-    """
-    vals = kbasis_rows(family, 0, N, np.asarray(t, dtype=float))
-    s = np.sum(np.abs(vals) ** 2, axis=0)
-    return _per_point(np.sqrt(np.maximum(0.0, 1.0 - s)), t)
+    """E_N(t) at a scalar t (a float) or at an array of t, in one pass."""
+    return _per_point(_envelope(kbasis_rows(family, 0, N, np.asarray(t, dtype=float))), t)
 
 
 def local_norm_sq(family, f: FunctionSpec, t: float, N: int) -> float:
@@ -267,33 +271,32 @@ def local_scalar(family, f: FunctionSpec, g: FunctionSpec, t: float, N: int) -> 
 
 def local_convolution(family, f: FunctionSpec, g: FunctionSpec, u: float, t: float, N: int) -> complex:
     spec = family_spec(family)
-    jf = f.chromatic_jet(spec, u, N)
-    jg = g.chromatic_jet(spec, t - u, N)
-    signs = (-1.0) ** np.arange(N + 1)
-    return complex(np.sum(signs * jf * jg))
+    return complex(_expansion_sum(f.chromatic_jet(spec, u, N), g.chromatic_jet(spec, t - u, N)))
 
 
 # ---------------------------------------------------------------------------
-# identity verifiers (all return the residual, never assert)
+# identity verifiers: each classical identity is a chromatic expansion, and
+# each returns its residual, never asserts
+
+def _expansion_residual(family, f: FunctionSpec, z, N: int):
+    """| f(z) - CA[f, N, 0](z) |; the basis goes first, so it rejects a non-finite z."""
+    ca = chromatic_approximation_grid(family, f, 0.0, N, z)
+    return _per_point(np.abs(f.value(z) - ca), z)
+
 
 def identity_exponential(family, omega: float, z, N: int,
                          table: ChromaticTable | None = None):
-    """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |, for scalar or array z."""
-    spec = family_spec(family)
-    pv = eval_all_p(spec, N, omega).values
-    basis = kbasis_rows(spec, 0, N, z)
-    s = np.sum(((-1j) ** np.arange(N + 1) * pv)[:, None] * basis, axis=0)
-    return _per_point(np.abs(np.exp(1j * omega * np.atleast_1d(z).astype(complex)) - s), z)
+    """| e^{i w z} - sum_n (-i)^n p_n(w) K^n[m](z) |, for scalar or array z:
+    the expansion of e^{i w z} about 0, whose jet is i^n p_n(w)."""
+    return _expansion_residual(family, Exponential(omega), z, N)
 
 
 def identity_translation(family, u, z, N: int, table: ChromaticTable | None = None):
-    """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |, for scalar or array z."""
+    """| m(z+u) - sum_n (-1)^n K^n[m](u) K^n[m](z) |, for scalar or array z:
+    the expansion of m about u, whose jet is K^n[m](u)."""
     z = np.asarray(z)
-    bu = kbasis_rows(family, 0, N, u)
-    bz = kbasis_rows(family, 0, N, z)
-    lhs = kbasis_rows(family, 0, 0, z + u)[0]
-    s = np.sum(((-1.0) ** np.arange(N + 1))[:, None] * bu * bz, axis=0)
-    return _per_point(np.abs(lhs - s), z)
+    s = _expansion_sum(kbasis_rows(family, 0, N, u)[:, 0], kbasis_rows(family, 0, N, z))
+    return _per_point(np.abs(kbasis_rows(family, 0, 0, z + u)[0] - s), z)
 
 
 def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None):
@@ -302,11 +305,7 @@ def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None
     The coefficients K^k[1](0) come from the constant jet (column 0 of the
     monomial conversion matrix), not from any printed sign pattern.
     """
-    spec = family_spec(family)
-    cjet = Constant(1.0).chromatic_jet(spec, 0.0, N)
-    basis = kbasis_rows(spec, 0, N, z)
-    s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
-    return _per_point(np.abs(1.0 - s), z)
+    return _expansion_residual(family, Constant(1.0), z, N)
 
 
 def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, grid,

@@ -54,10 +54,8 @@ def _target_values(spec, n, omegas, target):
         vals = (omegas / math.pi) ** n
     else:
         raise ParameterError(f"unknown target {target!r}")
-    # real projection of i^n * vals: (-1)^(n//2) vals for even n (real part),
-    # (-1)^((n-1)//2) vals for odd n (imaginary part)
-    sign = (-1.0) ** (n // 2) if n % 2 == 0 else (-1.0) ** ((n - 1) // 2)
-    return sign * vals
+    # real projection of i^n vals: i^n is (-1)^(n//2), times i for odd n
+    return (-1.0) ** (n // 2) * vals
 
 
 def _design_grid(half_width, passband_edge, stopband_edge, grid_density):

@@ -17,6 +17,7 @@ from chromex import (
     error_envelope,
     identity_exponential,
     kbasis_closed,
+    kbasis_rows,
     kbasis_series,
     spherical_j,
     spherical_j_all,
@@ -52,11 +53,15 @@ def test_laguerre_and_herron_trivia():
 
 
 def test_herron_closed_form_underflows_quietly_past_710():
-    """sech z = 1 / cosh z is an exact 0 once cosh overflows, with no warning."""
+    """sech z is an exact 0 past |Re z| = 710, at any Im z, with no warning,
+    in kbasis_closed and kbasis_rows alike (1 / cosh z was NaN at 1e4 + 2j)."""
+    z = np.array([711.0, -800.0, 1e4, 1e4 + 2j, -1e4 + 2j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = kbasis_closed("herron", 3, np.array([711.0, -800.0, 1e4]))
+        out = kbasis_closed("herron", 3, z)
+        rows = kbasis_rows("herron", 0, 3, z)
     assert np.all(out == 0.0)
+    assert np.all(rows == 0.0)
 
 
 def test_closed_unsupported_families():
@@ -96,12 +101,11 @@ def test_radius_guard():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_series_raises_just_past_reach(family):
     """No table width certifies |z| past the reach, so the error names the
-    reach and the closed form, and asks for no columns."""
+    reach and kbasis_rows, and asks for no columns."""
     spec = family_spec(family)
     reach = _reach(spec)
     past = reach * (1 + 1e-6)
-    remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
-    msg = re.escape(f"beyond the certified series reach |z| <= {reach:.3g} for {spec}; {remedy}")
+    msg = re.escape(f"beyond the certified series reach |z| <= {reach:.3g} for {spec}; use kbasis_rows")
     with pytest.raises(ConvergenceError, match=msg) as err:
         kbasis_series(build_table(family, 4), 0, np.array([0.0, -past]))
     assert "column" not in str(err.value)

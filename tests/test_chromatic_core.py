@@ -16,7 +16,7 @@ from chromex import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticJet, ChromaticTable, _phase_vector, constant_jet
+from chromex.chromatic_core import ChromaticJet, ChromaticTable, _i_pow, constant_jet
 from chromex.families import (
     family_spec,
     gamma_beta_arrays,
@@ -24,6 +24,14 @@ from chromex.families import (
     moment_over_factorial_ld,
 )
 from conftest import ALL_FAMILIES
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_phases_are_exact_at_high_order(family):
+    """i^(n+m) G[n, m] on the diagonal is real; 1j ** k rounds from k = 100 on."""
+    for n in (60, 150):
+        assert compose_at_zero(family, n, n).imag == 0.0
+    assert np.all(np.diag(orthonormality_matrix(family, 150)).imag == 0.0)
 
 
 def build_table_recurrence(family, N, K):
@@ -34,7 +42,7 @@ def build_table_recurrence(family, N, K):
     K - n only."""
     spec = family_spec(family)
     b = np.zeros((N + 1, K + 1), dtype=np.clongdouble)
-    b[0, :] = moment_over_factorial_ld(spec, K) * _phase_vector(K)
+    b[0, :] = moment_over_factorial_ld(spec, K) * _i_pow(np.arange(K + 1))
     gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
     for n in range(N):
         gm1 = gam[n - 1] if n >= 1 else np.longdouble(1.0)
@@ -139,7 +147,7 @@ def _build_table_full_width(family, N, K):
         w[1:] += off * v[:-1]
         v = w / np.longdouble(k)
         raw[: min(k, N) + 1, k] = v[: min(k, N) + 1]
-    phases = np.multiply.outer(_phase_vector(N), _phase_vector(K))
+    phases = np.multiply.outer(_i_pow(np.arange(N + 1)), _i_pow(np.arange(K + 1)))
     return (phases * raw).astype(np.complex128)
 
 

@@ -37,6 +37,7 @@ from chromex import (
 from chromex.basis_functions import kbasis_rows
 from chromex.chromatic_core import conversion_matrices
 from chromex.families import gamma_beta_arrays
+from chromex.orthopoly import eval_all_p
 
 
 def test_constant_reproduced_at_center():
@@ -55,6 +56,26 @@ def test_exponential_convergence_other_families():
         t = table_for(fam, 40)
         res = chromatic_approximation(fam, Exponential(1.0), 0.0, 40, 1.2, t)
         assert abs(res.value - np.exp(1.2j)) < 1e-8
+
+
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_t", "jacobi(0.5,-0.25)", "hermite", "laguerre"])
+def test_exponential_jet_phases_are_exact(family):
+    """K^n[e^{iw.}](0) = i^n p_n(w) with i^n exact; 1j ** n rounds from n = 100 on."""
+    k = np.arange(201)
+    expect = np.array([1, 1j, -1, -1j])[k % 4] * eval_all_p(family, 200, 1.3).values
+    np.testing.assert_array_equal(Exponential(1.3).chromatic_jet(family, 0.0, 200), expect)
+
+
+def test_approximation_value_and_tail_come_from_one_pass():
+    """The value is the grid sum and the tail bound is sqrt(tail energy) E_N(z - u),
+    bit for bit, from the one jet and the one set of rows."""
+    f, u, N = Sinc(), 0.3, 6
+    z = np.linspace(-4.0, 5.0, 37)
+    res = chromatic_approximation("legendre", f, u, N, z)
+    assert res.value.tobytes() == chromatic_approximation_grid("legendre", f, u, N, z).tobytes()
+    tail = math.sqrt(1.0 - local_norm_sq("legendre", f, u, N)) * error_envelope("legendre", N, z - u)
+    assert tail.min() > 0.0
+    assert res.tail_bound.tobytes() == tail.tobytes()
 
 
 def test_sinc_truncation_bound():
@@ -191,7 +212,7 @@ def _constant_one_from_k2d(family, z, N):
     """identity_constant_one with the jet read off the full k2d matrix."""
     cjet = conversion_matrices(family, N).k2d[:, 0]
     basis = kbasis_rows(family, 0, N, z)
-    s = np.sum(((-1.0) ** np.arange(N + 1) * cjet)[:, None] * basis, axis=0)
+    s = ((-1.0) ** np.arange(N + 1) * cjet) @ basis
     values = np.abs(1.0 - s)
     return float(values[0]) if np.ndim(z) == 0 else values
 

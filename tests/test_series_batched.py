@@ -94,9 +94,8 @@ def _kbasis_series_scalar(table, n, z):
     absz = float(np.abs(zs).max())
     base = _terms_needed_loop(spec.id, 0, absz)
     if base is None:
-        remedy = "no closed form exists" if spec.tag in ("gegenbauer", "jacobi") else "use kbasis_closed"
         raise ConvergenceError(f"|z|={absz:g} is beyond the certified series reach "
-                               f"|z| <= {_reach(spec):.3g} for {spec}; {remedy}")
+                               f"|z| <= {_reach(spec):.3g} for {spec}; use kbasis_rows")
     if base > table.K + 1:
         raise ConvergenceError(f"|z|={absz:g} needs {base} table columns, not {table.K + 1}; "
                                f"rebuild the table with K >= {base - 1}")
