@@ -15,7 +15,8 @@ import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns, table_for
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays
+from .families import (FamilyId, _gauss_pass, family_spec, gamma_beta_arrays, require_finite,
+                       require_nonnegative)
 
 # a series row's dropped tail is certified below _TAIL_TOL 2^-53, under
 # anything a float64 sum can show, within at most _MAX_TERMS terms
@@ -162,9 +163,7 @@ def kbasis_rows(family, lo: int, hi: int, z):
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if not np.isfinite(zs).all():
-        raise ParameterError("non-finite argument; z must be finite")
+    zs = require_finite(np.atleast_1d(np.asarray(z, dtype=np.complex128)), "z")
     absz = float(np.abs(zs).max())
     if spec.tag in ("hermite", "laguerre", "herron"):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -309,16 +308,14 @@ def _miller(spherical, nmax, x, rows):
 def spherical_j(n: int, x: float) -> float:
     """Spherical Bessel j_n(x), real finite x; accurate to 1e-14 absolute
     (tested) for n <= 80, |x| <= 1e4."""
-    if n < 0:
-        raise ParameterError("order must be nonnegative")
+    require_nonnegative(n, "order")
     return float(_miller(True, n, float(x), [n])[0, 0])
 
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x), real finite x; same
     tested domain as spherical_j."""
-    if n < 0:
-        raise ParameterError("order must be nonnegative")
+    require_nonnegative(n, "order")
     return float(_miller(False, n, float(x), [n])[0, 0])
 
 

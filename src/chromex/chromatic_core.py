@@ -60,6 +60,7 @@ from .families import (
     _gauss_pass,
     family_spec,
     gamma_beta_arrays,
+    require_nonnegative,
 )
 
 # below 2^-1100 an entry rounds to 0 in complex128 (smallest subnormal 2^-1074)
@@ -86,8 +87,7 @@ def _i_pow(n):
 def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     """Build the coefficient table from powers of the Jacobi matrix."""
     spec = family_spec(family)
-    if N < 0:
-        raise ParameterError("N must be nonnegative")
+    require_nonnegative(N)
     if K is None:
         K = default_columns(N)
     if K < N:

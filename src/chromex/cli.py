@@ -74,6 +74,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return a + step * np.arange(int(round(count)) + 1)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 _SCALED = {"exponential": expansions.Exponential, "cos": expansions.Cosine,
            "constant": expansions.Constant}
 
@@ -409,7 +415,7 @@ def build_parser():
     p.add_argument("--function", default="exponential:1.0")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--order", type=int, default=10000)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.set_defaults(func=cmd_power_norm)
 
     p = sub.add_parser("conditions", help="growth-condition evidence C1..C7")

@@ -166,8 +166,7 @@ def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):
 def recursion_coefficients(family, n: int):
     """(gamma_n, beta_n) as floats; gamma_n > 0 for every n >= 0."""
     spec = family_spec(family)
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
+    require_nonnegative(n, "n")
     g, b = _gamma_beta_ld(spec, np.array([n], dtype=np.longdouble))
     return float(g[0]), float(b[0])
 
@@ -184,25 +183,37 @@ def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
     return gam, bet
 
 
-def three_term(gam, bet, x):
-    """Run the forward recurrence from p_{-1} = 0, p_0 = 1 at x.
-
-    Yields (p_j, p_{j+1}) for j = 0 .. len(gam) - 2, so float64
-    coefficients 0..N give p_0..p_N.  x is a float or a float64 array; an
-    array x yields the recurrence's own state arrays, so a caller may
-    rescale both in place and the recurrence continues from the rescaled
-    values.  The coefficients are read through memoryviews, which hand
-    out Python floats one at a time, so no list of all of them is held.
-    """
+def three_term(gam, bet, x) -> np.ndarray:
+    """p_0..p_{len(gam)-1} at x, a float or a float64 array (then one row
+    per order), by the forward recurrence from p_{-1} = 0, p_0 = 1.  At a
+    float the step runs on Python floats through memoryviews: several
+    times faster than numpy scalars, and the same to the bit."""
+    out = np.empty(gam.shape + np.shape(x))
+    out[0] = 1.0
     if np.ndim(x):
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        rows, p_prev, p = out, np.zeros_like(x), np.ones_like(x)
     else:
-        p_prev, p = 0.0, 1.0
+        x = float(x)
+        rows, p_prev, p = memoryview(out), 0.0, 1.0
     g_prev = 1.0
-    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
-        p_next = ((x + b) * p - g_prev * p_prev) / g
-        yield p, p_next
-        p_prev, p, g_prev = p, p_next, g
+    for j, g, b in zip(range(1, len(gam)), memoryview(gam[:-1]), memoryview(bet)):
+        p_prev, p = p, ((x + b) * p - g_prev * p_prev) / g
+        rows[j] = p
+        g_prev = g
+    return out
+
+
+def require_nonnegative(n: int, name: str = "N") -> int:
+    if n < 0:
+        raise ParameterError(f"{name} must be nonnegative")
+    return n
+
+
+def require_finite(x, name: str):
+    """x, once checked finite: a NaN or infinite argument is a ParameterError naming it."""
+    if not np.isfinite(x).all():
+        raise ParameterError(f"non-finite argument; {name} must be finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -240,8 +251,7 @@ def moment_analytic(family, k: int) -> float:
     """mu_k from the closed forms; gegenbauer/jacobi are unsupported."""
     spec = family_spec(family)
     tag = spec.tag
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    require_nonnegative(k, "k")
     if tag in ("gegenbauer", "jacobi"):
         raise UnsupportedFamilyError(
             f"{tag} has no closed moment form; use moment_jacobi_matrix"
@@ -331,8 +341,7 @@ def moment_over_factorial_ld(family, kmax: int) -> np.ndarray:
 
 def moment_jacobi_matrix(family, k: int, dimension: int | None = None) -> float:
     """mu_k as the top-left entry of the k-th power of the Jacobi matrix."""
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
+    require_nonnegative(k, "k")
     if k == 0:
         return 1.0
     dim = dimension if dimension is not None else k + 1
@@ -361,17 +370,21 @@ def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):
     E = np.zeros(n)  # rescales per node; 280 E is log10 of the factor taken out of s
     rows = np.empty((nrows, n))
     rows[:1] = 1.0
-    for j, (p, p_next) in enumerate(three_term(gam, bet, nodes)):
-        big = np.abs(p_next) > 1e140
+    p_prev, p, g_prev = np.zeros(n), np.ones(n), 1.0
+    # three_term's step, inlined: the rescale must act between steps
+    for j, g, b in zip(range(1, n), memoryview(gam[:-1]), memoryview(bet)):
+        p_prev, p = p, ((nodes + b) * p - g_prev * p_prev) / g
+        g_prev = g
+        big = np.abs(p) > 1e140
         if big.any():
-            p_next[big] *= 1e-140
             p[big] *= 1e-140
-            rows[: j + 1, big] *= 1e-140
+            p_prev[big] *= 1e-140
+            rows[:j, big] *= 1e-140
             s[big] *= 1e-280
             E += big
-        s += p_next * p_next
-        if j + 1 < nrows:
-            rows[j + 1] = p_next
+        s += p * p
+        if j < nrows:
+            rows[j] = p
     w = 10.0 ** (-280.0 * E) / s  # E = 0 gives exactly 1 / s
     total = w.sum()
     return nodes, w / total, rows / np.sqrt(s * total)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import FamilyId, family_spec, gamma_beta_arrays, recursion_coefficients, three_term
+from .families import (FamilyId, family_spec, gamma_beta_arrays, recursion_coefficients,
+                       require_finite, require_nonnegative, three_term)
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,6 @@ def _finite(a, N: int):
     return a
 
 
-def _values(gam, bet, x) -> np.ndarray:
-    """p_0..p_{len(gam)-1} at x, a float or an array (one row per order)."""
-    out = np.empty(gam.shape + np.shape(x))
-    out[0] = 1.0
-    for j, (_, p) in enumerate(three_term(gam, bet, x), 1):
-        out[j] = p
-    return out
-
-
 def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyEvaluation:
     """Evaluate p_0..p_N at a single omega by the forward recurrence.
 
@@ -42,12 +34,10 @@ def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyE
     recurrence p'_{n+1} = (p_n + (w+beta_n) p'_n)/gamma_n - (gamma_{n-1}/gamma_n) p'_{n-1}.
     Raises NumericError once a value overflows float64.
     """
-    if N < 0:
-        raise ParameterError("N must be nonnegative")
     spec = family_spec(family)
-    gam, bet = gamma_beta_arrays(spec, N)
-    x = float(omega)
-    values = _finite(_values(gam, bet, x), N)
+    gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
+    x = require_finite(float(omega), "omega")
+    values = _finite(three_term(gam, bet, x), N)
     dvals = np.zeros(N + 1) if derivatives else None
     if derivatives:
         out = memoryview(dvals)
@@ -65,11 +55,10 @@ def eval_p_grid(family, N: int, omegas) -> np.ndarray:
 
     Raises NumericError once a value overflows float64.
     """
-    if N < 0:
-        raise ParameterError("N must be nonnegative")
-    gam, bet = gamma_beta_arrays(family, N)
+    omegas = require_finite(np.asarray(omegas, dtype=np.float64), "omega")
+    gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _values(gam, bet, np.asarray(omegas, dtype=np.float64))
+        values = three_term(gam, bet, omegas)
     return _finite(values, N)
 
 
@@ -80,14 +69,10 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
     """
     if omega == sigma:
         raise ParameterError("omega == sigma: use cd_diagonal")
-    if N < 0:
-        raise ParameterError("N must be nonnegative")
-    spec = family_spec(family)
-    gam, bet = gamma_beta_arrays(spec, N + 1)
-    # run both recurrences to their last pair, (p_N, p_{N+1})
-    pairs = zip(three_term(gam, bet, float(omega)), three_term(gam, bet, float(sigma)))
-    for (po, po1), (ps, ps1) in pairs:
-        pass
+    omega, sigma = require_finite(float(omega), "omega"), require_finite(float(sigma), "sigma")
+    gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
+    po, po1 = three_term(gam, bet, omega)[N:].tolist()
+    ps, ps1 = three_term(gam, bet, sigma)[N:].tolist()
     return float(_finite(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1))
 
 

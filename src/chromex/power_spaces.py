@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .expansions import Exponential, FunctionSpec
-from .families import family_spec, gamma_beta_arrays, three_term
+from .families import family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
     spec = family_spec(family)
     if horizon < 100:
         raise ParameterError("horizon must be at least 100")
-    if kappa <= 1:
-        raise ParameterError("kappa must exceed 1")
+    if not 1 < kappa < math.inf:  # a NaN kappa fails this too
+        raise ParameterError("kappa must be finite and exceed 1")
     gam, _ = gamma_beta_arrays(spec, horizon + 12)
     g = gam[: horizon + 1]
     d1 = np.diff(gam)[: horizon + 1]
@@ -106,17 +106,20 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
 _GUARD_TRIPPED = "polynomial magnitude guard tripped (|p| > 1e100); use a smaller N or |omega|"
 
 
+def _guarded_p(gam, bet, x, name: str) -> np.ndarray:
+    """p_0..p_N at a finite x, once every |p_k| <= 1e100 (a NaN trips the guard too)."""
+    p = three_term(gam, bet, require_finite(float(x), name))
+    if not (np.abs(p) <= 1e100).all():
+        raise NumericError(_GUARD_TRIPPED)
+    return p
+
+
 def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray:
     """|K^k[f](t)|^2 for k < len(gam), exact fast path for exponentials."""
     if isinstance(f, Exponential):
         # |K^k[e^{i omega t}]| = |p_k(omega)|: one pass of the recurrence
-        sq = np.empty(len(gam))
-        sq[0] = 1.0
-        for j, (_, p) in enumerate(three_term(gam, bet, float(f.omega)), 1):
-            if not abs(p) <= 1e100:  # a NaN trips the guard too
-                raise NumericError(_GUARD_TRIPPED)
-            sq[j] = p * p
-        return sq
+        p = _guarded_p(gam, bet, f.omega, "omega")
+        return p * p
     jet = f.chromatic_jet(spec, t, len(gam) - 1)
     return np.abs(jet) ** 2
 
@@ -124,7 +127,7 @@ def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray
 def nu_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostics:
     """nu_n = sum_{k<=n} |K^k[f](t)|^2 / sum_{k<=n} 1/gamma_k for n <= N."""
     spec = family_spec(family)
-    gam, bet = gamma_beta_arrays(spec, N)
+    gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
     num = np.cumsum(_squared_jet_values(spec, f, t, gam, bet))
     return SequenceDiagnostics.from_values(num / np.cumsum(1.0 / gam))
 
@@ -132,7 +135,7 @@ def nu_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostic
 def beta_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostics:
     """beta_n = gamma_n (|K^n[f](t)|^2 + |K^{n+1}[f](t)|^2) for n <= N."""
     spec = family_spec(family)
-    report = check_conditions(spec, max(100, min(N, 10_000)))
+    report = check_conditions(spec, max(100, min(require_nonnegative(N), 10_000)))
     if not report.all_pass():
         failing = [k for k, v in report.flags.items() if not v]
         warnings.warn(
@@ -154,17 +157,10 @@ def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> Sequ
     """
     if omega == sigma:
         raise ParameterError("omega == sigma: use nu_sequence")
-    spec = family_spec(family)
-    gam, bet = gamma_beta_arrays(spec, N)
-    prods = np.empty(N + 1)
-    prods[0] = 1.0
-    pairs = zip(three_term(gam, bet, float(omega)), three_term(gam, bet, float(sigma)))
-    for j, ((_, p), (_, q)) in enumerate(pairs, 1):
-        if not (abs(p) <= 1e100 and abs(q) <= 1e100):  # a NaN trips the guard too
-            raise NumericError(_GUARD_TRIPPED)
-        prods[j] = p * q
-    den = np.cumsum(1.0 / gam)
-    return SequenceDiagnostics.from_values(np.abs(np.cumsum(prods)) / den)
+    gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
+    prods = _guarded_p(gam, bet, omega, "omega")
+    prods *= _guarded_p(gam, bet, sigma, "sigma")  # in place: one array of N + 1 fewer at the peak
+    return SequenceDiagnostics.from_values(np.abs(np.cumsum(prods)) / np.cumsum(1.0 / gam))
 
 
 def chebyshev_exponential_norm(x: float, n: int):
@@ -176,8 +172,7 @@ def chebyshev_exponential_norm(x: float, n: int):
     """
     if not -1.0 < x < 1.0:
         raise ParameterError("x must lie in (-1, 1)")
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
+    require_nonnegative(n, "n")
     theta = math.acos(x)
     formula = (2 * n + 1) / (2 * n + 2) + math.sin((2 * n + 1) * theta) / (
         (2 * n + 2) * math.sqrt(1.0 - x * x)

@@ -165,6 +165,20 @@ def test_non_finite_argument_exit_code(capsys, argv):
     assert "non-finite argument; z must be finite" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["poly", "--family", "hermite", "--n", "3", "--omega=nan"], "omega must be finite"),
+    (["power-norm", "--function", "exponential:nan"], "omega must be finite"),
+    (["power-norm", "--function", "exponential:inf"], "omega must be finite"),
+    (["conditions", "--kappa", "nan"], "kappa must be finite"),
+    (["power-norm", "--function", "exponential:1.0", "--order", "-1"], "N must be nonnegative"),
+])
+def test_bad_argument_is_a_library_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err
+
+
 def test_domain_error_exit_code(capsys):
     code = main(["basis", "--family", "hermite", "--n", "1", "--t=60"])
     captured = capsys.readouterr()
@@ -186,6 +200,9 @@ def test_json_format(capsys):
     ["expand", "--function", "exponential:abc"],
     ["expand", "--t=0:1:0"],
     ["basis", "--t=0:1:-0.5"],
+    ["power-norm", "--order", "100", "--points", "0"],
+    ["power-norm", "--order", "100", "--points=-3"],
+    ["power-norm", "--order", "100", "--points", "x"],
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     try:

@@ -16,8 +16,9 @@ from chromex import (
     parse_family,
     recursion_coefficients,
 )
-from chromex.families import gamma_beta_arrays
+from chromex.families import gamma_beta_arrays, three_term
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
+from test_recurrence import OMEGAS
 
 
 def test_recursion_coefficient_values():
@@ -202,3 +203,17 @@ def test_jacobi_zero_zero_equals_legendre():
         assert moment_jacobi_matrix("jacobi(0,0)", k) == pytest.approx(
             moment_analytic("legendre", k), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_three_term_float_path_matches_array_path(family):
+    # Python floats through memoryviews at a float x, numpy rows at an
+    # array x: the same values to the bit, signs of zero included
+    for N in (0, 1, 300):
+        gam, bet = gamma_beta_arrays(family, N)
+        for om in OMEGAS + (-0.0,):
+            got = three_term(gam, bet, om)
+            want = three_term(gam, bet, np.array([om]))[:, 0]
+            assert got.shape == (N + 1,) and got[0] == 1.0
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))

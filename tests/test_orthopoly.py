@@ -102,3 +102,18 @@ def test_orthonormality_at_general_parameters(family):
     P = eval_p_grid(family, 30, nodes)
     G = (P * w) @ P.T
     assert np.abs(G - np.eye(31)).max() < 1e-8
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda w: eval_all_p("hermite", 3, w), "omega"),
+    (lambda w: eval_all_p("legendre", 3, w, derivatives=True), "omega"),
+    (lambda w: eval_p_grid("hermite", 3, [0.5, w]), "omega"),
+    (lambda w: cd_kernel("hermite", 3, w, 0.5), "omega"),
+    (lambda w: cd_kernel("laguerre", 3, 0.5, w), "sigma"),
+    (lambda w: cd_diagonal("hermite", 3, w), "omega"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_frequency_is_a_parameter_error(call, name, bad):
+    # not the overflow remedy "use a smaller N or |omega|", which cannot help
+    with pytest.raises(ParameterError, match=f"non-finite argument; {name} must be finite"):
+        call(bad)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +138,37 @@ def test_denominator_normalization():
     s = np.cumsum(np.sqrt(2.0 / (n + 1.0)))
     ref = 2.0 * math.sqrt(2.0) * (np.sqrt(n + 2.0) - 1.0)
     assert np.abs(s - ref).max() <= 3.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: nu_sequence("hermite", Exponential(1.0), 0.0, N),
+    lambda N: nu_sequence("legendre", Sinc(), 0.0, N),
+    lambda N: sigma_sequence("hermite", 1.0, 2.0, 0.0, N),
+    lambda N: beta_sequence("hermite", Exponential(1.0), 0.0, N),
+    lambda N: hermite_exponential_norm(1.0, N),
+])
+def test_negative_order_is_a_parameter_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(ParameterError, match="N must be nonnegative"):
+            call(-1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda w: nu_sequence("hermite", Exponential(w), 0.0, 50), "omega"),
+    (lambda w: beta_sequence("hermite", Exponential(w), 0.0, 50), "omega"),
+    (lambda w: hermite_exponential_norm(w, 50), "omega"),
+    (lambda w: sigma_sequence("legendre", w, 0.5, 0.0, 50), "omega"),
+    (lambda w: sigma_sequence("legendre", 0.5, w, 0.0, 50), "sigma"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_frequency_is_a_parameter_error(call, name, bad):
+    # not "guard tripped ...; use a smaller N or |omega|", which cannot help
+    with pytest.raises(ParameterError, match=f"non-finite argument; {name} must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, 1.0])
+def test_conditions_kappa_guard(kappa):
+    with pytest.raises(ParameterError, match="kappa must be finite and exceed 1"):
+        check_conditions("hermite", 100, kappa)
