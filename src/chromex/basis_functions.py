@@ -15,8 +15,7 @@ import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns, table_for
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
-from .families import (FamilyId, _gauss_pass, family_spec, gamma_beta_arrays, require_finite,
-                       require_nonnegative)
+from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays, require_nonnegative
 
 # a series row's dropped tail is certified below _TAIL_TOL 2^-53, under
 # anything a float64 sum can show, within at most _MAX_TERMS terms
@@ -36,6 +35,14 @@ def _log_ratios(family: FamilyId) -> np.ndarray:
     return np.log(np.maximum.accumulate(rows)[1:] / np.arange(1, _MAX_TERMS + 2))
 
 
+@lru_cache(maxsize=None)
+def _log_bounds(family: FamilyId):
+    """log t_L and log r_L at |z| = 1 (see _terms_needed), L = 1.._MAX_TERMS:
+    cumulative sums and suffix maxima of _log_ratios, plus the L themselves."""
+    lr = _log_ratios(family)
+    return np.cumsum(lr[:-1]), np.maximum.accumulate(lr[::-1])[::-1][1:], np.arange(1, _MAX_TERMS + 1)
+
+
 def _terms_needed(spec, n, absz):
     """The first length L >= n + 1 whose dropped tail is certified, or None.
 
@@ -49,13 +56,11 @@ def _terms_needed(spec, n, absz):
     """
     if absz == 0.0:
         return n + 1
-    # log t_L and log r_L at |z| = 1: cumulative sums and suffix maxima
-    lr = _log_ratios(spec.id)
-    logt, logr = np.cumsum(lr[:-1]), np.maximum.accumulate(lr[::-1])[::-1][1:]
+    logt, logr, ls = _log_bounds(spec.id)
     logz = math.log(absz)
     logr = logr + logz
     with np.errstate(divide="ignore", invalid="ignore"):  # r_L >= 1 fails either way
-        tail = logt + logz * np.arange(1, _MAX_TERMS + 1) - np.log1p(-np.exp(logr))
+        tail = logt + logz * ls - np.log1p(-np.exp(logr))
     hit = (logr < 0.0) & (tail < math.log(_TAIL_TOL * 2.0 ** -53))
     L = int(np.argmax(hit)) + 1
     return max(L, n + 1) if hit[L - 1] else None
@@ -124,7 +129,7 @@ def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
     return acc
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _gauss_rows(family: FamilyId, M: int, nrows: int):
     """Nodes x_j and A[n, j] = i^n Q[n, j] sqrt(w_j), n < nrows, of the M-point Gauss rule."""
     nodes, w, Q = _gauss_pass(family_spec(family), M, nrows)
@@ -163,8 +168,10 @@ def kbasis_rows(family, lo: int, hi: int, z):
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
-    zs = require_finite(np.atleast_1d(np.asarray(z, dtype=np.complex128)), "z")
-    absz = float(np.abs(zs).max())
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    absz = float(np.abs(zs).max())  # NaN or inf if any point is
+    if not math.isfinite(absz):
+        raise ParameterError("non-finite argument; z must be finite")
     if spec.tag in ("hermite", "laguerre", "herron"):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if spec.tag == "hermite" and float(np.max(zs.real ** 2 - zs.imag ** 2)) > 2800.0:
@@ -209,7 +216,7 @@ def kbasis_series(table: ChromaticTable, n: int, z):
 
 
 def kbasis_closed(family, n: int, z):
-    """Printed closed forms of K^n[m](z); series is the general fallback."""
+    """Printed closed forms of K^n[m](z); kbasis_rows is the general fallback."""
     spec = family_spec(family)
     tag = spec.tag
     if tag in ("gegenbauer", "jacobi"):

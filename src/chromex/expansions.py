@@ -19,7 +19,7 @@ from .chromatic_core import (
     taylor_from_chromatic_jet,
 )
 from .errors import ParameterError
-from .families import FamilyId, _gauss_pass, family_spec
+from .families import FamilyId, _gauss_pass, family_spec, require_finite
 from .orthopoly import eval_all_p, eval_p_grid
 
 
@@ -96,6 +96,9 @@ class Cosine(FunctionSpec):
 class Constant(FunctionSpec):
     c: float = 1.0
 
+    def __post_init__(self):
+        require_finite(self.c, "c")
+
     def value(self, z):
         return self.c * np.ones_like(np.asarray(z, dtype=np.complex128))
 
@@ -128,7 +131,7 @@ def _sinc_jets(family, ts, N):
     c_n = ||C[n, :]||_2 also bounds |K^n[sinc]| (Cauchy-Schwarz)."""
     spec = family_spec(family)
     n = np.arange(N + 1)
-    js = _miller(True, N, math.pi * np.asarray(ts), range(N + 1))
+    js = _miller(True, N, math.pi * require_finite(np.asarray(ts), "t"), range(N + 1))
     jets = (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
     return jets if spec.tag == "legendre" else _sinc_connection(spec.id, N) @ jets
 

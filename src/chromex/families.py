@@ -116,7 +116,13 @@ def family_spec(family) -> FamilySpec:
     """Build a FamilySpec from a FamilyId, tag string, or pass one through."""
     if isinstance(family, FamilySpec):
         return family
-    fid = family if isinstance(family, FamilyId) else parse_family(str(family))
+    return _spec_of(family if isinstance(family, FamilyId) else str(family))
+
+
+@lru_cache(maxsize=64)
+def _spec_of(family) -> FamilySpec:
+    """family_spec of a FamilyId or a string, parsed and built once per key."""
+    fid = family if isinstance(family, FamilyId) else parse_family(family)
     tag = fid.tag
     symmetric = tag in _SYMMETRIC
     if tag in ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "jacobi"):
@@ -171,13 +177,27 @@ def recursion_coefficients(family, n: int):
     return float(g[0]), float(b[0])
 
 
+@lru_cache(maxsize=16)
+def _first_block(family: FamilyId, dt):
+    """gamma_n and beta_n, n < _COEFF_BLOCK, in dtype dt, read-only: the formulas
+    are elementwise, so every horizon's prefix is these bits."""
+    nn = np.arange(_COEFF_BLOCK, dtype=np.longdouble)
+    gam, bet = np.array(_gamma_beta_ld(family_spec(family), nn), dtype=dt)
+    gam.flags.writeable = bet.flags.writeable = False
+    return gam, bet
+
+
 def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
     """gamma_0..gamma_horizon and beta_0..beta_horizon as arrays."""
     spec = family_spec(family)
     dt = np.longdouble if longdouble else np.float64
+    gam0, bet0 = _first_block(spec.id, dt)
+    if 0 <= horizon + 1 <= _COEFF_BLOCK:
+        return gam0[: horizon + 1].copy(), bet0[: horizon + 1].copy()
     gam = np.empty(horizon + 1, dtype=dt)
     bet = np.empty(horizon + 1, dtype=dt)
-    for lo in range(0, horizon + 1, _COEFF_BLOCK):
+    gam[:_COEFF_BLOCK], bet[:_COEFF_BLOCK] = gam0, bet0
+    for lo in range(_COEFF_BLOCK, horizon + 1, _COEFF_BLOCK):
         nn = np.arange(lo, min(lo + _COEFF_BLOCK, horizon + 1), dtype=np.longdouble)
         gam[lo : lo + nn.size], bet[lo : lo + nn.size] = _gamma_beta_ld(spec, nn)
     return gam, bet

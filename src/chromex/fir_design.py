@@ -170,8 +170,8 @@ def apply_filter(filt: FirFilter, samples, t: int):
             f"index {t} needs samples on [{t-N}, {t+N}] but 0..{samples.size-1} given"
         )
     window = samples[t - N : t + N + 1]
-    out = np.sum(filt.taps * window)
-    return complex(out) if np.iscomplexobj(samples) else float(out)
+    out = np.add.reduce(filt.taps * window)
+    return complex(out) if samples.dtype.kind == "c" else float(out)
 
 
 def shannon_decay_report(n: int, t: float, m_range: int):

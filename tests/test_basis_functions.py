@@ -22,7 +22,8 @@ from chromex import (
     spherical_j,
     spherical_j_all,
 )
-from chromex.basis_functions import _log_ratios, _reach, _terms_needed, suggest_columns
+from chromex.basis_functions import (_MAX_TERMS, _TAIL_TOL, _log_ratios, _reach, _terms_needed,
+                                     suggest_columns)
 from chromex.families import family_spec
 
 from conftest import ALL_FAMILIES
@@ -156,12 +157,15 @@ def test_hermite_rows_match_closed_form_to_three():
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.3, math.nan),
-                               [0.5, math.nan]])
+                               [0.5, math.nan], complex(math.inf, 0.0), complex(0.0, -math.inf),
+                               complex(math.inf, math.nan), [2.0, math.inf]])
 def test_non_finite_arguments_raise_parameter_error(z):
     """No table width certifies a non-finite argument, so the series and the
     sizing refuse it up front instead of asking for a larger K."""
     msg = "non-finite argument; z must be finite"
-    for family in ("legendre", "hermite", "laguerre"):
+    for family in ("legendre", "gegenbauer(1)", "hermite", "laguerre", "herron"):
+        with pytest.raises(ParameterError, match=msg):
+            kbasis_rows(family, 0, 12, z)
         with pytest.raises(ParameterError, match=msg):
             kbasis_series(build_table(family, 10), 0, z)
         with pytest.raises(ParameterError, match=msg):
@@ -271,3 +275,27 @@ def test_laguerre_half_pole_value():
     for n in range(8):
         val = kbasis_closed("laguerre", n, -0.5j)
         assert val == pytest.approx(2.0 * 1j ** n, rel=1e-12)
+
+
+def _terms_needed_uncached(spec, n, absz):
+    # _terms_needed before its z-independent arrays were cached per family
+    if absz == 0.0:
+        return n + 1
+    lr = _log_ratios(spec.id)
+    logt, logr = np.cumsum(lr[:-1]), np.maximum.accumulate(lr[::-1])[::-1][1:]
+    logz = math.log(absz)
+    logr = logr + logz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = logt + logz * np.arange(1, _MAX_TERMS + 1) - np.log1p(-np.exp(logr))
+    hit = (logr < 0.0) & (tail < math.log(_TAIL_TOL * 2.0 ** -53))
+    L = int(np.argmax(hit)) + 1
+    return max(L, n + 1) if hit[L - 1] else None
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cached_scan_is_bitwise_noop(family):
+    spec = family_spec(family)
+    rng = np.random.default_rng(7)
+    absz = np.r_[0.0, _reach(spec), 10.0 ** rng.uniform(-12.0, math.log10(30.0), 5000)]
+    for n, a in zip(rng.integers(0, 61, absz.size), absz):
+        assert _terms_needed(spec, int(n), float(a)) == _terms_needed_uncached(spec, int(n), float(a))

@@ -171,6 +171,7 @@ def test_non_finite_argument_exit_code(capsys, argv):
     (["power-norm", "--function", "exponential:inf"], "omega must be finite"),
     (["conditions", "--kappa", "nan"], "kappa must be finite"),
     (["power-norm", "--function", "exponential:1.0", "--order", "-1"], "N must be nonnegative"),
+    (["power-norm", "--function", "sinc", "--t", "nan", "--order", "5"], "t must be finite"),
 ])
 def test_bad_argument_is_a_library_error(capsys, argv, message):
     code = main(argv)
@@ -314,3 +315,12 @@ def test_chebyshev_t_sinc_power_norm(capsys):
     assert code == 0
     rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
     assert rows[-1, 0] == 60 and rows[-1, 1] == pytest.approx(0.0319219625011, rel=1e-9)
+
+
+def test_non_finite_constant_is_one_usage_error_line(capsys):
+    code = main(["power-norm", "--family", "legendre", "--function", "constant:nan", "--order", "50",
+                 "--points", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: bad function 'constant:nan'; use sinc, exponential:W, "
+                                         "cos:W, constant:C or shannon_random[:COUNT]"]

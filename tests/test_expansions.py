@@ -523,3 +523,18 @@ def test_local_norm_and_scalar_match_mpmath(rng, family):
     assert local_norm_sq(family, f, t, N) == pytest.approx(nf, rel=1e-13)
     assert local_norm_sq(family, g, t, N) == pytest.approx(ng, rel=1e-13)
     assert abs(local_scalar(family, f, g, t, N) - np.sum(jf * np.conj(jg))) <= 1e-13 * math.sqrt(nf * ng)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_constant_is_a_parameter_error(c):
+    with pytest.raises(ParameterError, match="non-finite argument; c must be finite"):
+        Constant(c)
+
+
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_t"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_sinc_argument_names_t(family, t):
+    with pytest.raises(ParameterError, match="non-finite argument; t must be finite"):
+        Sinc().chromatic_jet(family, t, 5)
+    with pytest.raises(ParameterError, match="non-finite argument; t must be finite"):
+        ShannonCombo(np.ones(3)).chromatic_jet(family, t, 5)

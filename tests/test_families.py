@@ -16,9 +16,9 @@ from chromex import (
     parse_family,
     recursion_coefficients,
 )
-from chromex.families import gamma_beta_arrays, three_term
+from chromex.families import _COEFF_BLOCK, _gamma_beta_ld, gamma_beta_arrays, three_term
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
-from test_recurrence import OMEGAS
+from test_recurrence import OMEGAS, assert_bitwise
 
 
 def test_recursion_coefficient_values():
@@ -217,3 +217,46 @@ def test_three_term_float_path_matches_array_path(family):
             assert got.shape == (N + 1,) and got[0] == 1.0
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _gamma_beta_uncached(family, horizon, longdouble):
+    # gamma_beta_arrays before its first block was cached: every block computed
+    spec = family_spec(family)
+    dt = np.longdouble if longdouble else np.float64
+    gam, bet = np.empty(horizon + 1, dtype=dt), np.empty(horizon + 1, dtype=dt)
+    for lo in range(0, horizon + 1, _COEFF_BLOCK):
+        nn = np.arange(lo, min(lo + _COEFF_BLOCK, horizon + 1), dtype=np.longdouble)
+        gam[lo : lo + nn.size], bet[lo : lo + nn.size] = _gamma_beta_ld(spec, nn)
+    return gam, bet
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cached_first_block_is_bitwise_noop(family):
+    for horizon in (0, 1, 30, _COEFF_BLOCK - 1, _COEFF_BLOCK, _COEFF_BLOCK + 1, 10 ** 4):
+        for longdouble in (False, True):
+            got = gamma_beta_arrays(family, horizon, longdouble=longdouble)
+            want = _gamma_beta_uncached(family, horizon, longdouble)
+            for g, w in zip(got, want):
+                assert_bitwise(g, w)
+
+
+@pytest.mark.parametrize("horizon", [30, _COEFF_BLOCK + 10])
+def test_returned_coefficients_are_the_callers_own(horizon):
+    want = _gamma_beta_uncached("jacobi(0.5,-0.25)", horizon, False)
+    gam, bet = gamma_beta_arrays("jacobi(0.5,-0.25)", horizon)
+    assert gam.flags.writeable and bet.flags.writeable
+    gam[:] = -1.0
+    bet[:] = np.nan
+    for g, w in zip(gamma_beta_arrays("jacobi(0.5,-0.25)", horizon), want):
+        assert_bitwise(g, w)
+
+
+def test_family_spec_is_resolved_once_per_key():
+    spec = family_spec("jacobi(0.5,-0.25)")
+    assert family_spec("jacobi(0.5,-0.25)") is spec
+    assert family_spec(FamilyId("jacobi", 0.5, -0.25)) == spec
+    assert family_spec(spec) is spec
+    with pytest.raises(ParameterError, match="unknown family tag"):
+        family_spec("bogus")  # an error is not cached: it raises again
+    with pytest.raises(ParameterError, match="unknown family tag"):
+        family_spec("bogus")

@@ -159,3 +159,14 @@ def test_shannon_decay_report():
     assert max(mags.values()) > 1e-2
     for m in range(1, 60):
         assert mags[m] == pytest.approx(mags[-m], rel=1e-10)
+
+
+def test_apply_filter_is_the_plain_sum_bit_for_bit(rng):
+    filt, _ = design_ls("legendre", 4, 32)
+    real = rng.standard_normal(200)
+    for samples in (real, real + 1j * rng.standard_normal(200)):
+        for t in (32, 100, 167):
+            got = apply_filter(filt, samples, t)
+            want = np.sum(filt.taps * samples[t - 32 : t + 33])
+            assert type(got) is (complex if np.iscomplexobj(samples) else float)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
