@@ -136,10 +136,12 @@ def _gauss_rows(family: FamilyId, M: int, nrows: int):
     return nodes, _i_pow(np.arange(nrows))[:, None] * (Q * np.sqrt(w))
 
 
-def _gauss_size(spec, hi, absz, imz):
+def _gauss_size(spec, hi, absz, imz, name_reach=True):
     """The fewest nodes M, a multiple of 16 above hi, leaving rows 0..hi within
     4 e^{pi |Im z|} sum_{k>d} a^k / k!, d = 2M - 1 - hi, a = pi |z| / 2 (README,
-    Numerical notes); once d + 2 > a, that tail is at most its first term over 1 - a / (d + 2)."""
+    Numerical notes); once d + 2 > a, that tail is at most its first term over 1 - a / (d + 2).
+    Where rounding ends the search first: None if not name_reach, else a ConvergenceError
+    naming the largest |z| >= 1 (the Gauss route's range) certified at this Im z, in hundredths."""
     a, M = 0.5 * math.pi * absz, 16 * (hi // 16 + 1)
     log_tol = math.log(_TAIL_TOL / 4.0) - math.pi * imz
     # rounding: M products, and nodes off by eps ||J|| <= eps pi turn each
@@ -150,8 +152,15 @@ def _gauss_size(spec, hi, absz, imz):
         if d + 2 > a and (d + 1) * math.log(a) - math.lgamma(d + 2) - math.log1p(-a / (d + 2)) <= log_tol:
             return M
         M += 16
+    if not name_reach:
+        return None
+    lo, up = 99, math.ceil(100 * absz)  # bisect: lo / 100 certified (99: none), up / 100 not
+    while lo + 1 < up:
+        mid = (lo + up) // 2
+        lo, up = (mid, up) if _gauss_size(spec, hi, mid / 100, imz, False) else (lo, mid)
+    smaller = f"|z|, at most {lo / 100:g} at |Im z| = {imz:g}" if lo > 99 else "|Im z|"
     raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {(M + math.pi * absz) * scale:.3g} "
-                           f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller |z|")
+                           f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 
 @lru_cache(maxsize=64)

@@ -65,6 +65,9 @@ class FamilyId:
                 raise ParameterError("jacobi requires a > -1 and b > -1")
         elif self.a is not None or self.b is not None:
             raise ParameterError(f"family {self.tag!r} takes no parameters")
+        for name in ("a", "b"):  # -0.0 + 0.0 is +0.0: one spelling, one cache key, one name
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, getattr(self, name) + 0.0)
 
     def __str__(self):
         if self.tag == "gegenbauer":
@@ -221,6 +224,39 @@ def three_term(gam, bet, x) -> np.ndarray:
         rows[j] = p
         g_prev = g
     return out
+
+
+# Three loops run three_term's step, operand for operand, at Python floats, so their
+# values are its bits; an overflow stays inf or NaN at every later step, so end values show it.
+
+def three_term_pair(gam, bet, x: float, y: float):
+    """(three_term(gam, bet, x), three_term(gam, bet, y)) from one loop."""
+    out_x, out_y = np.ones(len(gam)), np.ones(len(gam))
+    rows_x, rows_y = memoryview(out_x), memoryview(out_y)
+    px_prev, px, py_prev, py, g_prev = 0.0, 1.0, 0.0, 1.0, 1.0
+    for j, g, b in zip(range(1, len(gam)), memoryview(gam[:-1]), memoryview(bet)):
+        px_prev, px = px, ((x + b) * px - g_prev * px_prev) / g
+        py_prev, py = py, ((y + b) * py - g_prev * py_prev) / g
+        rows_x[j], rows_y[j], g_prev = px, py, g
+    return out_x, out_y
+
+
+def three_term_ends(gam, bet, x: float, y: float):
+    """(p_{n-1}(x), p_n(x), p_{n-1}(y), p_n(y)), n = len(gam) - 1 >= 1, keeping no array."""
+    px_prev, px, py_prev, py, g_prev = 0.0, 1.0, 0.0, 1.0, 1.0
+    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
+        px_prev, px = px, ((x + b) * px - g_prev * px_prev) / g
+        py_prev, py, g_prev = py, ((y + b) * py - g_prev * py_prev) / g, g
+    return px_prev, px, py_prev, py
+
+
+def three_term_jet_ends(gam, bet, x: float):
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at x, n = len(gam) - 1 >= 1, keeping no array; p' as eval_all_p's."""
+    p_prev, p, d_prev, d, g_prev = 0.0, 1.0, 0.0, 0.0, 1.0
+    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
+        d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
+        p_prev, p, g_prev = p, ((x + b) * p - g_prev * p_prev) / g, g
+    return p_prev, p, d_prev, d
 
 
 def require_nonnegative(n: int, name: str = "N") -> int:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (FamilyId, family_spec, gamma_beta_arrays, recursion_coefficients,
-                       require_finite, require_nonnegative, three_term)
+from .families import (FamilyId, family_spec, gamma_beta_arrays, require_finite,
+                       require_nonnegative, three_term, three_term_ends, three_term_jet_ends)
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,12 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
         raise ParameterError("omega == sigma: use cd_diagonal")
     omega, sigma = require_finite(float(omega), "omega"), require_finite(float(sigma), "sigma")
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
-    po, po1 = three_term(gam, bet, omega)[N:].tolist()
-    ps, ps1 = three_term(gam, bet, sigma)[N:].tolist()
+    po, po1, ps, ps1 = three_term_ends(gam, bet, omega, sigma)
     return float(_finite(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1))
 
 
 def cd_diagonal(family, N: int, omega: float) -> float:
     """sum_{k<=N} p_k(omega)^2 via gamma_N (p'_{N+1} p_N - p_{N+1} p'_N)."""
-    ev = eval_all_p(family, N + 1, omega, derivatives=True)
-    gam_N, _ = recursion_coefficients(family, N)
-    (p, p1), (d, d1) = ev.values[N:].tolist(), ev.derivative_values[N:].tolist()
-    return _finite(gam_N * (d1 * p - p1 * d), N + 1)
+    gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
+    p, p1, d, d1 = three_term_jet_ends(gam, bet, require_finite(float(omega), "omega"))
+    return _finite(float(gam[N]) * (d1 * p - p1 * d), N + 1)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .expansions import Exponential, FunctionSpec
-from .families import family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term
+from .families import (family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term,
+                       three_term_pair)
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,8 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
 _GUARD_TRIPPED = "polynomial magnitude guard tripped (|p| > 1e100); use a smaller N or |omega|"
 
 
-def _guarded_p(gam, bet, x, name: str) -> np.ndarray:
-    """p_0..p_N at a finite x, once every |p_k| <= 1e100 (a NaN trips the guard too)."""
-    p = three_term(gam, bet, require_finite(float(x), name))
+def _guarded(p: np.ndarray) -> np.ndarray:
+    """p, once every |p_k| <= 1e100 (a NaN trips the guard too)."""
     if not (np.abs(p) <= 1e100).all():
         raise NumericError(_GUARD_TRIPPED)
     return p
@@ -118,8 +118,8 @@ def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray
     """|K^k[f](t)|^2 for k < len(gam), exact fast path for exponentials."""
     if isinstance(f, Exponential):
         # |K^k[e^{i omega t}]| = |p_k(omega)|: one pass of the recurrence
-        p = _guarded_p(gam, bet, f.omega, "omega")
-        return p * p
+        p = _guarded(three_term(gam, bet, require_finite(float(f.omega), "omega")))
+        return np.multiply(p, p, out=p)
     jet = f.chromatic_jet(spec, t, len(gam) - 1)
     return np.abs(jet) ** 2
 
@@ -129,7 +129,8 @@ def nu_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostic
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
     num = np.cumsum(_squared_jet_values(spec, f, t, gam, bet))
-    return SequenceDiagnostics.from_values(num / np.cumsum(1.0 / gam))
+    den = 1.0 / gam  # in place below: the peak stays at the guard (gam, bet, p, |p|)
+    return SequenceDiagnostics.from_values(np.divide(num, np.cumsum(den, out=den), out=num))
 
 
 def beta_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostics:
@@ -158,9 +159,13 @@ def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> Sequ
     if omega == sigma:
         raise ParameterError("omega == sigma: use nu_sequence")
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
-    prods = _guarded_p(gam, bet, omega, "omega")
-    prods *= _guarded_p(gam, bet, sigma, "sigma")  # in place: one array of N + 1 fewer at the peak
-    return SequenceDiagnostics.from_values(np.abs(np.cumsum(prods)) / np.cumsum(1.0 / gam))
+    prods, ps = three_term_pair(gam, bet, require_finite(float(omega), "omega"), float(sigma))
+    _guarded(prods)
+    require_finite(float(sigma), "sigma")  # after omega's guard, as when each lane ran alone
+    prods *= _guarded(ps)
+    del ps  # and the sums below in place: the peak stays at the guard (gam, bet, two lanes, |ps|)
+    np.abs(np.cumsum(prods, out=prods), out=prods)
+    return SequenceDiagnostics.from_values(prods / np.cumsum(1.0 / gam))
 
 
 def chebyshev_exponential_norm(x: float, n: int):

@@ -16,7 +16,8 @@ from chromex import (
     parse_family,
     recursion_coefficients,
 )
-from chromex.families import _COEFF_BLOCK, _gamma_beta_ld, gamma_beta_arrays, three_term
+from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, _spec_of, gamma_beta_arrays,
+                              three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 from test_recurrence import OMEGAS, assert_bitwise
 
@@ -260,3 +261,20 @@ def test_family_spec_is_resolved_once_per_key():
         family_spec("bogus")  # an error is not cached: it raises again
     with pytest.raises(ParameterError, match="unknown family tag"):
         family_spec("bogus")
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_negative_zero_parameter_is_plus_zero(first):
+    # -0.0 == 0.0 makes them one cache key, so neither spelling may change what the other gets
+    _spec_of.cache_clear()
+    _first_block.cache_clear()
+    try:
+        for a in (first, -first):
+            spec = family_spec(FamilyId("jacobi", a, 0.0))
+            assert str(spec) == str(family_spec(f"jacobi({a!r},-0.0)")) == "jacobi(0,0)"
+            assert math.copysign(1.0, spec.id.a) == math.copysign(1.0, spec.id.b) == 1.0
+            _, bet = gamma_beta_arrays(f"jacobi({a!r},0)", 3)
+            assert not np.signbit(bet).any()
+    finally:
+        _spec_of.cache_clear()
+        _first_block.cache_clear()

@@ -8,6 +8,7 @@ it.  So BOUND is what any row may be off by.
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -180,3 +181,22 @@ def test_rows_refuse_what_no_route_certifies():
         kbasis_rows("herron", 0, 3, [0.5, math.inf])
     with pytest.raises(ParameterError):
         kbasis_rows("legendre", 3, 2, 0.5)
+
+
+@pytest.mark.parametrize("family, hi", [("legendre", 10), ("chebyshev_t", 0), ("jacobi(0.5,-0.25)", 40)])
+def test_gauss_refusal_names_the_reach_it_certifies(family, hi):
+    reach = None
+    for z in (850.0, 3000.0, 1e300):  # the search ends after many nodes or at 16; the reach is one
+        with pytest.raises(ConvergenceError, match="use a smaller \\|z\\|, at most ([0-9.]+) at \\|Im z\\| = 0$") as info:
+            kbasis_rows(family, hi, hi, z)
+        printed = float(re.search("at most ([0-9.]+)", str(info.value)).group(1))
+        assert reach in (None, printed)
+        reach = printed
+    assert family != "legendre" or reach == 847.85
+    kbasis_rows(family, hi, hi, reach)
+    kbasis_rows(family, hi, hi, -reach)
+    with pytest.raises(ConvergenceError, match=f"at most {reach:g} "):
+        kbasis_rows(family, hi, hi, 1.001 * reach)
+    # where e^{pi |Im z|} alone spends the rounding budget, no |z| is certified
+    with pytest.raises(ConvergenceError, match="exceeds 1e-12; use a smaller \\|Im z\\|$"):
+        kbasis_rows(family, hi, hi, 5.0 + 3.0j)

@@ -10,6 +10,8 @@ from chromex import (
     ParameterError,
     Sinc,
     beta_sequence,
+    cd_diagonal,
+    cd_kernel,
     chebyshev_exponential_norm,
     check_conditions,
     eval_all_p,
@@ -146,6 +148,8 @@ def test_denominator_normalization():
     lambda N: sigma_sequence("hermite", 1.0, 2.0, 0.0, N),
     lambda N: beta_sequence("hermite", Exponential(1.0), 0.0, N),
     lambda N: hermite_exponential_norm(1.0, N),
+    lambda N: cd_kernel("legendre", N, 0.5, 1.0),
+    lambda N: cd_diagonal("legendre", N, 0.5),  # not n, the gamma_N it reads
 ])
 def test_negative_order_is_a_parameter_error(call):
     with warnings.catch_warnings():

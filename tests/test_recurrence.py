@@ -12,17 +12,25 @@ by sqrt(w), and is compared within ten machine epsilons.
 80-bit formulas and loop that the blocked array expressions replaced, and
 ``derivative_loop`` is the numpy-scalar loop of ``eval_all_p``'s
 derivatives; both must be matched bitwise, signs of zero included.
+
+``two_lane_cd_kernel``, ``full_jet_cd_diagonal`` and ``two_pass_sigma``
+are the routes that ran ``three_term`` once per argument, or built every
+p_n and p'_n, before the one-pass end-value and two-lane loops: values,
+errors and error texts must be theirs.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from chromex import (
+    ChromexError,
     Exponential,
     NumericError,
+    ParameterError,
     beta_sequence,
     cd_diagonal,
     cd_kernel,
@@ -40,6 +48,7 @@ from chromex.families import (
     family_spec,
     gamma_beta_arrays,
     recursion_coefficients,
+    three_term,
 )
 
 from conftest import ALL_FAMILIES
@@ -357,3 +366,109 @@ def test_orthonormality_at_large_order(family, N):
     # rescaled rows carry p_k sqrt(w) without forming it
     G = orthonormality_matrix(family, N)
     assert np.abs(G - np.eye(N + 1)).max() <= 1e-8
+
+
+OVERFLOW = "p_n(omega), n <= {}, overflows float64; use a smaller N or |omega|"
+GUARD = "polynomial magnitude guard tripped (|p| > 1e100); use a smaller N or |omega|"
+
+
+def _checked(value, N):
+    if not math.isfinite(value):
+        raise NumericError(OVERFLOW.format(N))
+    return value
+
+
+def _finite_arg(x, name):
+    if not math.isfinite(x):
+        raise ParameterError(f"non-finite argument; {name} must be finite")
+    return x
+
+
+def two_lane_cd_kernel(family, N, omega, sigma):
+    omega, sigma = _finite_arg(omega, "omega"), _finite_arg(sigma, "sigma")
+    gam, bet = gamma_beta_arrays(family, N + 1)
+    po, po1 = three_term(gam, bet, omega)[N:].tolist()
+    ps, ps1 = three_term(gam, bet, sigma)[N:].tolist()
+    return _checked(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1)
+
+
+def full_jet_cd_diagonal(family, N, omega):
+    ev = eval_all_p(family, N + 1, omega, derivatives=True)
+    gam_N, _ = recursion_coefficients(family, N)
+    (p, p1), (d, d1) = ev.values[N:].tolist(), ev.derivative_values[N:].tolist()
+    return _checked(gam_N * (d1 * p - p1 * d), N + 1)
+
+
+def two_pass_sigma(family, omega, sigma, N):
+    gam, bet = gamma_beta_arrays(family, N)
+
+    def lane(x, name):
+        p = three_term(gam, bet, _finite_arg(x, name))
+        if not (np.abs(p) <= 1e100).all():
+            raise NumericError(GUARD)
+        return p
+
+    prods = lane(omega, "omega") * lane(sigma, "sigma")
+    return np.abs(np.cumsum(prods)) / np.cumsum(1.0 / gam)
+
+
+def _outcome(call, *args):
+    """The bits of what call returns, or the type and text of what it raises."""
+    try:
+        out = call(*args)
+    except ChromexError as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(out, "values", out), dtype=float).tobytes()
+
+
+def _same_as_before(family, N, omega, sigma):
+    assert _outcome(cd_kernel, family, N, omega, sigma) == _outcome(two_lane_cd_kernel, family, N, omega, sigma)
+    assert _outcome(cd_diagonal, family, N, omega) == _outcome(full_jet_cd_diagonal, family, N, omega)
+    assert (_outcome(sigma_sequence, family, omega, sigma, 0.0, N)
+            == _outcome(two_pass_sigma, family, omega, sigma, N))
+
+
+# every argument as omega and as sigma
+PAIRS = ((-2.7, 0.4), (0.4, 1.3), (1.3, 0.0), (0.0, -2.7))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_one_pass_loops_match_the_routes_they_replaced(family):
+    # past N = 4096 the coefficients come in blocks
+    for N in (0, 1, 2, 30, _COEFF_BLOCK - 1, _COEFF_BLOCK, _COEFF_BLOCK + 1):
+        for omega, sigma in PAIRS:
+            _same_as_before(family, N, omega, sigma)
+    i = ALL_FAMILIES.index(family)
+    for omega, sigma in (PAIRS[i % 4], PAIRS[(i + 1) % 4]):  # each pair in four families
+        _same_as_before(family, 100_000, omega, sigma)
+
+
+@pytest.mark.parametrize("omega, sigma", [
+    (40.0, 1.0), (1.0, 40.0),  # hermite at N = 3000: the omega or the sigma lane overflows
+    (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+    (40.0, math.nan),  # omega's guard trips before sigma is checked
+])
+def test_one_pass_loops_raise_as_before(omega, sigma):
+    _same_as_before("hermite", 3000, omega, sigma)
+    with pytest.raises(ChromexError):
+        sigma_sequence("hermite", omega, sigma, 0.0, 3000)
+
+
+@pytest.mark.parametrize("call, limit", [
+    (lambda N: cd_kernel("legendre", N, 1.0, 0.6), 3.6e6),
+    (lambda N: cd_diagonal("legendre", N, 1.0), 3.6e6),
+    (lambda N: sigma_sequence("legendre", 1.0, 0.6, 0.0, N), 9.6e6),
+    (lambda N: nu_sequence("legendre", Exponential(1.0), 0.0, N), 6.8e6),
+])
+def test_one_pass_loops_peak_memory(call, limit):
+    # gamma and beta alone take 3.2 MB at N = 2e5; the CD kernels hold no other
+    # array of N, the cross sums no more than the two-pass route held (9.6 MB),
+    # and nu, summed in place, no more than p and |p| beside them (8.0 MB before)
+    call(10)  # the cached first coefficient block stays out of the count
+    tracemalloc.start()
+    try:
+        call(200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
