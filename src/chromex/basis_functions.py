@@ -159,7 +159,11 @@ def _gauss_size(spec, hi, absz, imz, name_reach=True):
         mid = (lo + up) // 2
         lo, up = (mid, up) if _gauss_size(spec, hi, mid / 100, imz, False) else (lo, mid)
     smaller = f"|z|, at most {lo / 100:g} at |Im z| = {imz:g}" if lo > 99 else "|Im z|"
-    raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {(M + math.pi * absz) * scale:.3g} "
+    from decimal import ROUND_CEILING, Decimal  # imported here, off the start-up path (about 2 ms)
+    # printed rounded up to 3 digits, so a bound just above the tolerance never reads as equal to it
+    bound = Decimal((M + math.pi * absz) * scale)
+    bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 2), rounding=ROUND_CEILING)
+    raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {float(bound):.3g} "
                            f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 

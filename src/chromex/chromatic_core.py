@@ -20,9 +20,11 @@ cancellation beyond order ~25; the test suite keeps it as an oracle.)
 Entries with k < n, and with k - n odd for symmetric families, are exact
 structural zeros.
 
-Tables are built in 80-bit extended precision and stored as complex128;
-the build is a one-time O(K * (N + K)) pass, so the extra precision is
-essentially free and keeps every coefficient correctly rounded.
+Tables are built in 80-bit extended precision and stored as complex128,
+which keeps every coefficient correctly rounded.  Step k updates only the
+levels 0..min(k, dim - 1) that J^k e_0 lives on (dim = (K + N) / 2 + 2),
+sum_k min(k + 1, dim) < K * dim updates in all, and the build holds the
+complex128 output plus 64 staged 80-bit columns, landed in b 64 at a time.
 
 Where the build stops: once k >= ||J||_inf (the largest absolute row sum
 of the truncated Jacobi matrix), a step v <- J v / k can no longer grow
@@ -65,6 +67,7 @@ from .families import (
 
 # below 2^-1100 an entry rounds to 0 in complex128 (smallest subnormal 2^-1074)
 _UNDERFLOW = np.longdouble(2.0) ** -1100
+_STAGE = 64  # build_table's 80-bit columns held at a time before they land in b
 
 
 def default_columns(N: int) -> int:
@@ -102,24 +105,33 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     row_sums[:-1] += off
     row_sums[1:] += off
     jnorm = row_sums.max()
-    # column k is stored as rawT[k] so that each step writes contiguously
-    rawT = np.zeros((K + 1, N + 1), dtype=np.longdouble)
+    b = np.zeros((N + 1, K + 1), dtype=np.complex128)
+    # columns k0 .. k0 + _STAGE - 1, column k as stage[k - k0] so that each step writes contiguously;
+    # the row's next column, k + _STAGE, fills all the levels 0..min(k, N) it held, so no row is cleared
+    stage = np.zeros((_STAGE, N + 1), dtype=np.longdouble)
+    row_phases = _i_pow(np.arange(N + 1))
+
+    def land(k0, k1):
+        b[:, k0:k1] = np.multiply.outer(row_phases, _i_pow(np.arange(k0, k1))) * stage[: k1 - k0].T
+
     v = np.zeros(dim, dtype=np.longdouble)
-    v[0] = 1.0
-    rawT[0, 0] = 1.0
-    kend = K + 1
+    v[0] = stage[0, 0] = 1.0
+    k0, kend = 0, K + 1
     for k in range(1, K + 1):
-        if k >= jnorm and np.abs(v).max() < _UNDERFLOW:
+        live = min(k, dim - 1) + 1  # J^k e_0 lives on levels 0..k; the rest of v stays +0
+        if k >= jnorm and np.abs(v[:live]).max() < _UNDERFLOW:
             kend = k
             break
-        w = diag * v
-        w[:-1] += off * v[1:]
-        w[1:] += off * v[:-1]
-        v = w / np.longdouble(k)
-        rawT[k, : min(k, N) + 1] = v[: min(k, N) + 1]
-    phases = np.multiply.outer(_i_pow(np.arange(N + 1)), _i_pow(np.arange(kend)))
-    b = np.zeros((N + 1, K + 1), dtype=np.complex128)
-    b[:, :kend] = phases * rawT[:kend].T
+        if k - k0 == _STAGE:
+            land(k0, k)
+            k0 = k
+        u, o = v[:live], off[: live - 1]
+        w = diag[:live] * u
+        w[:-1] += o * u[1:]
+        w[1:] += o * u[:-1]
+        np.divide(w, np.longdouble(k), out=u)
+        stage[k - k0, : min(k, N) + 1] = v[: min(k, N) + 1]
+    land(k0, kend)
     return ChromaticTable(spec.id, N, K, b)
 
 

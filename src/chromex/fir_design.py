@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import kbasis_closed
+from .basis_functions import _CHUNK, kbasis_closed
 from .errors import NumericError, ParameterError, UnsupportedFamilyError
 from .families import FamilyId, family_spec, parse_family
 from .orthopoly import eval_p_grid
@@ -136,10 +136,12 @@ def design_ls(family, n: int, half_width: int,
     dpass = dense <= passband_edge
     dstop = dense >= stopband_edge
     td = _target_values(spec, n, dense, target)
-    if n % 2 == 0:
-        H = coef[0] + 2.0 * np.cos(np.outer(dense, k)) @ coef[1:]
-    else:
-        H = 2.0 * np.sin(np.outer(dense, k)) @ coef
+    H = np.empty_like(dense)
+    for s in range(0, dense.size, _CHUNK):  # the points x half_width matrix, _CHUNK rows at a time
+        if n % 2 == 0:
+            H[s : s + _CHUNK] = coef[0] + 2.0 * np.cos(np.outer(dense[s : s + _CHUNK], k)) @ coef[1:]
+        else:
+            H[s : s + _CHUNK] = 2.0 * np.sin(np.outer(dense[s : s + _CHUNK], k)) @ coef
     err = np.abs(H - td)
     nonzero = dpass & (np.abs(td) > 1e-300)
     rel_median = float(np.median(err[nonzero] / np.abs(td[nonzero]))) if nonzero.any() else np.inf

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chromex import (
+    ChromexError,
     HorizonError,
     NumericError,
     ParameterError,
@@ -164,6 +166,82 @@ def test_build_table_matches_full_width_loop(family, N, K):
     nonzero = ref != 0
     assert got[nonzero].tobytes() == ref[nonzero].tobytes()
 
+
+
+def _build_table_one_product(family, N, K):
+    """build_table before its columns were staged: every column kept in one
+    (K + 1) x (N + 1) 80-bit array, each step run on all levels, and the
+    phases applied by one product over the whole table."""
+    spec = family_spec(family)
+    dim = (K + N) // 2 + 2
+    gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
+    diag = -bet[:dim]
+    off = gam[: dim - 1]
+    row_sums = np.abs(diag)
+    row_sums[:-1] += off
+    row_sums[1:] += off
+    jnorm = row_sums.max()
+    rawT = np.zeros((K + 1, N + 1), dtype=np.longdouble)
+    v = np.zeros(dim, dtype=np.longdouble)
+    v[0] = 1.0
+    rawT[0, 0] = 1.0
+    kend = K + 1
+    for k in range(1, K + 1):
+        if k >= jnorm and np.abs(v).max() < np.longdouble(2.0) ** -1100:
+            kend = k
+            break
+        w = diag * v
+        w[:-1] += off * v[1:]
+        w[1:] += off * v[:-1]
+        v = w / np.longdouble(k)
+        rawT[k, : min(k, N) + 1] = v[: min(k, N) + 1]
+    phases = np.multiply.outer(_i_pow(np.arange(N + 1)), _i_pow(np.arange(kend)))
+    b = np.zeros((N + 1, K + 1), dtype=np.complex128)
+    b[:, :kend] = phases * rawT[:kend].T
+    return b
+
+
+# K < 64 (one partial block); K + 1 columns landing on, one before and one after
+# a multiple of 64 (laguerre and herron run to K, the rest up to column 128);
+# K past the underflow stop (the families on [-pi, pi] and hermite end near 225-300);
+# N > 64, where a later block again holds columns shorter than N + 1
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("N,K", [(0, 0), (5, 10), (20, 63), (30, 126), (30, 127), (30, 128), (40, 1000), (100, 300)])
+def test_staged_build_matches_one_product(family, N, K):
+    got = build_table(family, N, K).b
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _build_table_one_product(family, N, K).tobytes()
+
+
+def test_staged_build_matches_one_product_past_float64():
+    # laguerre 500 stores 25 entries as inf in both builds (ROADMAP item 10)
+    with np.errstate(over="ignore"):
+        got = build_table("laguerre", 500, 1032).b
+        ref = _build_table_one_product("laguerre", 500, 1032)
+    assert (~np.isfinite(got)).sum() == 25
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family, K, limit", [("laguerre", 1032, 12e6), ("legendre", None, 12e6)])
+def test_build_table_peak_memory(family, K, limit):
+    # both complex128 tables are 501 x 1033, 8.3 MB; the build holds 64 staged 80-bit
+    # columns beside it, where one (K + 1) x (N + 1) 80-bit array and its clongdouble
+    # product took the peak to 41.9 (laguerre) and 22.7 MB (legendre, which stops near column 225)
+    build_table(family, 5)  # the cached first coefficient block stays out of the count
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore"):
+            build_table(family, 500, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the build returns infinite entries behind a RuntimeWarning")
+def test_table_past_float64_is_an_error():
+    with np.errstate(over="ignore"), pytest.raises(ChromexError):
+        build_table("laguerre", 500, 1032)
 
 def test_table_for_shares_one_table_per_key():
     t = table_for("legendre", 5, 14)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chromex import (
     apply_filter,
     design_ls,
     eval_all_p,
+    eval_p_grid,
     load_filter,
     save_filter,
     shannon_decay_report,
@@ -170,3 +172,41 @@ def test_apply_filter_is_the_plain_sum_bit_for_bit(rng):
             want = np.sum(filt.taps * samples[t - 32 : t + 33])
             assert type(got) is (complex if np.iscomplexobj(samples) else float)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+BOUNDED = ["legendre", "chebyshev_t", "chebyshev_u", "gegenbauer(1)", "jacobi(0.5,-0.25)"]
+
+
+@pytest.mark.parametrize("family", BOUNDED)
+@pytest.mark.parametrize("half_width", [1, 2, 16, 19, 29, 45, 68, 103, 128])
+def test_report_blocks_match_one_dense_product(family, half_width):
+    """The report's H, evaluated in blocks of dense points, gives the floats of
+    one 8001 x half_width product."""
+    for n in (min(32, 2 * half_width), min(31, 2 * half_width - 1)):
+        filt, rep = design_ls(family, n, half_width, refine_iterations=1)
+        taps, k = filt.taps, np.arange(1, half_width + 1)
+        dense = np.linspace(0.0, math.pi, 8001)
+        if n % 2 == 0:
+            H = taps[half_width] + 2.0 * np.cos(np.outer(dense, k)) @ taps[half_width + 1 :]
+        else:
+            H = 2.0 * np.sin(np.outer(dense, k)) @ taps[half_width + 1 :]
+        td = (-1.0) ** (n // 2) * eval_p_grid(family, n, dense)[n]
+        dpass = dense <= filt.passband_edge
+        err = np.abs(H - td)
+        nonzero = dpass & (np.abs(td) > 1e-300)
+        assert rep.passband_max_error == float(err[dpass].max())
+        assert rep.stopband_max_magnitude == float(np.abs(H[dense >= filt.stopband_edge]).max())
+        assert rep.passband_median_relative_error == float(np.median(err[nonzero] / np.abs(td[nonzero])))
+
+
+def test_design_peak_memory():
+    # one 8001 x 103 cosine matrix and its copies took the peak to 16.2 MB; the
+    # report's blocks of 1024 points leave the Lawson loop's system as the largest array
+    design_ls("legendre", 32, 40)
+    tracemalloc.start()
+    try:
+        design_ls("legendre", 32, 103)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6

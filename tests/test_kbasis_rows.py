@@ -200,3 +200,13 @@ def test_gauss_refusal_names_the_reach_it_certifies(family, hi):
     # where e^{pi |Im z|} alone spends the rounding budget, no |z| is certified
     with pytest.raises(ConvergenceError, match="exceeds 1e-12; use a smaller \\|Im z\\|$"):
         kbasis_rows(family, hi, hi, 5.0 + 3.0j)
+
+
+@pytest.mark.parametrize("z", [850.0, 1000.0, 5.0 + 3.0j])
+def test_gauss_refusal_prints_a_bound_above_the_tolerance(z):
+    # at |z| = 850 the bound is just above 1e-12; printed to 3 digits it is rounded up
+    with pytest.raises(ConvergenceError) as info:
+        kbasis_rows("legendre", 10, 10, z)
+    printed = re.search("the rounding bound (\\S+) of", str(info.value)).group(1)
+    assert float(printed) > 1e-12
+    assert z != 850.0 or printed == "1.01e-12"
