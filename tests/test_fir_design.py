@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from chromex import (
     FirFilter,
+    NumericError,
     ParameterError,
     UnsupportedFamilyError,
     apply_filter,
@@ -17,6 +19,7 @@ from chromex import (
     shannon_decay_report,
     transfer_function,
 )
+from chromex.fir_design import _design_grid
 
 
 def test_tap_parity_structure():
@@ -210,3 +213,136 @@ def test_design_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 7e6
+
+
+def _gelsd_lawson(family, n, half_width, refine_iterations=8):
+    """The all-gelsd Lawson loop design_ls ran before its reweighting moved onto
+    one QR: one lstsq per iteration on the weighted design matrix.  Returns the
+    taps and the last solve's condition number."""
+    omegas, in_pass = _design_grid(half_width, 0.9 * math.pi, 0.98 * math.pi, 16)
+    tgt = np.where(in_pass, (-1.0) ** (n // 2) * eval_p_grid(family, n, omegas)[n], 0.0)
+    w = np.where(in_pass, 1.0, 10.0)
+    k = np.arange(1, half_width + 1)
+    if n % 2 == 0:
+        A = np.hstack([np.ones((omegas.size, 1)), 2.0 * np.cos(np.outer(omegas, k))])
+    else:
+        A = 2.0 * np.sin(np.outer(omegas, k))
+    for it in range(refine_iterations + 1):
+        sw = np.sqrt(w)[:, None]
+        coef, _, rank, sv = np.linalg.lstsq(A * sw, tgt * sw[:, 0], rcond=None)
+        assert rank == A.shape[1] and np.all(np.isfinite(coef))
+        if it < refine_iterations:
+            r = np.abs(A @ coef - tgt)
+            w = w * (r + 1e-3 * r.max())
+            w *= omegas.size / w.sum()
+    if n % 2 == 0:
+        taps = np.concatenate([coef[:0:-1], coef])
+    else:
+        taps = np.concatenate([-coef[::-1], [0.0], coef])
+    return taps, float(sv[0] / sv[-1])
+
+
+def _dense_report(family, n, half_width, taps):
+    """(passband_max_error, stopband_max_magnitude, passband_median_relative_error)
+    of taps on design_ls's 8001 dense frequencies, from one dense product."""
+    k = np.arange(1, half_width + 1)
+    dense = np.linspace(0.0, math.pi, 8001)
+    if n % 2 == 0:
+        H = taps[half_width] + 2.0 * np.cos(np.outer(dense, k)) @ taps[half_width + 1 :]
+    else:
+        H = 2.0 * np.sin(np.outer(dense, k)) @ taps[half_width + 1 :]
+    td = (-1.0) ** (n // 2) * eval_p_grid(family, n, dense)[n]
+    dpass = dense <= 0.9 * math.pi
+    err = np.abs(H - td)
+    nonzero = dpass & (np.abs(td) > 1e-300)
+    return (float(err[dpass].max()), float(np.abs(H[dense >= 0.98 * math.pi]).max()),
+            float(np.median(err[nonzero] / np.abs(td[nonzero]))))
+
+
+@pytest.mark.parametrize("family", BOUNDED)
+@pytest.mark.parametrize("half_width", [1, 2, 16, 45, 103])
+def test_lawson_on_one_qr_matches_the_gelsd_loop(family, half_width):
+    """Eight reweightings on one QR, then one gelsd, give the all-gelsd loop's
+    design.  The largest gaps seen (OpenBLAS, 1 and 2 threads) are 6.1e-8 in the
+    taps, 1.1e-8 in the condition number and 8.6e-6 in a report error: those
+    errors are differences far below the taps, so they move most.  One
+    reweighting fewer moves the taps by 5.7e-6 or more."""
+    for n in sorted({min(32, 2 * half_width), min(31, 2 * half_width - 1)}):
+        filt, rep = design_ls(family, n, half_width)
+        taps, cond = _gelsd_lawson(family, n, half_width)
+        assert np.linalg.norm(filt.taps - taps) <= 1e-6 * np.linalg.norm(taps)
+        got = (rep.passband_max_error, rep.stopband_max_magnitude, rep.passband_median_relative_error)
+        np.testing.assert_allclose(got, _dense_report(family, n, half_width, taps), rtol=1e-4, atol=0)
+        assert rep.condition_number == pytest.approx(cond, rel=1e-6)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("not to be called")
+
+
+@pytest.mark.parametrize("family", BOUNDED)
+def test_no_refinement_is_one_gelsd(monkeypatch, family):
+    monkeypatch.setattr(np.linalg, "qr", _fail)
+    for n, half_width in ((0, 1), (1, 1), (6, 16), (31, 45), (32, 103)):
+        filt, rep = design_ls(family, n, half_width, refine_iterations=0)
+        taps, cond = _gelsd_lawson(family, n, half_width, refine_iterations=0)
+        assert filt.taps.tobytes() == taps.tobytes()
+        assert rep.condition_number == cond
+
+
+@pytest.mark.parametrize("refine_iterations", [0, 8])
+def test_rank_deficient_design_raises(monkeypatch, refine_iterations):
+    # the Lawson loop's R refuses A before any reweighting
+    monkeypatch.setattr(np.linalg, "solve", _fail)
+    with pytest.raises(NumericError, match="rank 223 of 224"):
+        design_ls("legendre", 1, 224, refine_iterations=refine_iterations)
+
+
+@pytest.mark.parametrize("failure", ["nan", "singular"])
+def test_lawson_solve_failure_raises(monkeypatch, failure):
+    def solve(G, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(NumericError, match="Lawson iteration 1"):
+        design_ls("legendre", 2, 8)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"refine_iterations": -1}, "refine_iterations"),
+    ({"grid_density": 0}, "grid_density"),
+    ({"grid_density": -3}, "grid_density"),
+    ({"weight_ratio": math.nan}, "weight_ratio"),
+    ({"weight_ratio": math.inf}, "weight_ratio"),
+    ({"weight_ratio": -1.0}, "weight_ratio"),
+    ({"weight_ratio": 0.0}, "weight_ratio"),
+])
+def test_design_argument_guards(kwargs, name):
+    with pytest.raises(ParameterError, match=name):
+        design_ls("legendre", 2, 16, **kwargs)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"taps": ["1.0", "2.0"]}, "2 taps, not 2[*]half_width[+]1 = 9"),
+    ({"half_width": 0, "taps": ["1.0"]}, "half_width 0"),
+    ({"half_width": -1}, "half_width -1"),
+    ({"taps": ["0"] * 4 + ["nan"] + ["0"] * 4}, "non-finite taps"),
+    ({"taps": ["0"] * 4 + ["inf"] + ["0"] * 4}, "non-finite taps"),
+    ({"passband_edge": "0"}, "passband_edge"),
+    ({"passband_edge": "3.0", "stopband_edge": "2.0"}, "passband_edge"),
+    ({"stopband_edge": "3.2"}, "stopband_edge <= pi"),
+    ({"stopband_edge": "nan"}, "stopband_edge"),
+])
+def test_load_filter_rejects_inconsistent_files(tmp_path, edit, message):
+    filt, _ = design_ls("legendre", 2, 4)
+    path = str(tmp_path / "f.json")
+    save_filter(filt, path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc.update(edit)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ParameterError, match=f"filter file .* {message}"):
+        load_filter(path)
