@@ -1,8 +1,8 @@
-"""Basis functions K^n[m](z): truncated series, Gauss rules, closed forms, Bessel oracles.
+"""Basis functions K^n[m](z): Gauss rules, closed forms, Bessel oracles.
 
 The Bessel and spherical Bessel evaluators are implemented in-house (one
 Miller backward recurrence, run over an array of arguments at once) so
-that the series/closed-form comparison is a genuine cross-check between
+that the Gauss-rule/closed-form comparison is a genuine cross-check between
 two independent computations rather than two calls into one library.
 """
 
@@ -13,120 +13,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chromatic_core import ChromaticTable, _i_pow, default_columns, table_for
+from .chromatic_core import ChromaticTable, _i_pow, default_columns
 from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, _gauss_pass, family_spec, gamma_beta_arrays, require_nonnegative
+from .families import FamilyId, _gauss_pass, family_spec, require_nonnegative
 
-# a series row's dropped tail is certified below _TAIL_TOL 2^-53, under
-# anything a float64 sum can show, within at most _MAX_TERMS terms
-_TAIL_TOL = 1e-12
-_MAX_TERMS = 2048
+_TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
 _CHUNK = 1024  # the Gauss route's points per matrix product
 
 
-@lru_cache(maxsize=None)
-def _log_ratios(family: FamilyId) -> np.ndarray:
-    """log(s_k / k), k = 1.._MAX_TERMS + 1, with s_k the largest absolute
-    row sum of the Jacobi matrix over levels 0..k.  J^k e_0 lives on those
-    levels, so |b[n][k]| = |(J^k e_0)[n]| / k! <= s_1 ... s_k / k!."""
-    gam, bet = gamma_beta_arrays(family, _MAX_TERMS + 1)
-    rows = np.abs(bet) + gam
-    rows[1:] += gam[:-1]
-    return np.log(np.maximum.accumulate(rows)[1:] / np.arange(1, _MAX_TERMS + 2))
-
-
-@lru_cache(maxsize=None)
-def _log_bounds(family: FamilyId):
-    """log t_L and log r_L at |z| = 1 (see _terms_needed), L = 1.._MAX_TERMS:
-    cumulative sums and suffix maxima of _log_ratios, plus the L themselves."""
-    lr = _log_ratios(family)
-    return np.cumsum(lr[:-1]), np.maximum.accumulate(lr[::-1])[::-1][1:], np.arange(1, _MAX_TERMS + 1)
-
-
-def _terms_needed(spec, n, absz):
-    """The first length L >= n + 1 whose dropped tail is certified, or None.
-
-    Term k is at most t_k = s_1 ... s_k |z|^k / k!, and every term ratio
-    from k = L on is at most r_L = max_{k >= L} s_{k+1} |z| / (k + 1), so
-    the tail is at most t_L / (1 - r_L) once r_L < 1.  Both fall as L
-    grows, so the lengths that pass form a suffix.  The suffix maximum
-    bounds the ratios past _MAX_TERMS too: in every family s_k is bounded,
-    grows like sqrt(k) (hermite) or grows linearly (laguerre, herron), so
-    s_{k+1} / (k + 1) never rises there.
-    """
-    if absz == 0.0:
-        return n + 1
-    logt, logr, ls = _log_bounds(spec.id)
-    logz = math.log(absz)
-    logr = logr + logz
-    with np.errstate(divide="ignore", invalid="ignore"):  # r_L >= 1 fails either way
-        tail = logt + logz * ls - np.log1p(-np.exp(logr))
-    hit = (logr < 0.0) & (tail < math.log(_TAIL_TOL * 2.0 ** -53))
-    L = int(np.argmax(hit)) + 1
-    return max(L, n + 1) if hit[L - 1] else None
-
-
-@lru_cache(maxsize=None)
-def _reach(spec):
-    """The largest |z| some length certifies, to 2^-40 relative: the passing
-    |z| form an interval from 0, whose end bisection brackets."""
-    lo, hi = 0.0, 1.0
-    while _terms_needed(spec, 0, hi):
-        lo, hi = hi, 2.0 * hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _terms_needed(spec, 0, mid) else (lo, mid)
-    return lo
-
-
-def _certified_length(spec, n, absz):
-    """_terms_needed, raising where |z| is not finite or no length certifies it."""
-    if not math.isfinite(absz):
-        raise ParameterError("non-finite argument; z must be finite")
-    need = _terms_needed(spec, n, absz)
-    if need is None:
-        raise ConvergenceError(f"|z|={absz:g} is beyond the certified series reach "
-                               f"|z| <= {_reach(spec):.3g} for {spec}; use kbasis_rows")
-    return need
-
-
 def suggest_columns(family, N: int, absz: float) -> int:
-    """Table columns certifying rows up to N at |z| <= absz; raises past the reach."""
-    return max(default_columns(N), _certified_length(family_spec(family), N, float(absz)))
-
-
-def _series_rows(table: ChromaticTable, lo: int, hi: int, z):
-    """K^n[m](z) for lo <= n <= hi, summed from table rows lo..hi in one
-    Horner pass; shape (hi - lo + 1, points) for scalar or array z.
-
-    Every row keeps its own certified length and is zero-padded past it,
-    so for real z the shared pass returns bit for bit what one scalar
-    Horner loop per row and point returns.
-    """
-    if not 0 <= lo <= table.N:
-        raise ParameterError(f"order n={lo} outside table horizon")
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    absz = float(np.abs(zs).max())  # NaN if any point is NaN
-    # row n needs max(base, n + 1) terms, and n + 1 <= N + 1 <= K + 1
-    base = _certified_length(family_spec(table.family), 0, absz)
-    if base > table.K + 1:
-        raise ConvergenceError(f"|z|={absz:g} needs {base} table columns, not {table.K + 1}; "
-                               f"rebuild the table with K >= {base - 1}")
-    if hi > table.N:
-        raise ParameterError(f"order n={table.N + 1} outside table horizon")
-    nterms = np.maximum(base, np.arange(lo + 1, hi + 2))
-    # columns past the table's last nonzero column would only add exact
-    # zeros (so would those zeroed below, past every row's length)
-    nonzero = np.flatnonzero(table.b[lo : hi + 1, : int(nterms.max())].any(axis=0))
-    width = int(nonzero[-1]) + 1 if nonzero.size else 0
-    coeffs = table.b[lo : hi + 1, :width].T.copy()
-    coeffs[np.arange(width)[:, None] >= nterms] = 0.0
-    coeffs = coeffs[:, :, None]
-    acc = np.zeros((hi - lo + 1, zs.size), dtype=np.complex128)
-    for k in range(width - 1, -1, -1):
-        acc *= zs
-        acc += coeffs[k]
-    return acc
+    """default_columns(N), whatever absz: no evaluation route reads a table's columns."""
+    return default_columns(N)
 
 
 @lru_cache(maxsize=64)
@@ -136,12 +33,13 @@ def _gauss_rows(family: FamilyId, M: int, nrows: int):
     return nodes, _i_pow(np.arange(nrows))[:, None] * (Q * np.sqrt(w))
 
 
-def _gauss_size(spec, hi, absz, imz, name_reach=True):
+def _gauss_size(spec, hi, absz, imz, explain=True):
     """The fewest nodes M, a multiple of 16 above hi, leaving rows 0..hi within
     4 e^{pi |Im z|} sum_{k>d} a^k / k!, d = 2M - 1 - hi, a = pi |z| / 2 (README,
     Numerical notes); once d + 2 > a, that tail is at most its first term over 1 - a / (d + 2).
-    Where rounding ends the search first: None if not name_reach, else a ConvergenceError
-    naming the largest |z| >= 1 (the Gauss route's range) certified at this Im z, in hundredths."""
+    At a = 0 (every point is z = 0) the rule is exact.  Where rounding ends the search first:
+    None if not explain, else a ConvergenceError naming the largest |z| >= 1 certified at this
+    Im z, in hundredths."""
     a, M = 0.5 * math.pi * absz, 16 * (hi // 16 + 1)
     log_tol = math.log(_TAIL_TOL / 4.0) - math.pi * imz
     # rounding: M products, and nodes off by eps ||J|| <= eps pi turn each
@@ -149,10 +47,11 @@ def _gauss_size(spec, hi, absz, imz, name_reach=True):
     scale = 2.0 ** -52 * math.exp(min(math.pi * imz, 700.0))
     while (M + math.pi * absz) * scale <= _TAIL_TOL:
         d = 2 * M - 1 - hi
-        if d + 2 > a and (d + 1) * math.log(a) - math.lgamma(d + 2) - math.log1p(-a / (d + 2)) <= log_tol:
+        if a == 0.0 or (d + 2 > a and (d + 1) * math.log(a) - math.lgamma(d + 2)
+                        - math.log1p(-a / (d + 2)) <= log_tol):
             return M
         M += 16
-    if not name_reach:
+    if not explain:
         return None
     lo, up = 99, math.ceil(100 * absz)  # bisect: lo / 100 certified (99: none), up / 100 not
     while lo + 1 < up:
@@ -167,17 +66,11 @@ def _gauss_size(spec, hi, absz, imz, name_reach=True):
                            f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 
-@lru_cache(maxsize=64)
-def _unit_table(family: FamilyId, hi: int) -> ChromaticTable:
-    """The shared table certifying rows 0..hi at every |z| <= 1, sized once."""
-    return table_for(family, hi, suggest_columns(family, hi, 1.0))
-
-
 def kbasis_rows(family, lo: int, hi: int, z):
     """K^n[m](z), lo <= n <= hi, shape (hi - lo + 1, points), at scalar or array z, real or
-    complex: hermite, laguerre and herron by one cumulative product of their closed forms; the
-    families on [-pi, pi] by the series where max|z| <= 1, else as K = i^n P W e^{ixz} on a
-    cached Gauss rule, _CHUNK points at a time, real for symmetric families at real z."""
+    complex, by a route the family alone picks: hermite, laguerre and herron by one cumulative
+    product of their closed forms; the families on [-pi, pi] as K = i^n P W e^{ixz} on a cached
+    Gauss rule, _CHUNK points at a time, real for symmetric families at real z."""
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
@@ -202,8 +95,6 @@ def kbasis_rows(family, lo: int, hi: int, z):
             raise ConvergenceError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
                                    "z is near a pole or |Im z| is too large")
         return rows
-    if absz <= 1.0:
-        return _series_rows(_unit_table(spec.id, hi), lo, hi, zs)
     imz = float(np.abs(zs.imag).max())
     nodes, A = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
     rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
@@ -223,8 +114,11 @@ def _sech(zs):
 
 
 def kbasis_series(table: ChromaticTable, n: int, z):
-    """K^n[m](z) summed from table row n; z may be scalar or array."""
-    out = _series_rows(table, n, n, z)[0]
+    """K^n[m](z) for a row n of the table's horizon, scalar or array z: kbasis_rows' value,
+    certified at every z it accepts; the table's Taylor coefficients are no longer summed."""
+    if not 0 <= n <= table.N:
+        raise ParameterError(f"order n={n} outside table horizon")
+    out = kbasis_rows(table.family, n, n, z)[0]
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
@@ -233,7 +127,7 @@ def kbasis_closed(family, n: int, z):
     spec = family_spec(family)
     tag = spec.tag
     if tag in ("gegenbauer", "jacobi"):
-        raise UnsupportedFamilyError(f"{tag} has no printed closed form; use the series")
+        raise UnsupportedFamilyError(f"{tag} has no printed closed form; use kbasis_rows")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if tag == "hermite":

@@ -44,8 +44,8 @@ Column reliability: column k needs only the Jacobi matrix's first
 (k + N) / 2 + 2 levels, which every K >= k includes, so a table's columns
 do not depend on K (build_table(f, N, K).b equals the first K + 1 columns
 of any wider table bit for bit) and every stored column is usable.
-basis_functions.suggest_columns decides how many columns an argument
-radius needs; the default K = 2N + 32 serves callers that know none.
+No evaluation route sums a table's columns, so the default K = 2N + 32
+serves every caller that has no width of its own.
 """
 
 from __future__ import annotations
@@ -188,14 +188,6 @@ def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> 
     signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     d2k_scaled = (table.b[: N + 1, : N + 1].T * signs[None, :]).copy()
     return ConversionMatrices(spec.id, N, k2d64, k2d_scaled, d2k_scaled)
-
-
-@lru_cache(maxsize=32)
-def constant_jet(family, N: int) -> np.ndarray:
-    """K^n[1](0), n <= N (column 0 of k2d), built once and shared read-only."""
-    jet = conversion_matrices(family, N).k2d[:, 0].copy()
-    jet.flags.writeable = False
-    return jet
 
 
 @dataclass(frozen=True)

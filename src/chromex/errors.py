@@ -18,7 +18,7 @@ class HorizonError(ChromexError, ValueError):
 
 
 class ConvergenceError(ChromexError, ArithmeticError):
-    """A series failed to reach the requested tolerance within max_terms."""
+    """No route certifies the requested tolerance at the given argument."""
 
 
 class NumericError(ChromexError, ArithmeticError):

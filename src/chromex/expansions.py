@@ -15,7 +15,6 @@ from .chromatic_core import (
     TaylorJet,
     _i_pow,
     chromatic_jet_from_taylor,
-    constant_jet,
     taylor_from_chromatic_jet,
 )
 from .errors import ParameterError
@@ -103,7 +102,7 @@ class Constant(FunctionSpec):
         return self.c * np.ones_like(np.asarray(z, dtype=np.complex128))
 
     def chromatic_jet(self, family, t, N):
-        return self.c * constant_jet(family, N)
+        return self.c * Exponential(0.0).chromatic_jet(family, 0.0, N)  # K^n[1] = i^n p_n(0)
 
     def taylor_jet(self, u, length):
         coeff = np.zeros(length, dtype=np.complex128)
@@ -205,7 +204,7 @@ class JetFunction(FunctionSpec):
 # ---------------------------------------------------------------------------
 # approximation and envelopes
 # The evaluating functions below accept a `table=` and ignore it: kbasis_rows
-# sizes its own.  It goes once callers stop passing it (ROADMAP item 8).
+# sizes its own.  It stays because acceptance criteria 3, 4 and 6 pass it.
 
 @dataclass(frozen=True)
 class ApproximationResult:
@@ -305,8 +304,8 @@ def identity_translation(family, u, z, N: int, table: ChromaticTable | None = No
 def identity_constant_one(family, z, N: int, table: ChromaticTable | None = None):
     """| 1 - sum_k (-1)^k K^k[1](0) K^k[m](z) |, for scalar or array z.
 
-    The coefficients K^k[1](0) come from the constant jet (column 0 of the
-    monomial conversion matrix), not from any printed sign pattern.
+    The coefficients K^k[1](0) = i^k p_k(0) come from the constant's jet,
+    not from any printed sign pattern.
     """
     return _expansion_residual(family, Constant(1.0), z, N)
 

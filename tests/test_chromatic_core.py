@@ -6,6 +6,7 @@ import pytest
 
 from chromex import (
     ChromexError,
+    Constant,
     HorizonError,
     NumericError,
     ParameterError,
@@ -18,7 +19,7 @@ from chromex import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticJet, ChromaticTable, _i_pow, constant_jet
+from chromex.chromatic_core import ChromaticJet, ChromaticTable, _i_pow
 from chromex.families import (
     family_spec,
     gamma_beta_arrays,
@@ -392,11 +393,8 @@ def test_gegenbauer_one_table_matches_chebyshev_u():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_constant_jet_is_column_zero_of_k2d(family):
-    """The shared jet K^n[1](0) is the k2d column bit for bit, and read-only."""
-    for N in (0, 1, 20, 60):
-        jet = constant_jet(family, N)
+    """K^n[1](t) = i^n p_n(0) at any t, column 0 of k2d to rounding."""
+    for N in (0, 1, 20, 60, 200):
         ref = conversion_matrices(family, N).k2d[:, 0]
-        assert np.array_equal(jet, ref) and jet.tobytes() == ref.tobytes()
-        with pytest.raises(ValueError):
-            jet[0] = 2.0
-        assert constant_jet(family, N) is jet
+        for t in (0.0, 2.5):
+            assert np.abs(Constant().chromatic_jet(family, t, N) - ref).max() <= 2e-15

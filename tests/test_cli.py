@@ -270,7 +270,7 @@ def test_long_exponential_comparison(capsys):
                     "--t=-1:1:0.5")
     assert code == 0
     rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
-    assert rows.shape == (5, 6) and rows[:, 4:].max() < 1e-14
+    assert rows.shape == (5, 6) and rows[:, 4:].max() < 1e-13
 
 
 def test_hermite_basis_past_the_old_scan(capsys):
