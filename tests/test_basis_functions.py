@@ -1,8 +1,11 @@
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromex import (
     ParameterError,
@@ -18,6 +21,9 @@ from chromex import (
     spherical_j,
     spherical_j_all,
 )
+from chromex.families import gamma_beta_arrays
+
+from conftest import ALL_FAMILIES
 
 
 def test_series_at_zero():
@@ -94,6 +100,53 @@ def test_series_matches_closed_p1(family):
         closed = kbasis_closed(family, n, grid)
         series = kbasis_series(t, n, grid.astype(complex))
         assert np.abs(series - closed).max() < 1e-12
+
+
+EXTRA_FAMILIES = ["gegenbauer(0.2)", "gegenbauer(3)", "jacobi(-0.5,2)", "jacobi(3,-0.9)"]
+RATIO_TERMS = 2048
+
+
+@functools.lru_cache(maxsize=None)
+def _log_ratios(family):
+    """log(s_k / k), k = 1..RATIO_TERMS + 1, with s_k the largest absolute
+    row sum of the Jacobi matrix over levels 0..k.  J^k e_0 lives on those
+    levels, so |b[n][k]| = |(J^k e_0)[n]| / k! <= s_1 ... s_k / k!: the bound
+    behind the series reach figures of test_kbasis_rows' Taylor oracle."""
+    gam, bet = gamma_beta_arrays(family, RATIO_TERMS + 1)
+    rows = np.abs(bet) + gam
+    rows[1:] += gam[:-1]
+    return np.log(np.maximum.accumulate(rows)[1:] / np.arange(1, RATIO_TERMS + 2))
+
+
+def _row_sum_bound(family, K):
+    """s_1 ... s_k / k! for k = 0..K, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.r_[0.0, np.cumsum(_log_ratios(family)[:K])])
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + EXTRA_FAMILIES)
+@pytest.mark.parametrize("N,K", [(5, 400), (100, 600)])
+def test_row_sum_bound_holds_on_every_entry(family, N, K):
+    """|b[n][k]| <= s_1 ... s_k / k! on every entry of a coefficient table."""
+    b = np.abs(build_table(family, N, K).b)
+    assert (b <= _row_sum_bound(family, K) * (1 + 1e-9) + 5e-324).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES + EXTRA_FAMILIES),
+       N=st.integers(0, 60), extra=st.integers(0, 300))
+def test_row_sum_bound_property(family, N, extra):
+    b = np.abs(build_table(family, N, N + extra).b)
+    assert (b <= _row_sum_bound(family, N + extra) * (1 + 1e-9) + 5e-324).all()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES + EXTRA_FAMILIES)
+def test_log_ratios_never_rise_over_the_last_half(family):
+    """s_{k+1} / (k + 1) falls near the horizon, so the largest ratio there
+    also bounds every ratio past it, and a series tail bound read off a finite
+    stretch of ratios holds for the whole tail."""
+    lr = _log_ratios(family)
+    assert (np.diff(lr[lr.size // 2 :]) <= 0.0).all()
 
 
 def test_hermite_rows_match_closed_form_to_three():
