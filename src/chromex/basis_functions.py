@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns
-from .errors import ConvergenceError, ParameterError, UnsupportedFamilyError
+from .errors import ConvergenceError, NumericError, ParameterError, UnsupportedFamilyError
 from .families import FamilyId, _gauss_pass, family_spec, require_nonnegative
 
 _TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
@@ -66,6 +66,21 @@ def _gauss_size(spec, hi, absz, imz, explain=True):
                            f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 
+def _points(z):
+    """z as a complex128 array, and max|z|; a non-finite point is a ParameterError."""
+    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    absz = float(np.abs(zs).max(initial=0.0))  # NaN or inf if any point is
+    if not math.isfinite(absz):
+        raise ParameterError("non-finite argument; z must be finite")
+    return zs, absz
+
+
+def _hermite_reach(zs, absz):
+    """Refuse z where hermite's factor e^(-z^2/4) underflows."""
+    if float(np.max(zs.real ** 2 - zs.imag ** 2, initial=0.0)) > 2800.0:
+        raise ConvergenceError(f"e^(-z^2/4) underflows at |z|={absz:g}; use |z| <= 52.9")
+
+
 def kbasis_rows(family, lo: int, hi: int, z):
     """K^n[m](z), lo <= n <= hi, shape (hi - lo + 1, points), at scalar or array z, real or
     complex, by a route the family alone picks: hermite, laguerre and herron by one cumulative
@@ -74,15 +89,11 @@ def kbasis_rows(family, lo: int, hi: int, z):
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    absz = float(np.abs(zs).max())  # NaN or inf if any point is
-    if not math.isfinite(absz):
-        raise ParameterError("non-finite argument; z must be finite")
+    zs, absz = _points(z)
     if spec.tag in ("hermite", "laguerre", "herron"):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if spec.tag == "hermite" and float(np.max(zs.real ** 2 - zs.imag ** 2)) > 2800.0:
-                raise ConvergenceError(f"e^(-z^2/4) underflows at |z|={absz:g}; use |z| <= 52.9")
             if spec.tag == "hermite":
+                _hermite_reach(zs, absz)
                 first = np.exp(-zs * zs / 4.0)
                 step = -zs / np.sqrt(2.0 * np.arange(1, hi + 1))[:, None]
             elif spec.tag == "laguerre":
@@ -123,20 +134,33 @@ def kbasis_series(table: ChromaticTable, n: int, z):
 
 
 def kbasis_closed(family, n: int, z):
-    """Printed closed forms of K^n[m](z); kbasis_rows is the general fallback."""
+    """Printed closed forms of K^n[m](z); kbasis_rows is the general fallback.  Where a printed
+    form loses a factor to over- or underflow, or is not finite, a NumericError names it."""
     spec = family_spec(family)
     tag = spec.tag
     if tag in ("gegenbauer", "jacobi"):
         raise UnsupportedFamilyError(f"{tag} has no printed closed form; use kbasis_rows")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if tag == "hermite":
-        out = (-1.0) ** n / math.sqrt(2.0 ** n * math.factorial(n)) * zs ** n * np.exp(-zs * zs / 4.0)
-    elif tag == "laguerre":
-        out = 1.0 / (1.0 - 1j * zs) * (-zs / (1.0 - 1j * zs)) ** n
-    elif tag == "herron":
-        out = (-1.0) ** n * _sech(zs) * np.tanh(zs) ** n
+    if tag in ("hermite", "laguerre", "herron"):
+        zs, absz = _points(z)
+        lost = NumericError(f"the printed K^{n}[m] of {spec} over- or underflows at |z|={absz:g}; "
+                            "use kbasis_rows")
+        with np.errstate(all="ignore"):  # a non-finite value is refused below
+            if tag == "hermite":
+                _hermite_reach(zs, absz)
+                try:  # 2^n n! leaves float64 from n = 151
+                    norm = math.sqrt(2 ** n * math.factorial(n))
+                except OverflowError:
+                    raise lost from None
+                out = (-1.0) ** n / norm * zs ** n * np.exp(-zs * zs / 4.0)
+            elif tag == "laguerre":
+                out = 1.0 / (1.0 - 1j * zs) * (-zs / (1.0 - 1j * zs)) ** n
+            else:
+                out = (-1.0) ** n * _sech(zs) * np.tanh(zs) ** n
+        if not np.isfinite(out).all():
+            raise lost
     else:
+        zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
         if (zs.imag != 0.0).any():
             raise ParameterError("Bessel-backed closed forms take real z only")
         x = math.pi * zs.real

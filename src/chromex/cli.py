@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand emits CSV (default) or JSON with numbers serialized at 17
-significant digits, so identical configurations produce byte-identical
-output.  Random signals use numpy's PCG64 generator with an explicit seed
-(default 0).  The library sizes and builds the coefficient tables each
+Every subcommand but check emits CSV (default) or JSON with numbers
+serialized at 17 significant digits, so identical configurations produce
+byte-identical output; check prints one PASS/FAIL line per invariant.
+Random signals use numpy's PCG64 generator with an explicit --seed
+(default 0), taken by the subcommands that can draw one.  The library sizes and builds the coefficient tables each
 command needs in memory; nothing is written to disk besides --out and
 filter files.
 """
@@ -36,8 +37,6 @@ from .orthopoly import cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
@@ -104,61 +103,37 @@ def _parse_function(text: str, seed: int) -> expansions.FunctionSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (header, rows), which main writes; check prints
+# its own PASS/FAIL lines and returns its exit code
 
 def cmd_families(args):
     if args.list:
-        rows = []
-        for tag in FAMILY_TAGS:
-            fid = tag if tag not in ("gegenbauer", "jacobi") else (
-                "gegenbauer(1)" if tag == "gegenbauer" else "jacobi(0.5,-0.25)"
-            )
-            spec = family_spec(fid)
-            rows.append((str(spec), spec.symmetric, spec.growth_exponent,
-                         spec.support, spec.rho))
-        _write_rows(args.out, ["family", "symmetric", "p", "support", "rho"], rows, args.format)
-        return 0
+        listed = {"gegenbauer": "gegenbauer(1)", "jacobi": "jacobi(0.5,-0.25)"}
+        specs = [family_spec(listed.get(tag, tag)) for tag in FAMILY_TAGS]
+        return ["family", "symmetric", "p", "support", "rho"], [
+            (str(s), s.symmetric, s.growth_exponent, s.support, s.rho) for s in specs]
     spec = family_spec(args.family)
-    rows = []
-    for n in range(args.orders + 1):
-        g, b = recursion_coefficients(spec, n)
-        row = [n, g, b]
-        if spec.tag not in ("gegenbauer", "jacobi"):
-            row.append(moment_analytic(spec, n))
-        else:
-            row.append(moment_jacobi_matrix(spec, n))
-        rows.append(tuple(row))
-    _write_rows(args.out, ["n", "gamma", "beta", "moment"], rows, args.format)
-    return 0
+    moment = moment_jacobi_matrix if spec.tag in ("gegenbauer", "jacobi") else moment_analytic
+    rows = [(n, *recursion_coefficients(spec, n), moment(spec, n)) for n in range(args.orders + 1)]
+    return ["n", "gamma", "beta", "moment"], rows
 
 
 def cmd_poly(args):
-    spec = family_spec(args.family)
-    grid = args.omega
-    vals = eval_p_grid(spec, args.n, grid)[args.n]
-    rows = [(float(w), float(v)) for w, v in zip(grid, vals)]
-    _write_rows(args.out, ["omega", f"p_{args.n}"], rows, args.format)
-    return 0
+    vals = eval_p_grid(family_spec(args.family), args.n, args.omega)[args.n]
+    return ["omega", f"p_{args.n}"], [(float(w), float(v)) for w, v in zip(args.omega, vals)]
 
 
 def cmd_basis(args):
     vals = kbasis_rows(family_spec(args.family), args.n, args.n, args.t)[0]
-    rows = [(float(t), args.n, v.real, v.imag) for t, v in zip(args.t, vals)]
-    _write_rows(args.out, ["t", "n", "value_re", "value_im"], rows, args.format)
-    return 0
+    return ["t", "n", "value_re", "value_im"], [(float(t), args.n, v.real, v.imag)
+                                               for t, v in zip(args.t, vals)]
 
 
 def cmd_table(args):
-    spec = family_spec(args.family)
-    table = table_for(spec, args.n, args.columns)
-    rows = []
-    for n in range(table.N + 1):
-        for k in range(table.K + 1):
-            v = table.b[n, k]
-            if v != 0:
-                rows.append((n, k, v.real, v.imag))
-    _write_rows(args.out, ["n", "k", "b_re", "b_im"], rows, args.format)
-    return 0
+    b = table_for(family_spec(args.family), args.n, args.columns).b
+    n, k = np.nonzero(b)
+    v = b[n, k]
+    return ["n", "k", "b_re", "b_im"], list(zip(n.tolist(), k.tolist(), v.real.tolist(), v.imag.tolist()))
 
 
 def cmd_expand(args):
@@ -166,12 +141,8 @@ def cmd_expand(args):
     f = _parse_function(args.function, args.seed)
     ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t)
     fv = f.value(args.t)
-    rows = [
-        (float(t), fval.real, fval.imag, c.real, c.imag, abs(fval - c))
-        for t, fval, c in zip(args.t, fv, ca)
-    ]
-    _write_rows(args.out, ["t", "f_re", "f_im", "ca_re", "ca_im", "residual"], rows, args.format)
-    return 0
+    return ["t", "f_re", "f_im", "ca_re", "ca_im", "residual"], [
+        (float(t), fval.real, fval.imag, c.real, c.imag, abs(fval - c)) for t, fval, c in zip(args.t, fv, ca)]
 
 
 def cmd_identity(args):
@@ -182,26 +153,17 @@ def cmd_identity(args):
         res = expansions.identity_translation(spec, args.u, args.z, args.order)
     else:
         res = expansions.identity_constant_one(spec, args.z, args.order)
-    rows = [(float(z), float(r)) for z, r in zip(args.z, res)]
-    _write_rows(args.out, ["z", "residual"], rows, args.format)
-    return 0
+    return ["z", "residual"], [(float(z), float(r)) for z, r in zip(args.z, res)]
 
 
 def cmd_compare(args):
     spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
     rows = expansions.taylor_vs_chromatic_comparison(spec, f, args.u, args.order, args.t)
-    out = [
+    return ["t", "f", "chromatic", "taylor", "chromatic_error", "taylor_error"], [
         (t, fv.real, ca.real, ty.real, abs(fv - ca), abs(fv - ty))
         for t, fv, ca, ty in rows
     ]
-    _write_rows(
-        args.out,
-        ["t", "f", "chromatic", "taylor", "chromatic_error", "taylor_error"],
-        out,
-        args.format,
-    )
-    return 0
 
 
 def cmd_design_fir(args):
@@ -216,15 +178,13 @@ def cmd_design_fir(args):
         target=args.target,
     )
     fir_design.save_filter(filt, args.filter_file)
-    rows = [
+    return ["metric", "value"], [
         ("passband_max_error", report.passband_max_error),
         ("stopband_max_magnitude", report.stopband_max_magnitude),
         ("passband_median_relative_error", report.passband_median_relative_error),
         ("condition_number", report.condition_number),
         ("grid_size", float(report.grid_size)),
     ]
-    _write_rows(args.out, ["metric", "value"], rows, args.format)
-    return 0
 
 
 def _parse_file(path, load, **kw):
@@ -246,18 +206,14 @@ def cmd_apply_fir(args):
         idx = np.arange(-args.extent, args.extent + 1)
         samples = f.value(idx.astype(float)).real
     N = filt.half_width
-    rows = [(t, float(np.real(fir_design.apply_filter(filt, samples, t))))
-            for t in range(N, samples.size - N)]
-    _write_rows(args.out, ["t", "output"], rows, args.format)
-    return 0
+    return ["t", "output"], [(t, float(np.real(fir_design.apply_filter(filt, samples, t))))
+                             for t in range(N, samples.size - N)]
 
 
 def cmd_envelope(args):
     spec = family_spec(args.family)
     vals = expansions.error_envelope(spec, args.order, args.t)
-    rows = [(float(t), float(v)) for t, v in zip(args.t, vals)]
-    _write_rows(args.out, ["t", "envelope"], rows, args.format)
-    return 0
+    return ["t", "envelope"], [(float(t), float(v)) for t, v in zip(args.t, vals)]
 
 
 def cmd_power_norm(args):
@@ -265,10 +221,8 @@ def cmd_power_norm(args):
     f = _parse_function(args.function, args.seed)
     diag = power_spaces.nu_sequence(spec, f, args.t, args.order)
     running = np.cumsum(diag.values)
-    rows = [(n, float(diag.values[n]), float(running[n] / (n + 1)))
-            for n in range(0, args.order + 1, max(1, args.order // args.points))]
-    _write_rows(args.out, ["n", "raw", "cesaro"], rows, args.format)
-    return 0
+    return ["n", "raw", "cesaro"], [(n, float(diag.values[n]), float(running[n] / (n + 1)))
+                                    for n in range(0, args.order + 1, max(1, args.order // args.points))]
 
 
 def cmd_conditions(args):
@@ -276,8 +230,7 @@ def cmd_conditions(args):
     report = power_spaces.check_conditions(spec, args.horizon, args.kappa)
     rows = [(name, str(flag)) for name, flag in report.flags.items()]
     rows += [(k, _fmt(v)) for k, v in report.evidence.items()]
-    _write_rows(args.out, ["item", "value"], rows, args.format)
-    return 0
+    return ["item", "value"], rows
 
 
 def cmd_check(args):
@@ -304,21 +257,17 @@ def cmd_check(args):
         checks.append(("moment oracle agreement", ok))
 
     om = 0.7
-    direct = float(np.sum(eval_all_p(spec, 30, om).values ** 2))
-    checks.append(("Christoffel-Darboux diagonal", abs(cd_diagonal(spec, 30, om) - direct) < 1e-9 * direct))
     po = eval_all_p(spec, 30, om).values
-    ps = eval_all_p(spec, 30, 1.3).values
-    checks.append((
-        "Christoffel-Darboux kernel",
-        abs(cd_kernel(spec, 30, om, 1.3) - float(np.sum(po * ps))) < 1e-9 * max(1.0, abs(np.sum(po * ps))),
-    ))
+    direct = float(np.sum(po ** 2))
+    checks.append(("Christoffel-Darboux diagonal", abs(cd_diagonal(spec, 30, om) - direct) < 1e-9 * direct))
+    cross = float(np.sum(po * eval_all_p(spec, 30, 1.3).values))
+    checks.append(("Christoffel-Darboux kernel",
+                   abs(cd_kernel(spec, 30, om, 1.3) - cross) < 1e-9 * max(1.0, abs(cross))))
 
     width = max(len(name) for name, _ in checks)
-    ok_all = True
     for name, ok in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-        ok_all &= ok
-    return 0 if ok_all else 1
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def build_parser():
@@ -326,14 +275,18 @@ def build_parser():
         prog="chromex",
         description="Chromatic derivatives and expansions for orthonormal polynomial families.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def common(p, family=True, grid=None):
+    def common(p, family=True, grid=None, seed=False, table=True):
+        """The flags a subcommand reads: --seed only where _parse_function may draw a signal,
+        --out and --format only where main writes the rows."""
         if family:
             p.add_argument("--family", default="legendre", help="family string, e.g. jacobi(0.5,-0.25)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (PCG64)")
+        if table:
+            p.add_argument("--out", default=None, help="output path (default stdout)")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed (PCG64)")
         if grid:
             p.add_argument(grid, type=_parse_grid, default=_parse_grid("-2:2:0.1"),
                            help="grid a:b:step")
@@ -362,7 +315,7 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("expand", help="chromatic approximation of a signal")
-    common(p, grid="--t")
+    common(p, grid="--t", seed=True)
     p.add_argument("--function", default="sinc")
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--order", type=int, default=15)
@@ -378,7 +331,7 @@ def build_parser():
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("compare", help="chromatic vs Taylor approximation")
-    common(p, grid="--t")
+    common(p, grid="--t", seed=True)
     p.add_argument("--function", default="shannon_random")
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--order", type=int, default=15)
@@ -398,7 +351,7 @@ def build_parser():
     p.set_defaults(func=cmd_design_fir)
 
     p = sub.add_parser("apply-fir", help="apply a designed filter to samples")
-    common(p, family=False)
+    common(p, family=False, seed=True)
     p.add_argument("--filter-file", default="filter.json")
     p.add_argument("--samples", default=None, help="CSV of sample values (one column)")
     p.add_argument("--signal", default="cos:1.0", help="synthetic signal when no CSV given")
@@ -411,7 +364,7 @@ def build_parser():
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("power-norm", help="normalized power sums (n, raw, cesaro)")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--function", default="exponential:1.0")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--order", type=int, default=10000)
@@ -425,7 +378,7 @@ def build_parser():
     p.set_defaults(func=cmd_conditions)
 
     p = sub.add_parser("check", help="run the invariant suite for one family")
-    common(p)
+    common(p, table=False)
     p.add_argument("--orders", type=int, default=40)
     p.set_defaults(func=cmd_check)
 
@@ -433,10 +386,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):  # check: its report is printed
+            return result
+        _write_rows(args.out, *result, args.format)
+        return 0
     except ChromexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -312,25 +312,32 @@ def moment_analytic(family, k: int) -> float:
         raise UnsupportedFamilyError(
             f"{tag} has no closed moment form; use moment_jacobi_matrix"
         )
-    if tag == "laguerre":
-        return float(math.factorial(k))
-    if k % 2 == 1:
+    if k % 2 == 1 and tag != "laguerre":
         return 0.0
     n = k // 2
-    if tag == "legendre":
-        return math.pi ** k / (k + 1)
-    if tag == "chebyshev_t":
-        return math.pi ** k * math.comb(k, n) / 4 ** n
-    if tag == "chebyshev_u":
-        # Catalan number over 4^n; the extra 1/(n+1) relative to chebyshev_t
-        return math.pi ** k * math.comb(k, n) / (4 ** n * (n + 1))
-    if tag == "hermite":
-        v = 1.0
-        for j in range(1, n + 1):
-            v *= (2 * j - 1) / 2.0
-        return v
-    # herron: from sech z = sum E_{2n} z^{2n}/(2n)! and m^(k)(0) = i^k mu_k
-    return float((-1) ** n * euler_numbers(k)[k])
+    try:  # float(int) and math.pi ** k raise OverflowError past float64
+        if tag == "laguerre":
+            mu = float(math.factorial(k))
+        elif tag == "legendre":
+            mu = math.pi ** k / (k + 1)
+        elif tag in ("chebyshev_t", "chebyshev_u"):
+            # C(k, n) / 4^n first (pi^k C(k, n) overflows from k = 388); chebyshev_u
+            # has the Catalan number, C(k, n) / (n + 1), in its place
+            mu = math.pi ** k * (math.comb(k, n) / 4 ** n) / (n + 1 if tag == "chebyshev_u" else 1)
+        elif tag == "hermite":
+            mu = math.prod(((2 * j - 1) / 2.0 for j in range(1, n + 1)), start=1.0)
+        else:  # herron: from sech z = sum E_{2n} z^{2n}/(2n)! and m^(k)(0) = i^k mu_k
+            mu = float((-1) ** n * euler_numbers(k)[k])
+    except OverflowError:
+        mu = math.inf
+    return _finite_moment(spec, k, mu)
+
+
+def _finite_moment(spec, k: int, mu: float) -> float:
+    if not math.isfinite(mu):
+        raise NumericError(f"mu_{k} of {spec} overflows float64 (max 1.8e308); "
+                           "use a smaller k, or moment_over_factorial_ld for mu_k / k!")
+    return mu
 
 
 def _ld_from_fraction(fr: Fraction) -> np.longdouble:
@@ -404,7 +411,9 @@ def moment_jacobi_matrix(family, k: int, dimension: int | None = None) -> float:
     if dim < k + 1:
         raise ParameterError("truncation dimension must be at least k+1")
     J = jacobi_matrix(family, dim).dense()
-    return float(np.linalg.matrix_power(J, k)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu = float(np.linalg.matrix_power(J, k)[0, 0])
+    return _finite_moment(family_spec(family), k, mu)
 
 
 def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromex import (
+    ConvergenceError,
+    NumericError,
     ParameterError,
     UnsupportedFamilyError,
     bessel_j,
@@ -73,6 +75,27 @@ def test_herron_closed_form_underflows_quietly_past_710():
         rows = kbasis_rows("herron", 0, 3, z)
     assert np.all(out == 0.0)
     assert np.all(rows == 0.0)
+
+
+@pytest.mark.parametrize("family, n, z, error, message", [
+    # 1 / sqrt(2^n n!) was an exact 0 from n = 151, an OverflowError from n = 171
+    ("hermite", 151, 2.0, NumericError, r"K\^151\[m\] of hermite over- or underflows .* use kbasis_rows"),
+    ("hermite", 171, 2.0, NumericError, "use kbasis_rows"),
+    # NaN with RuntimeWarnings at the pole
+    ("laguerre", 3, [0.5, -1j], NumericError, "use kbasis_rows"),
+    ("hermite", 2, 60.0, ConvergenceError, r"e\^\(-z\^2/4\) underflows"),
+    ("laguerre", 2, [0.5, math.nan], ParameterError, "z must be finite"),
+])
+def test_closed_refuses_a_lost_factor(family, n, z, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            kbasis_closed(family, n, z)
+
+
+def test_closed_hermite_to_n_150():
+    z = np.array([-3.0, 2.0, 5.5 + 0.5j])
+    assert np.abs(kbasis_closed("hermite", 150, z) / kbasis_rows("hermite", 150, 150, z)[0] - 1).max() < 1e-12
 
 
 def test_closed_unsupported_families():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from chromex import kbasis_closed, spherical_j
-from chromex.cli import main
+from chromex import family_spec, kbasis_closed, spherical_j, table_for
+from chromex.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -172,6 +173,8 @@ def test_non_finite_argument_exit_code(capsys, argv):
     (["conditions", "--kappa", "nan"], "kappa must be finite"),
     (["power-norm", "--function", "exponential:1.0", "--order", "-1"], "N must be nonnegative"),
     (["power-norm", "--function", "sinc", "--t", "nan", "--order", "5"], "t must be finite"),
+    # a traceback (OverflowError) before
+    (["families", "--family", "laguerre", "--orders", "200"], "mu_171 of laguerre overflows float64"),
 ])
 def test_bad_argument_is_a_library_error(capsys, argv, message):
     code = main(argv)
@@ -185,6 +188,75 @@ def test_domain_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: e^(-z^2/4) underflows")
+
+
+SUBCOMMANDS = ("families", "poly", "basis", "table", "expand", "identity", "compare", "design-fir",
+               "apply-fir", "envelope", "power-norm", "conditions", "check")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    """--seed only where a random signal can be drawn; --out and --format
+    wherever main writes rows, so everywhere but check."""
+    assert set(build_parser()._subparsers._group_actions[0].choices) == set(SUBCOMMANDS)
+    for flag, value, takes in (
+        ("--seed", "1", command in ("expand", "compare", "apply-fir", "power-norm")),
+        ("--out", "x.csv", command != "check"),
+        ("--format", "json", command != "check"),
+    ):
+        if takes:
+            assert build_parser().parse_args([command, flag, value]).command == command
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag, value])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "usage: chromex [-h] COMMAND ...", f"chromex: error: unrecognized arguments: {flag} {value}"]
+
+
+TABLE_COMMANDS = [
+    ["families", "--family", "hermite", "--orders", "5"],
+    ["families", "--list"],
+    ["poly", "--n", "3", "--omega=-1:1:0.5"],
+    ["basis", "--n", "3", "--t=-1:1:0.5"],
+    ["table", "--family", "laguerre", "--n", "4"],
+    ["expand", "--order", "5", "--t=-1:1:0.5"],
+    ["identity", "--order", "10", "--z=0:1:0.5"],
+    ["compare", "--function", "shannon_random:9", "--seed", "3", "--order", "5", "--t=-1:1:0.5"],
+    ["design-fir", "--n", "1", "--half-width", "8", "--filter-file", "k1.json"],
+    ["apply-fir", "--filter-file", "k1.json", "--extent", "12"],
+    ["envelope", "--order", "5", "--t=-1:1:0.5"],
+    ["power-norm", "--order", "100", "--points", "5"],
+    ["conditions", "--family", "hermite", "--horizon", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_one_writer_for_csv_json_and_out(capsys, tmp_path, monkeypatch, argv):
+    """Every table subcommand's --format json rows and --out file hold its CSV stdout."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["design-fir", "--n", "1", "--half-width", "8", "--filter-file", "k1.json",
+                 "--out", "report.csv"]) == 0
+    code, csv_out = run(capsys, *argv)
+    assert code == 0 and csv_out
+    assert main([*argv, "--out", "rows.csv"]) == 0
+    assert (tmp_path / "rows.csv").read_text() == csv_out
+    code, json_out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    header, *rows = list(csv.reader(csv_out.splitlines()))
+    assert [[str(doc[h]) for h in header] for doc in json.loads(json_out)] == rows
+
+
+@pytest.mark.parametrize("family, n, columns",
+                         [("legendre", 10, None), ("hermite", 8, 30), ("laguerre", 6, None)])
+def test_table_rows_are_the_nonzero_entries(capsys, family, n, columns):
+    """table lists b[n, k] != 0 in row-major order: the double loop it replaced."""
+    argv = ["table", "--family", family, "--n", str(n)] + (["--columns", str(columns)] if columns else [])
+    _, out = run(capsys, *argv)
+    b = table_for(family_spec(family), n, columns).b
+    ref = [f"{i},{k},{b[i, k].real:.17g},{b[i, k].imag:.17g}"
+           for i in range(b.shape[0]) for k in range(b.shape[1]) if b[i, k] != 0]
+    assert out.splitlines() == ["n,k,b_re,b_im", *ref]
 
 
 def test_json_format(capsys):
@@ -204,6 +276,10 @@ def test_json_format(capsys):
     ["power-norm", "--order", "100", "--points", "0"],
     ["power-norm", "--order", "100", "--points=-3"],
     ["power-norm", "--order", "100", "--points", "x"],
+    # flags a subcommand would ignore
+    ["poly", "--seed", "1"],
+    ["check", "--format", "json"],
+    ["check", "--out", "report.csv"],
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     try:

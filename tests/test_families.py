@@ -1,10 +1,13 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from chromex import (
     FamilyId,
+    NumericError,
     ParameterError,
     UnsupportedFamilyError,
     build_table,
@@ -94,6 +97,23 @@ def test_moment_analytic_values():
     assert moment_analytic("legendre", 7) == 0.0
     assert moment_analytic("hermite", 4) == pytest.approx(0.75, rel=1e-15)
     assert moment_analytic("herron", 4) == 5.0  # |E_4|
+    # pi^k C(k, k/2) overflowed from k = 388; mu_400 = pi^400 prod_j (1 - 1/(2j)) is ~1e197
+    mu = math.pi ** 400 * math.prod(1 - 0.5 / j for j in range(1, 201))
+    assert moment_analytic("chebyshev_t", 400) == pytest.approx(mu, rel=1e-13)
+    assert math.isfinite(moment_analytic("chebyshev_u", 620))
+
+
+@pytest.mark.parametrize("family, k", [
+    ("legendre", 622), ("chebyshev_t", 622), ("chebyshev_u", 622), ("laguerre", 171),
+    ("herron", 188), ("hermite", 344), ("gegenbauer(1)", 640), ("jacobi(0.5,-0.25)", 700),
+])
+def test_moments_past_float64_raise(family, k):
+    """A bare OverflowError, or an inf with a RuntimeWarning, before."""
+    moment = moment_jacobi_matrix if "(" in family else moment_analytic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"mu_{k} of {re.escape(family)} overflows float64"):
+            moment(family, k)
 
 
 def test_moment_analytic_unsupported():
