@@ -190,8 +190,11 @@ def _miller(spherical, nmax, x, rows):
     if not np.isfinite(x).all():
         raise ParameterError("non-finite Bessel argument; x must be finite")
     out = np.zeros((len(rows), x.size))
-    out[np.asarray(rows) == 0] = 1.0  # j_n(0) = J_n(0) = [n == 0]
-    live = np.flatnonzero(np.abs(x) >= 1e-14)
+    small = np.abs(x) < 1e-14  # there j_n = prod_{k<=n} x/(2k+1), J_n = prod_{k<=n} x/(2k)
+    if small.any():  # + 0.0 turns -0.0 into 0.0, so j_n(-0) = [n == 0] without a sign
+        steps = (x[small] + 0.0) / (2.0 * np.arange(1, max(rows) + 1) + spherical)[:, None]
+        out[:, small] = np.cumprod(np.vstack([np.ones(steps.shape[1]), steps]), axis=0)[list(rows)]
+    live = np.flatnonzero(~small)
     if live.size == 0:
         return out
     top = np.maximum(nmax, np.floor(np.abs(x[live])))

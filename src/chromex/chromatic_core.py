@@ -247,23 +247,15 @@ def compose_at_zero(family, n: int, m: int) -> complex:
     """
     if n < 0 or m < 0:
         raise ParameterError("orders must be nonnegative")
-    G = orthonormality_matrix(family, max(n, m), raw=True)
-    return complex(_i_pow(n + m) * G[n, m])
+    return complex((-1.0) ** n * orthonormality_matrix(family, max(n, m))[n, m])
 
 
-def orthonormality_matrix(family, N: int, raw: bool = False) -> np.ndarray:
-    """G[n][m] = (-1)^n (K^n o K^m)[m-function](0) for n, m <= N.
-
-    With raw=True returns the real integrals of p_n p_m instead (no
-    i-phases), which is what compose_at_zero consumes.
-    """
+def orthonormality_matrix(family, N: int) -> np.ndarray:
+    """G[n][m] = (-1)^n (K^n o K^m)[m-function](0) for n, m <= N."""
     # an (N+4)-point Gauss rule integrates every p_n p_m with n, m <= N
     _, _, Q = _gauss_pass(family_spec(family), N + 4, N + 1)
-    G = Q @ Q.T
-    if raw:
-        return G
     idx = np.arange(N + 1)
-    return _i_pow(3 * idx[:, None] + idx) * G  # (-1)^n i^(n+m) = i^(3n+m)
+    return _i_pow(3 * idx[:, None] + idx) * (Q @ Q.T)  # (-1)^n i^(n+m) = i^(3n+m)
 
 
 # ---------------------------------------------------------------------------

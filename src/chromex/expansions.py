@@ -152,15 +152,6 @@ class Sinc(FunctionSpec):
     def chromatic_jet(self, family, t, N):
         return _sinc_jets(family, [t], N)[:, 0]
 
-    def taylor_jet(self, u, length):
-        if u != 0:
-            return super().taylor_jet(u, length)
-        # sinc z = sum_j (-pi^2)^j z^{2j} / (2j+1)!, as one running product
-        j = np.arange(1, (length + 1) // 2)
-        coeff = np.zeros(length, dtype=np.complex128)
-        coeff[::2] = np.cumprod(np.r_[1.0, -math.pi ** 2 / (2 * j * (2 * j + 1))])
-        return TaylorJet(0.0, coeff)
-
 
 @dataclass
 class ShannonCombo(FunctionSpec):

@@ -127,7 +127,8 @@ def _spec_of(family) -> FamilySpec:
     """family_spec of a FamilyId or a string, parsed and built once per key."""
     fid = family if isinstance(family, FamilyId) else parse_family(family)
     tag = fid.tag
-    symmetric = tag in _SYMMETRIC
+    # jacobi(a, a) has gegenbauer(a + 1/2)'s measure
+    symmetric = tag in _SYMMETRIC or (tag == "jacobi" and fid.a == fid.b)
     if tag in ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "jacobi"):
         p, support, rho = 0.0, "[-pi, pi]", 0.0
     elif tag == "hermite":
@@ -167,9 +168,7 @@ def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):
         return np.sqrt((nn + 1) / 2), zero
     if tag == "laguerre":
         return nn + 1, -(2 * nn + 1)
-    if tag == "herron":
-        return nn + 1, zero
-    raise UnsupportedFamilyError(tag)
+    return nn + 1, zero  # herron
 
 
 def recursion_coefficients(family, n: int):
@@ -318,12 +317,15 @@ def moment_analytic(family, k: int) -> float:
     try:  # float(int) and math.pi ** k raise OverflowError past float64
         if tag == "laguerre":
             mu = float(math.factorial(k))
-        elif tag == "legendre":
-            mu = math.pi ** k / (k + 1)
-        elif tag in ("chebyshev_t", "chebyshev_u"):
-            # C(k, n) / 4^n first (pi^k C(k, n) overflows from k = 388); chebyshev_u
-            # has the Catalan number, C(k, n) / (n + 1), in its place
-            mu = math.pi ** k * (math.comb(k, n) / 4 ** n) / (n + 1 if tag == "chebyshev_u" else 1)
+        elif tag in ("legendre", "chebyshev_t", "chebyshev_u"):
+            # pi^k c, as pi^n c pi^(k - n) past k = 620, where pi^k alone overflows
+            head, tail = (math.pi ** k, 1.0) if k <= 620 else (math.pi ** n, math.pi ** (k - n))
+            if tag == "legendre":
+                mu = head / (k + 1) * tail
+            else:
+                # C(k, n) / 4^n first (pi^k C(k, n) overflows from k = 388); chebyshev_u
+                # has the Catalan number, C(k, n) / (n + 1), in its place
+                mu = head * (math.comb(k, n) / 4 ** n) / (n + 1 if tag == "chebyshev_u" else 1) * tail
         elif tag == "hermite":
             mu = math.prod(((2 * j - 1) / 2.0 for j in range(1, n + 1)), start=1.0)
         else:  # herron: from sech z = sum E_{2n} z^{2n}/(2n)! and m^(k)(0) = i^k mu_k
@@ -391,26 +393,21 @@ def moment_over_factorial_ld(family, kmax: int) -> np.ndarray:
         for n in range(1, kmax // 2 + 1):
             r = r / (4 * np.longdouble(n))
             out[2 * n] = r
-    elif tag == "herron":
+    else:  # herron
         E = euler_numbers(kmax)
         for n in range(1, kmax // 2 + 1):
             out[2 * n] = _ld_from_fraction(
                 Fraction((-1) ** n * E[2 * n], math.factorial(2 * n))
             )
-    else:
-        raise UnsupportedFamilyError(tag)
     return out
 
 
-def moment_jacobi_matrix(family, k: int, dimension: int | None = None) -> float:
-    """mu_k as the top-left entry of the k-th power of the Jacobi matrix."""
+def moment_jacobi_matrix(family, k: int) -> float:
+    """mu_k as the top-left entry of the k-th power of the (k+1)-square Jacobi matrix."""
     require_nonnegative(k, "k")
     if k == 0:
         return 1.0
-    dim = dimension if dimension is not None else k + 1
-    if dim < k + 1:
-        raise ParameterError("truncation dimension must be at least k+1")
-    J = jacobi_matrix(family, dim).dense()
+    J = jacobi_matrix(family, k + 1).dense()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         mu = float(np.linalg.matrix_power(J, k)[0, 0])
     return _finite_moment(family_spec(family), k, mu)

@@ -32,8 +32,6 @@ from .errors import NumericError, ParameterError, UnsupportedFamilyError
 from .families import FamilyId, family_spec, parse_family
 from .orthopoly import eval_p_grid
 
-_BANDLIMITED = ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "jacobi")
-
 
 @dataclass(frozen=True)
 class FirFilter:
@@ -132,7 +130,7 @@ def design_ls(family, n: int, half_width: int,
     reweighting after the initial least-squares solve.
     """
     spec = family_spec(family)
-    if spec.tag not in _BANDLIMITED:
+    if spec.support != "[-pi, pi]":
         raise UnsupportedFamilyError(
             f"{spec.tag} support is not contained in [-pi, pi]"
         )

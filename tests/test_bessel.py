@@ -30,12 +30,23 @@ def _start(nmax, ax):
     return top + int(np.sqrt(40.0 * (top + 1))) + 20
 
 
+def _leading_term_loop(nmax, x, odd):
+    """j_n(x) = x^n / (2n+1)!! (odd = 1) or J_n(x) = (x/2)^n / n! (odd = 0),
+    one factor x / (2k + odd) at a time; x = 0 gives [1, 0, ..., 0]."""
+    out = np.zeros(nmax + 1, dtype=np.float64)
+    out[0] = 1.0
+    if x == 0.0:
+        return out
+    for k in range(1, nmax + 1):
+        out[k] = out[k - 1] * (x / (2.0 * k + odd))
+    return out
+
+
 def _spherical_j_loop(nmax, x):
     out = np.zeros(nmax + 1, dtype=np.float64)
     ax = abs(x)
     if ax < 1e-14:
-        out[0] = 1.0
-        return out
+        return _leading_term_loop(nmax, x, 1.0)
     j0 = np.sin(ax) / ax
     j1 = np.sin(ax) / (ax * ax) - np.cos(ax) / ax
     if nmax == 0:
@@ -70,8 +81,7 @@ def _bessel_j_loop(nmax, x):
     out = np.zeros(nmax + 1, dtype=np.float64)
     ax = abs(x)
     if ax < 1e-14:
-        out[0] = 1.0
-        return out
+        return _leading_term_loop(nmax, x, 0.0)
     start = _start(nmax, ax)
     if start % 2 == 1:
         start += 1
@@ -189,3 +199,10 @@ def test_shannon_decay_report_matches_per_offset_calls():
     rows = shannon_decay_report(15, 0.25, 64)
     for m, v in rows:
         assert v == abs(math.sqrt(31) * spherical_j_all(15, math.pi * (0.25 - m))[15])
+
+
+def test_tiny_arguments_keep_their_leading_term():
+    """Below |x| = 1e-14 a row is its series' leading term, not 0."""
+    assert spherical_j(1, 3e-15) == pytest.approx(1e-15, rel=1e-15)
+    assert bessel_j(2, -4e-15) == pytest.approx(2e-30, rel=1e-15)
+    assert spherical_j(1, 0.0) == 0.0 and bessel_j(0, 0.0) == 1.0

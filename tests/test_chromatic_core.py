@@ -353,6 +353,10 @@ def test_jet_length_guards():
     cjet = ChromaticJet(None, 0.0, np.zeros(4, dtype=complex))
     with pytest.raises(HorizonError):
         taylor_from_chromatic_jet("legendre", cjet, 10)
+    with pytest.raises(HorizonError):
+        conversion_matrices("legendre", 10, build_table("legendre", 5))
+    with pytest.raises(HorizonError):
+        conversion_matrices("legendre", 171).d2k
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -365,6 +369,8 @@ def test_compose_examples():
     assert compose_at_zero("legendre", 5, 5) == pytest.approx(-1.0, abs=1e-9)
     assert abs(compose_at_zero("legendre", 0, 3)) < 1e-9
     assert compose_at_zero("hermite", 2, 2) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ParameterError):
+        compose_at_zero("legendre", -1, 0)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -101,6 +101,10 @@ def test_identity_subcommand(capsys):
     assert code == 0
     for line in out.strip().splitlines()[1:]:
         assert float(line.split(",")[1]) < 1e-8
+    code, out = run(capsys, "identity", "--kind", "translation", "--order", "40", "--z=-3:3:0.5")
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        assert float(line.split(",")[1]) < 1e-12
 
 
 def test_poly_overflow_exits_1(capsys):
@@ -273,6 +277,7 @@ def test_json_format(capsys):
     ["expand", "--function", "exponential:abc"],
     ["expand", "--t=0:1:0"],
     ["basis", "--t=0:1:-0.5"],
+    ["basis", "--t=0:1"],
     ["power-norm", "--order", "100", "--points", "0"],
     ["power-norm", "--order", "100", "--points=-3"],
     ["power-norm", "--order", "100", "--points", "x"],

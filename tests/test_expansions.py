@@ -383,6 +383,8 @@ def test_a_function_stating_neither_jet_raises():
         Bare().chromatic_jet("legendre", 0.0, 4)
     with pytest.raises(NotImplementedError):
         Bare().taylor_jet(0.0, 5)
+    with pytest.raises(NotImplementedError):
+        Bare().value(0.0)
 
 
 def _taylor_per_point(f, u, N, grid):
@@ -419,6 +421,19 @@ def test_long_taylor_jets_match_mpmath(length):
         assert got.dtype == np.complex128 and got.shape == (length,)
         want = np.array([complex(v) for v in ref])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("length", [16, 41])
+def test_sinc_taylor_jet_at_zero_is_correctly_rounded(length):
+    """About u = 0 the jet is the Legendre table's row 0, i^k pi^k / (k + 1)! rounded once
+    from 80 bits: within an ulp of mpmath at every k, where a float64 running product drifts."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = [(-mp.pi ** 2) ** (j // 2) / mp.factorial(j + 1) if j % 2 == 0 else 0 for j in range(length)]
+        got = Sinc().taylor_jet(0.0, length).coefficients
+        assert (got.imag == 0.0).all() and (got.real[1::2] == 0.0).all()
+        rel = max(abs((mp.mpf(g) - r) / r) for g, r in zip(got.real[::2], ref[::2]))
+    assert rel <= np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------

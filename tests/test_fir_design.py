@@ -132,6 +132,10 @@ def test_design_rejections():
         design_ls("legendre", 40, 16)  # n > 2 * half_width
     with pytest.raises(ParameterError):
         design_ls("legendre", 2, 16, passband_edge=3.0, stopband_edge=2.0)
+    with pytest.raises(ParameterError):
+        design_ls("legendre", -1, 8)
+    with pytest.raises(ParameterError):
+        design_ls("legendre", 2, 16, target="bogus")
 
 
 def test_report_fields():

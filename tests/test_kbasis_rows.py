@@ -109,6 +109,19 @@ def test_gegenbauer_rows_match_fractional_order_bessel(lam, n, t, sign):
     assert np.abs(got - ref).max() <= BOUND
 
 
+@pytest.mark.parametrize("a, twin", [(-0.5, "chebyshev_t"), (0.0, "legendre"), (0.5, "gegenbauer(1)"),
+                                     (1.5, "gegenbauer(2)")])
+def test_jacobi_a_a_is_symmetric_like_its_gegenbauer_twin(a, twin):
+    """jacobi(a, a) has gegenbauer(a + 1/2)'s measure, so at real z its rows and sinc jets are real."""
+    family = f"jacobi({a},{a})"
+    assert family_spec(family).symmetric
+    t = np.linspace(-20.0, 20.0, 401)
+    got = kbasis_rows(family, 0, 40, t)
+    assert (got.imag == 0.0).all()
+    assert np.abs(got - kbasis_rows(twin, 0, 40, t)).max() <= 1e-14
+    assert (Sinc().chromatic_jet(family, 3.7, 40).imag == 0.0).all()
+
+
 def _jacobi_quad(a, b, n, z):
     """i^n int p_n(w) e^{iwz} dmu(w) in mpmath: w = pi x under the
     normalized weight (1 - x)^a (1 + x)^b, p_n the orthonormal P_n^(a,b)."""

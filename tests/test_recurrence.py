@@ -355,7 +355,9 @@ def test_orthonormality_matches_old_route(family):
     gam, bet = gamma_beta_arrays(family, N + 3)
     w = christoffel_weights_loop(gam, bet, nodes)
     Q = poly_grid_loop(gam[: N + 1], bet[: N + 1], nodes) * np.sqrt(w / w.sum())[None, :]
-    np.testing.assert_allclose(orthonormality_matrix(family, N, raw=True), Q @ Q.T,
+    idx = np.arange(N + 1)
+    phase = np.array([1.0, 1j, -1.0, -1j])[(3 * idx[:, None] + idx) % 4]  # (-1)^n i^(n+m)
+    np.testing.assert_allclose(orthonormality_matrix(family, N), phase * (Q @ Q.T),
                                rtol=0, atol=10 * np.finfo(float).eps)
 
 
