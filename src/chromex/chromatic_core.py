@@ -10,7 +10,8 @@ is i^k mu_k / k!; subsequent rows satisfy the operator recurrence
     K^{n+1} = (D o K^n + i beta_n K^n + gamma_{n-1} K^{n-1}) / gamma_n.
 
 Construction: b[n][k] = i^(n+k) (J^k e_0)[n] / k!, where J is the Jacobi
-matrix, evaluated by the scaled power iteration v_k = J v_{k-1} / k.  The
+matrix, evaluated by the scaled power iteration v_k = J v_{k-1} / k
+(families._jacobi_powers, which moment_jacobi_matrix also runs).  The
 entries of J^k e_0 are sums over lattice paths whose weights never change
 sign (gamma_n > 0; the diagonal -beta_n is nonnegative or negligible for
 every supported family), so each table entry is computed without
@@ -37,8 +38,7 @@ recurrence coefficients grow linearly in n, so ||J||_inf > K and their
 builds always run to column K.
 
 table_for keeps recently built tables in memory, keyed on (family, N, K),
-so repeated evaluations in one process build each table once; the shared
-arrays are read-only.
+and shares each one read-only with every caller that asks for it again.
 
 Column reliability: column k needs only the Jacobi matrix's first
 (k + N) / 2 + 2 levels, which every K >= k includes, so a table's columns
@@ -60,6 +60,7 @@ from .errors import HorizonError, NumericError, ParameterError
 from .families import (
     FamilyId,
     _gauss_pass,
+    _jacobi_powers,
     family_spec,
     gamma_beta_arrays,
     require_nonnegative,
@@ -99,11 +100,9 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     # (k + N) / 2, so that dimension captures J^k e_0 exactly
     dim = (K + N) // 2 + 2
     gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
-    diag = -bet[:dim]
-    off = gam[: dim - 1]
-    row_sums = np.abs(diag)
-    row_sums[:-1] += off
-    row_sums[1:] += off
+    row_sums = np.abs(bet[:dim])
+    row_sums[:-1] += gam[: dim - 1]
+    row_sums[1:] += gam[: dim - 1]
     jnorm = row_sums.max()
     b = np.zeros((N + 1, K + 1), dtype=np.complex128)
     # columns k0 .. k0 + _STAGE - 1, column k as stage[k - k0] so that each step writes contiguously;
@@ -114,23 +113,16 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     def land(k0, k1):
         b[:, k0:k1] = np.multiply.outer(row_phases, _i_pow(np.arange(k0, k1))) * stage[: k1 - k0].T
 
-    v = np.zeros(dim, dtype=np.longdouble)
-    v[0] = stage[0, 0] = 1.0
     k0, kend = 0, K + 1
-    for k in range(1, K + 1):
-        live = min(k, dim - 1) + 1  # J^k e_0 lives on levels 0..k; the rest of v stays +0
-        if k >= jnorm and np.abs(v[:live]).max() < _UNDERFLOW:
-            kend = k
-            break
+    for k, v in enumerate(_jacobi_powers(spec, dim, K)):
         if k - k0 == _STAGE:
             land(k0, k)
             k0 = k
-        u, o = v[:live], off[: live - 1]
-        w = diag[:live] * u
-        w[:-1] += o * u[1:]
-        w[1:] += o * u[:-1]
-        np.divide(w, np.longdouble(k), out=u)
         stage[k - k0, : min(k, N) + 1] = v[: min(k, N) + 1]
+        # the stop rule of the module docstring, before step k + 1
+        if k + 1 >= jnorm and np.abs(v).max() < _UNDERFLOW:
+            kend = k + 1
+            break
     land(k0, kend)
     return ChromaticTable(spec.id, N, K, b)
 

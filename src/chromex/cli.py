@@ -4,9 +4,9 @@ Every subcommand but check emits CSV (default) or JSON with numbers
 serialized at 17 significant digits, so identical configurations produce
 byte-identical output; check prints one PASS/FAIL line per invariant.
 Random signals use numpy's PCG64 generator with an explicit --seed
-(default 0), taken by the subcommands that can draw one.  The library sizes and builds the coefficient tables each
-command needs in memory; nothing is written to disk besides --out and
-filter files.
+(default 0), taken by the subcommands that can draw one.  Only table and
+check build a coefficient table, in memory; nothing is written to disk
+besides --out and filter files.
 """
 
 from __future__ import annotations

@@ -303,114 +303,91 @@ def euler_numbers(nmax: int):
 
 
 def moment_analytic(family, k: int) -> float:
-    """mu_k from the closed forms; gegenbauer/jacobi are unsupported."""
+    """mu_k from the closed forms of moment_over_factorial_ld; gegenbauer/jacobi have none."""
     spec = family_spec(family)
-    tag = spec.tag
     require_nonnegative(k, "k")
-    if tag in ("gegenbauer", "jacobi"):
+    if spec.tag in ("gegenbauer", "jacobi"):
         raise UnsupportedFamilyError(
-            f"{tag} has no closed moment form; use moment_jacobi_matrix"
+            f"{spec.tag} has no closed moment form; use moment_jacobi_matrix"
         )
-    if k % 2 == 1 and tag != "laguerre":
+    if k % 2 and spec.symmetric:  # _finite_moment's 0.0, before herron's E_k is computed
         return 0.0
-    n = k // 2
-    try:  # float(int) and math.pi ** k raise OverflowError past float64
-        if tag == "laguerre":
-            mu = float(math.factorial(k))
-        elif tag in ("legendre", "chebyshev_t", "chebyshev_u"):
-            # pi^k c, as pi^n c pi^(k - n) past k = 620, where pi^k alone overflows
-            head, tail = (math.pi ** k, 1.0) if k <= 620 else (math.pi ** n, math.pi ** (k - n))
-            if tag == "legendre":
-                mu = head / (k + 1) * tail
-            else:
-                # C(k, n) / 4^n first (pi^k C(k, n) overflows from k = 388); chebyshev_u
-                # has the Catalan number, C(k, n) / (n + 1), in its place
-                mu = head * (math.comb(k, n) / 4 ** n) / (n + 1 if tag == "chebyshev_u" else 1) * tail
-        elif tag == "hermite":
-            mu = math.prod(((2 * j - 1) / 2.0 for j in range(1, n + 1)), start=1.0)
-        else:  # herron: from sech z = sum E_{2n} z^{2n}/(2n)! and m^(k)(0) = i^k mu_k
-            mu = float((-1) ** n * euler_numbers(k)[k])
-    except OverflowError:
-        mu = math.inf
-    return _finite_moment(spec, k, mu)
+    return _finite_moment(spec, k, moment_over_factorial_ld(spec, k)[k])
 
 
-def _finite_moment(spec, k: int, mu: float) -> float:
-    if not math.isfinite(mu):
+def _finite_moment(spec, k: int, over_factorial: np.longdouble) -> float:
+    """mu_k = k! (mu_k / k!) in 80-bit, refused past float64.  Only a symmetric measure's
+    odd moment is 0.0: any other zero mu_k / k! has underflowed 80-bit, and past k = 1754,
+    where k! overflows 80-bit, it gives inf * 0 = nan."""
+    if k % 2 and spec.symmetric:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # both are refused below
+        mu = float(np.prod(np.arange(1, k + 1, dtype=np.longdouble)) * over_factorial)
+    if over_factorial == 0 or not math.isfinite(mu):
         raise NumericError(f"mu_{k} of {spec} overflows float64 (max 1.8e308); "
                            "use a smaller k, or moment_over_factorial_ld for mu_k / k!")
     return mu
 
 
-def _ld_from_fraction(fr: Fraction) -> np.longdouble:
-    # double-double split keeps ~32 significant digits of the ratio
-    hi = float(fr)
-    lo = float(fr - Fraction(hi))
-    return np.longdouble(hi) + np.longdouble(lo)
+def _jacobi_powers(spec: FamilySpec, dim: int, kmax: int):
+    """v_k = J^k e_0 / k! in 80-bit for k = 0..kmax, J the dim-square Jacobi matrix, each as
+    a view of the levels 0..min(k, dim - 1) it lives on: one array, updated in place."""
+    gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
+    diag, off = -bet[:dim], gam[: dim - 1]
+    v = np.zeros(dim, dtype=np.longdouble)
+    v[0] = 1.0
+    yield v[:1]
+    for k in range(1, kmax + 1):
+        live = min(k, dim - 1) + 1  # the rest of v stays +0
+        u, o = v[:live], off[: live - 1]
+        w = diag[:live] * u
+        w[:-1] += o * u[1:]
+        w[1:] += o * u[:-1]
+        np.divide(w, np.longdouble(k), out=u)
+        yield u
 
 
 def moment_over_factorial_ld(family, kmax: int) -> np.ndarray:
-    """mu_k / k! for k <= kmax in extended precision (table base row)."""
+    """mu_k / k! for k <= kmax in extended precision (table base row): the closed
+    forms, and entry 0 of _jacobi_powers for gegenbauer/jacobi."""
     spec = family_spec(family)
     tag = spec.tag
+    require_nonnegative(kmax, "kmax")
     out = np.zeros(kmax + 1, dtype=np.longdouble)
     out[0] = 1.0
-    if tag == "laguerre":
+    if tag == "laguerre":  # mu_k = k!
         out[:] = 1.0
-        return out
-    if tag in ("gegenbauer", "jacobi"):
-        # scaled vector iteration v_k = J v_{k-1} / k, entry 0 is mu_k/k!
-        dim = kmax + 2
-        gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
-        diag = -bet[:dim]
-        off = gam[: dim - 1]
-        v = np.zeros(dim, dtype=np.longdouble)
-        v[0] = 1.0
-        for k in range(1, kmax + 1):
-            w = diag * v
-            w[:-1] += off * v[1:]
-            w[1:] += off * v[:-1]
-            v = w / np.longdouble(k)
+    elif tag in ("gegenbauer", "jacobi"):
+        for k, v in enumerate(_jacobi_powers(spec, kmax // 2 + 2, kmax)):
             out[k] = v[0]
-        return out
-    if tag == "legendre":
-        r = np.longdouble(1.0)
-        for k in range(2, kmax + 1, 2):
-            r = r * PI_LD * PI_LD / (np.longdouble(k) * np.longdouble(k + 1))
-            out[k] = r
-    elif tag == "chebyshev_t":
-        r = np.longdouble(1.0)
-        for n in range(1, kmax // 2 + 1):
-            r = r * PI_LD * PI_LD / (4 * np.longdouble(n) ** 2)
-            out[2 * n] = r
-    elif tag == "chebyshev_u":
-        r = np.longdouble(1.0)
-        for n in range(1, kmax // 2 + 1):
-            r = r * PI_LD * PI_LD / (4 * np.longdouble(n) * np.longdouble(n + 1))
-            out[2 * n] = r
-    elif tag == "hermite":
-        r = np.longdouble(1.0)
-        for n in range(1, kmax // 2 + 1):
-            r = r / (4 * np.longdouble(n))
-            out[2 * n] = r
-    else:  # herron
+    elif tag == "herron":
+        # mu_2n = |E_2n|: sech z = sum E_2n z^2n / (2n)! and m^(k)(0) = i^k mu_k
         E = euler_numbers(kmax)
         for n in range(1, kmax // 2 + 1):
-            out[2 * n] = _ld_from_fraction(
-                Fraction((-1) ** n * E[2 * n], math.factorial(2 * n))
-            )
+            fr = Fraction(abs(E[2 * n]), math.factorial(2 * n))
+            hi = float(fr)  # a double-double split keeps ~32 significant digits
+            out[2 * n] = np.longdouble(hi) + np.longdouble(float(fr - Fraction(hi)))
+    else:
+        # odd mu_k are 0; out[2n] is the product of the ratios mu_2j (2j - 2)! / (mu_2j-2 (2j)!), j <= n
+        n = np.arange(1, kmax // 2 + 1, dtype=np.longdouble)
+        if tag == "legendre":  # mu_2n = pi^2n / (2n + 1)
+            ratios = PI_LD * PI_LD / (2 * n * (2 * n + 1))
+        elif tag == "chebyshev_t":  # mu_2n = pi^2n C(2n, n) / 4^n
+            ratios = PI_LD * PI_LD / (4 * n * n)
+        elif tag == "chebyshev_u":  # mu_2n = pi^2n C(2n, n) / (4^n (n + 1)), C(2n, n) / (n + 1) Catalan's
+            ratios = PI_LD * PI_LD / (4 * n * (n + 1))
+        else:  # hermite: mu_2n = (2n - 1)!! / 2^n
+            ratios = 1 / (4 * n)
+        out[2::2] = np.cumprod(ratios)
     return out
 
 
 def moment_jacobi_matrix(family, k: int) -> float:
-    """mu_k as the top-left entry of the k-th power of the (k+1)-square Jacobi matrix."""
+    """mu_k from entry 0 of J^k e_0 / k!: the oracle independent of the closed forms."""
+    spec = family_spec(family)
     require_nonnegative(k, "k")
-    if k == 0:
-        return 1.0
-    J = jacobi_matrix(family, k + 1).dense()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        mu = float(np.linalg.matrix_power(J, k)[0, 0])
-    return _finite_moment(family_spec(family), k, mu)
+    *_, v = _jacobi_powers(spec, k // 2 + 2, k)
+    return _finite_moment(spec, k, v[0])
 
 
 def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):

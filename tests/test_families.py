@@ -21,7 +21,7 @@ from chromex import (
     recursion_coefficients,
 )
 from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, _spec_of, gamma_beta_arrays,
-                              three_term)
+                              moment_over_factorial_ld, three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 from test_recurrence import OMEGAS, assert_bitwise
 
@@ -59,6 +59,8 @@ def test_parameter_domains():
         recursion_coefficients("legendre", -1)
     with pytest.raises(ParameterError):
         jacobi_matrix("legendre", 0)
+    with pytest.raises(ParameterError):
+        moment_over_factorial_ld("legendre", -1)
 
 
 def test_family_string_round_trip():
@@ -96,6 +98,39 @@ def test_symmetry_metadata():
             assert recursion_coefficients(fam, 7)[1] == 0.0
 
 
+# the last k with a finite mu_k; the next even k overflows float64
+LAST_FINITE_MOMENT = {"legendre": 624, "chebyshev_t": 622, "chebyshev_u": 628,
+                      "hermite": 342, "laguerre": 170, "herron": 186}
+
+
+def mu_mpmath(family, k):
+    """mu_k of a closed-moment family at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        if family == "laguerre":
+            return mp.factorial(k)
+        if k % 2:
+            return mp.mpf(0)
+        n = k // 2
+        if family == "hermite":
+            return mp.fac2(k - 1) / mp.mpf(2) ** n
+        if family == "herron":
+            return abs(mp.mpf(euler_numbers(k)[k]))
+        if family == "legendre":
+            return mp.pi ** k / (k + 1)
+        mu = mp.pi ** k * mp.binomial(k, n) / mp.mpf(4) ** n
+        return mu / (n + 1) if family == "chebyshev_u" else mu
+
+
+def assert_correct_moment(got, want):
+    """got within 2.5e-16 relative of the mpmath value want; exactly +0.0 where want is 0."""
+    assert isinstance(got, float)
+    if want == 0:
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert abs(got - want) <= 2.5e-16 * abs(want), (got, want)
+
+
 def test_moment_analytic_values():
     assert moment_analytic("legendre", 0) == 1.0
     assert moment_analytic("legendre", 2) == pytest.approx(math.pi ** 2 / 3, rel=1e-15)
@@ -110,20 +145,24 @@ def test_moment_analytic_values():
     # pi^k itself overflows from k = 621; these mu_k are 40-digit mpmath's
     for family, k, mu in (("legendre", 622, 2.7085245045757175e306), ("legendre", 624, 2.664652276163226e307),
                           ("chebyshev_t", 622, 5.396238415157916e307), ("chebyshev_u", 628, 1.6390675409550534e308)):
-        assert moment_analytic(family, k) == pytest.approx(mu, rel=1e-13)
+        assert moment_analytic(family, k) == pytest.approx(mu, rel=2.5e-16)
 
 
 @pytest.mark.parametrize("family, k", [
     ("legendre", 626), ("chebyshev_t", 624), ("chebyshev_u", 630), ("laguerre", 171),
     ("herron", 188), ("hermite", 344), ("gegenbauer(1)", 640), ("jacobi(0.5,-0.25)", 700),
+    ("legendre", 2000), ("laguerre", 2000), ("legendre", 2200), ("chebyshev_t", 2200), ("hermite", 3000),
 ])
 def test_moments_past_float64_raise(family, k):
-    """A bare OverflowError, or an inf with a RuntimeWarning, before."""
-    moment = moment_jacobi_matrix if "(" in family else moment_analytic
+    """A bare OverflowError, or an inf with a RuntimeWarning, before; past k = 1754, where
+    k! overflows 80-bit, a ValueError was the risk, and from legendre 2200, chebyshev_t 2200
+    and hermite 3000 on, mu_k / k! underflows 80-bit to 0, which must not read as mu_k = 0."""
+    routes = [moment_jacobi_matrix] if "(" in family else [moment_analytic, moment_jacobi_matrix]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=f"mu_{k} of {re.escape(family)} overflows float64"):
-            moment(family, k)
+        for moment in routes:
+            with pytest.raises(NumericError, match=f"mu_{k} of {re.escape(family)} overflows float64"):
+                moment(family, k)
 
 
 def test_moment_analytic_unsupported():
@@ -144,17 +183,24 @@ def test_moment_jacobi_matrix_basics():
         assert moment_jacobi_matrix(fam, 0) == 1.0
     assert moment_jacobi_matrix("legendre", 2) == pytest.approx(math.pi ** 2 / 3, rel=1e-13)
     assert moment_jacobi_matrix("laguerre", 1) == pytest.approx(1.0, rel=1e-13)
+    # odd moments of symmetric measures are exact zeros, also where the old
+    # matrix power overflowed (hermite 513, herron 257) and past 80-bit's k! (2001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam, k in (("hermite", 513), ("herron", 257), ("hermite", 2001)):
+            assert_correct_moment(moment_jacobi_matrix(fam, k), 0)
+            assert_correct_moment(moment_analytic(fam, k), 0)
 
 
 @pytest.mark.parametrize("family", CLOSED_MOMENT_FAMILIES)
 def test_moment_oracles_agree(family):
-    for k in range(31):
-        ana = moment_analytic(family, k)
-        jac = moment_jacobi_matrix(family, k)
-        if ana == 0.0:
-            assert abs(jac) < 1e-10
-        else:
-            assert abs(jac - ana) / abs(ana) < 1e-10
+    """Both routes within 2.5e-16 of mpmath up to the last finite mu_k (2.4e-14
+    and 8.2e-15 off once, from float64 pi^k and the float64 matrix power)."""
+    last = LAST_FINITE_MOMENT[family]
+    for k in sorted({*range(61), *range(61, last, 7), last - 1, last}):
+        want = mu_mpmath(family, k)
+        assert_correct_moment(moment_analytic(family, k), want)
+        assert_correct_moment(moment_jacobi_matrix(family, k), want)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -197,10 +243,8 @@ def test_gegenbauer_one_equals_chebyshev_u():
         g2, b2 = recursion_coefficients("chebyshev_u", n)
         assert g1 == pytest.approx(g2, rel=1e-14)
         assert b1 == b2 == 0.0
-    for k in range(0, 21, 2):
-        assert moment_jacobi_matrix("gegenbauer(1)", k) == pytest.approx(
-            moment_analytic("chebyshev_u", k), rel=1e-12
-        )
+    for k in range(301):
+        assert_correct_moment(moment_jacobi_matrix("gegenbauer(1)", k), mu_mpmath("chebyshev_u", k))
 
 
 def test_jacobi_minus_half_equals_chebyshev_t():
@@ -228,10 +272,8 @@ def test_jacobi_zero_zero_equals_legendre():
         g2, _ = recursion_coefficients("legendre", n)
         assert g1 == pytest.approx(g2, rel=1e-13)
         assert abs(b1) < 1e-15
-    for k in range(0, 21, 2):
-        assert moment_jacobi_matrix("jacobi(0,0)", k) == pytest.approx(
-            moment_analytic("legendre", k), rel=1e-12
-        )
+    for k in range(301):
+        assert_correct_moment(moment_jacobi_matrix("jacobi(0,0)", k), mu_mpmath("legendre", k))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
