@@ -28,9 +28,18 @@ def suggest_columns(family, N: int, absz: float) -> int:
 
 @lru_cache(maxsize=64)
 def _gauss_rows(family: FamilyId, M: int, nrows: int):
-    """Nodes x_j and A[n, j] = i^n Q[n, j] sqrt(w_j), n < nrows, of the M-point Gauss rule."""
-    nodes, w, Q = _gauss_pass(family_spec(family), M, nrows)
-    return nodes, _i_pow(np.arange(nrows))[:, None] * (Q * np.sqrt(w))
+    """Nodes x_j and A[n, j] = i^n Q[n, j] sqrt(w_j), n < nrows, of the M-point Gauss rule; in a
+    symmetric family also the positive nodes xp and the real H with K^n = H[n] @ cos(xp z) for
+    even n and H[n] @ sin(xp z) for odd n at real z, from the sum over each pair +-x_j."""
+    spec = family_spec(family)
+    nodes, w, Q = _gauss_pass(spec, M, nrows)
+    A = _i_pow(np.arange(nrows))[:, None] * (Q * np.sqrt(w))
+    if not spec.symmetric:
+        return nodes, A, None, None
+    h = M // 2  # nodes ascend and M is even: x_{h+j} pairs with x_{h-1-j}
+    sign = (1 - 2 * (np.arange(nrows) % 2))[:, None]  # (-1)^n
+    P = A[:, h:] + sign * A[:, h - 1 :: -1]
+    return nodes, A, nodes[h:], np.where(sign > 0, P.real, -P.imag)
 
 
 def _gauss_size(spec, hi, absz, imz, explain=True):
@@ -42,8 +51,9 @@ def _gauss_size(spec, hi, absz, imz, explain=True):
     Im z, in hundredths."""
     a, M = 0.5 * math.pi * absz, 16 * (hi // 16 + 1)
     log_tol = math.log(_TAIL_TOL / 4.0) - math.pi * imz
-    # rounding: M products, and nodes off by eps ||J|| <= eps pi turn each
-    # phase by |z| times that; it grows with M, so it also ends the search
+    # rounding: M products (M / 2 real ones, each of a pair sum, in a symmetric family at real
+    # z), and nodes off by eps ||J|| <= eps pi turn each phase by |z| times that; it grows with
+    # M, so it also ends the search
     scale = 2.0 ** -52 * math.exp(min(math.pi * imz, 700.0))
     while (M + math.pi * absz) * scale <= _TAIL_TOL:
         d = 2 * M - 1 - hi
@@ -85,7 +95,8 @@ def kbasis_rows(family, lo: int, hi: int, z):
     """K^n[m](z), lo <= n <= hi, shape (hi - lo + 1, points), at scalar or array z, real or
     complex, by a route the family alone picks: hermite, laguerre and herron by one cumulative
     product of their closed forms; the families on [-pi, pi] as K = i^n P W e^{ixz} on a cached
-    Gauss rule, _CHUNK points at a time, real for symmetric families at real z."""
+    Gauss rule, _CHUNK points at a time.  In a symmetric family at real z that is a real cosine
+    (even n) or sine (odd n) sum over the M / 2 positive nodes, and each row is exactly real."""
     spec = family_spec(family)
     if not 0 <= lo <= hi:
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
@@ -107,13 +118,20 @@ def kbasis_rows(family, lo: int, hi: int, z):
                                    "z is near a pole or |Im z| is too large")
         return rows
     imz = float(np.abs(zs.imag).max())
-    nodes, A = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
+    nodes, A, xp, H = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
     rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
-    for s in range(0, zs.size, _CHUNK):  # e^{ixz} is M x points: bound its memory
-        phases = np.multiply.outer(1j * nodes, zs[s : s + _CHUNK])
-        rows[:, s : s + _CHUNK] = A[lo : hi + 1] @ np.exp(phases, out=phases)
-    if spec.symmetric and imz == 0.0:
-        rows.imag = 0.0  # even rows sum cos(xz), odd rows sin(xz)
+    half = H is not None and imz == 0.0
+    even, odd = lo + lo % 2, lo + 1 - lo % 2  # the first even and odd rows
+    for s in range(0, zs.size, _CHUNK):  # the phases are M x points: bound their memory
+        if half:  # only the parities asked for
+            phases = xp[:, None] * zs.real[s : s + _CHUNK]
+            if even <= hi:
+                rows[even - lo :: 2, s : s + _CHUNK] = H[even : hi + 1 : 2] @ np.cos(phases)
+            if odd <= hi:
+                rows[odd - lo :: 2, s : s + _CHUNK] = H[odd : hi + 1 : 2] @ np.sin(phases, out=phases)
+        else:
+            phases = np.multiply.outer(1j * nodes, zs[s : s + _CHUNK])
+            rows[:, s : s + _CHUNK] = A[lo : hi + 1] @ np.exp(phases, out=phases)
     return rows
 
 

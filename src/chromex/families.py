@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -294,11 +295,13 @@ def jacobi_matrix(family, dimension: int) -> JacobiMatrix:
 
 @lru_cache(maxsize=None)
 def euler_numbers(nmax: int):
-    """E_0..E_nmax as exact integers (odd indices are zero)."""
-    E = [0] * (nmax + 1)
-    E[0] = 1
-    for n in range(1, nmax // 2 + 1):
-        E[2 * n] = -sum(math.comb(2 * n, 2 * j) * E[2 * j] for j in range(n))
+    """E_0..E_nmax as exact integers (odd indices are zero), by Seidel's boustrophedon: each row
+    is the running sums of the one before, reversed, and row k ends in the zigzag number A_k,
+    with E_2n = (-1)^n A_2n.  That is O(nmax^2) additions, no products."""
+    E, row = [1], [1]
+    for k in range(1, nmax + 1):
+        row = list(accumulate(reversed(row), initial=0))
+        E.append(0 if k % 2 else (-1) ** (k // 2) * row[-1])
     return tuple(E)
 
 
@@ -365,8 +368,11 @@ def moment_over_factorial_ld(family, kmax: int) -> np.ndarray:
         E = euler_numbers(kmax)
         for n in range(1, kmax // 2 + 1):
             fr = Fraction(abs(E[2 * n]), math.factorial(2 * n))
+            # scaled into [1/2, 2) so that neither part goes subnormal, then scaled back
+            e = fr.numerator.bit_length() - fr.denominator.bit_length()
+            fr /= Fraction(2) ** e
             hi = float(fr)  # a double-double split keeps ~32 significant digits
-            out[2 * n] = np.longdouble(hi) + np.longdouble(float(fr - Fraction(hi)))
+            out[2 * n] = np.ldexp(np.longdouble(hi) + np.longdouble(float(fr - Fraction(hi))), e)
     else:
         # odd mu_k are 0; out[2n] is the product of the ratios mu_2j (2j - 2)! / (mu_2j-2 (2j)!), j <= n
         n = np.arange(1, kmax // 2 + 1, dtype=np.longdouble)

@@ -178,6 +178,33 @@ def test_euler_numbers():
     assert E[1] == E[3] == 0
 
 
+def _euler_by_binomial_sums(nmax):
+    """E_2n = -sum_{j<n} C(2n, 2j) E_2j: the recurrence the boustrophedon replaced."""
+    E = [0] * (nmax + 1)
+    E[0] = 1
+    for n in range(1, nmax // 2 + 1):
+        E[2 * n] = -sum(math.comb(2 * n, 2 * j) * E[2 * j] for j in range(n))
+    return tuple(E)
+
+
+def test_euler_numbers_match_the_binomial_recurrence():
+    want = _euler_by_binomial_sums(300)
+    for nmax in (0, 1, 2, 7, 300):
+        assert euler_numbers(nmax) == want[: nmax + 1]
+
+
+@pytest.mark.parametrize("k", [1500, 1600, 1700, 2000])
+def test_herron_moment_over_factorial_past_float64s_normal_range(k):
+    """Split unscaled into two float64 parts, |E_k| / k! lost digits once the low part went
+    subnormal (k = 1548), and read 0 from k = 1652; float64's least subnormal is passed at 1660."""
+    mp = pytest.importorskip("mpmath")
+    got = moment_over_factorial_ld("herron", k)[k]
+    num, den = got.as_integer_ratio()
+    with mp.workdps(40):
+        want = abs(mp.eulernum(k)) / mp.factorial(k)
+        assert abs(mp.mpf(num) / den - want) <= np.finfo(np.longdouble).eps * want
+
+
 def test_moment_jacobi_matrix_basics():
     for fam in ALL_FAMILIES:
         assert moment_jacobi_matrix(fam, 0) == 1.0

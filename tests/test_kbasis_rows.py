@@ -5,7 +5,9 @@ mpmath quadrature at complex z (jacobi).
 
 The Gauss route certifies its truncation tail and its rounding each below
 _TAIL_TOL; the closed products round far below it.  So BOUND is what any
-row may be off by.
+row may be off by.  In a symmetric family at real z the route sums cosines
+and sines over half the nodes; the complex product over all of them, kept
+here as _complex_product, is its oracle.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma, jv
+from scipy.special import gamma, jv, spherical_jn
 
 from chromex import (
     ConvergenceError,
@@ -29,7 +31,7 @@ from chromex import (
     kbasis_closed,
     kbasis_rows,
 )
-from chromex.basis_functions import _CHUNK, _TAIL_TOL
+from chromex.basis_functions import _CHUNK, _TAIL_TOL, _gauss_rows, _gauss_size, _points
 from chromex.families import family_spec
 
 from conftest import ALL_FAMILIES
@@ -120,6 +122,73 @@ def test_jacobi_a_a_is_symmetric_like_its_gegenbauer_twin(a, twin):
     assert (got.imag == 0.0).all()
     assert np.abs(got - kbasis_rows(twin, 0, 40, t)).max() <= 1e-14
     assert (Sinc().chromatic_jet(family, 3.7, 40).imag == 0.0).all()
+
+
+def _complex_product(family, lo, hi, z):
+    """K = A e^{ixz} over all M nodes of the rule kbasis_rows picks, _CHUNK points at a time:
+    the Gauss route's product at complex z and in asymmetric families."""
+    spec = family_spec(family)
+    zs, absz = _points(z)
+    M = _gauss_size(spec, hi, absz, float(np.abs(zs.imag).max()))
+    nodes, A, _, _ = _gauss_rows(spec.id, M, 16 * (hi // 16 + 1))
+    rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
+    for s in range(0, zs.size, _CHUNK):
+        phases = np.multiply.outer(1j * nodes, zs[s : s + _CHUNK])
+        rows[:, s : s + _CHUNK] = A[lo : hi + 1] @ np.exp(phases, out=phases)
+    return rows
+
+
+def _bessel_ref(family, n, t):
+    """K^n[m](t) from scipy: (-1)^n sqrt(2n + 1) j_n(pi t) (legendre), (-1)^n sqrt(2) J_n(pi t)
+    and J_0 (chebyshev_t), (-1)^n (J_n + J_{n+2})(pi t) (chebyshev_u); odd in t for odd n."""
+    x = math.pi * abs(t)
+    if family == "legendre" and n and x < np.finfo(float).tiny:
+        value = 0.0  # |j_n(x)| <= x / 3 there, and scipy returns NaN at subnormal x
+    elif family == "legendre":
+        value = math.sqrt(2 * n + 1) * spherical_jn(n, x)
+    elif family == "chebyshev_t":
+        value = jv(0, x) if n == 0 else math.sqrt(2.0) * jv(n, x)
+    else:
+        value = jv(n, x) + jv(n + 2, x)
+    return value * (-1) ** n * (-1 if t < 0 and n % 2 else 1)
+
+
+_ROWS = st.integers(0, 60).flatmap(lambda hi: st.tuples(st.integers(0, hi), st.just(hi)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["legendre", "chebyshev_t", "chebyshev_u"]), rows=_ROWS,
+       t=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=4))
+def test_half_node_rows_match_scipy_bessel(family, rows, t):
+    lo, hi = rows
+    got = kbasis_rows(family, lo, hi, t)
+    assert (got.imag == 0.0).all()
+    ref = np.array([[_bessel_ref(family, n, x) for x in t] for n in range(lo, hi + 1)])
+    assert np.abs(got.real - ref).max() <= BOUND
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.one_of(st.floats(-0.45, 4.0).filter(lambda a: abs(a) > 0.05).map(lambda a: f"gegenbauer({a!r})"),
+                        st.floats(-0.95, 3.0).map(lambda a: f"jacobi({a!r},{a!r})")),
+       rows=_ROWS, t=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=4))
+def test_half_node_rows_match_the_complex_product(family, rows, t):
+    lo, hi = rows
+    got = kbasis_rows(family, lo, hi, t)
+    assert (got.imag == 0.0).all()
+    assert np.abs(got - _complex_product(family, lo, hi, t)).max() <= BOUND
+
+
+@pytest.mark.parametrize("family, z", [
+    ("legendre", [0.5 + 0.3j, -7.0, 12.0 - 0.1j]), ("chebyshev_u", 3.0 + 0.5j),
+    ("gegenbauer(1.75)", np.linspace(-20.0, 20.0, _CHUNK + 9) + 0.25j),
+    ("jacobi(0.5,-0.25)", 3.3), ("jacobi(0.5,-0.25)", np.linspace(-30.0, 30.0, _CHUNK + 9)),
+    ("jacobi(0.5,-0.25)", [1.5 - 0.7j, 0.2]),
+])
+def test_complex_product_rows_are_unchanged(family, z):
+    """Complex z, and asymmetric jacobi at any z, keep the complex product bit for bit."""
+    for lo, hi in ((0, 40), (7, 7), (3, 30)):
+        got = kbasis_rows(family, lo, hi, z)
+        assert got.tobytes() == _complex_product(family, lo, hi, z).tobytes()
 
 
 def _jacobi_quad(a, b, n, z):
