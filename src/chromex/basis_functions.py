@@ -76,11 +76,14 @@ def _gauss_size(spec, hi, absz, imz, explain=True):
                            f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 
-def _points(z):
-    """z as a complex128 array, and max|z|; a non-finite point is a ParameterError."""
+def _points(z, finite=True):
+    """z as a 1-D complex128 array, and max|z|; a z of more dimensions is a ParameterError, and
+    so, if finite, is a non-finite point."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if zs.ndim > 1:
+        raise ParameterError(f"z has shape {zs.shape}; z must be a scalar or a 1-D array")
     absz = float(np.abs(zs).max(initial=0.0))  # NaN or inf if any point is
-    if not math.isfinite(absz):
+    if finite and not math.isfinite(absz):
         raise ParameterError("non-finite argument; z must be finite")
     return zs, absz
 
@@ -178,7 +181,7 @@ def kbasis_closed(family, n: int, z):
         if not np.isfinite(out).all():
             raise lost
     else:
-        zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+        zs = _points(z, finite=False)[0]  # _miller refuses a non-finite x once z is real
         if (zs.imag != 0.0).any():
             raise ParameterError("Bessel-backed closed forms take real z only")
         x = math.pi * zs.real

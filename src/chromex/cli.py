@@ -32,6 +32,7 @@ from .families import (
     moment_jacobi_matrix,
     parse_family,
     recursion_coefficients,
+    require_finite,
 )
 from .orthopoly import cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
 
@@ -204,7 +205,9 @@ def cmd_apply_fir(args):
     else:
         f = _parse_function(args.signal, args.seed)
         idx = np.arange(-args.extent, args.extent + 1)
-        samples = f.value(idx.astype(float)).real
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite signal is refused below
+            samples = f.value(idx.astype(float)).real
+    require_finite(samples, "samples")
     N = filt.half_width
     return ["t", "output"], [(t, float(np.real(fir_design.apply_filter(filt, samples, t))))
                              for t in range(N, samples.size - N)]

@@ -59,11 +59,11 @@ class FamilyId:
         if self.tag not in FAMILY_TAGS:
             raise ParameterError(f"unknown family tag {self.tag!r}")
         if self.tag == "gegenbauer":
-            if self.a is None or not (self.a > -0.5) or self.a == 0.0:
-                raise ParameterError("gegenbauer requires a > -1/2 and a != 0")
+            if self.a is None or not (-0.5 < self.a < math.inf) or self.a == 0.0:
+                raise ParameterError("gegenbauer requires a finite a > -1/2 and a != 0")
         elif self.tag == "jacobi":
-            if self.a is None or self.b is None or not (self.a > -1.0 and self.b > -1.0):
-                raise ParameterError("jacobi requires a > -1 and b > -1")
+            if self.a is None or self.b is None or not (-1.0 < self.a < math.inf and -1.0 < self.b < math.inf):
+                raise ParameterError("jacobi requires finite a > -1 and b > -1")
         elif self.a is not None or self.b is not None:
             raise ParameterError(f"family {self.tag!r} takes no parameters")
         for name in ("a", "b"):  # -0.0 + 0.0 is +0.0: one spelling, one cache key, one name

@@ -3,11 +3,11 @@
 The design is weighted least squares on a band-edge-clustered frequency
 grid, optionally refined by Lawson iterations (iteratively reweighted
 least squares, which drives the solution toward the minimax optimum).
-The tap parity is imposed structurally: a cosine half-system for even
-operator orders, a sine half-system for odd orders, matching the parity
-of the target i^n p_n(w).  Real taps of that parity reproduce K^n only
-where p_n(-w) = (-1)^n p_n(w), as in the symmetric families; for
-jacobi(a, b) with a != b the misfit shows in passband_max_error.
+The tap parity is imposed structurally by one basis, _trig: cosines for
+even operator orders and sines for odd ones, matching the parity of the
+target i^n p_n(w).  Real taps of that parity reproduce K^n only where
+p_n(-w) = (-1)^n p_n(w), as in the symmetric families; for jacobi(a, b)
+with a != b the misfit shows in passband_max_error.
 
 The design matrix A is factored once, A = QR (R built _CHUNK rows at a
 time), and every Lawson reweighting solves its weighted problem on
@@ -42,7 +42,19 @@ class FirFilter:
     passband_edge: float
     stopband_edge: float
 
+    def __post_init__(self):  # checked wherever it is built: design_ls, load_filter or by hand
+        N = self.half_width
+        if N < 1:
+            raise ParameterError(f"half_width {N} is below 1")
+        if np.size(self.taps) != 2 * N + 1:
+            raise ParameterError(f"{np.size(self.taps)} taps, not 2*half_width+1 = {2 * N + 1}")
+        if not np.all(np.isfinite(self.taps)):
+            raise ParameterError("non-finite taps")
+        _check_edges(self.passband_edge, self.stopband_edge)
+
     def tap(self, k: int) -> float:
+        if abs(k) > self.half_width:
+            raise ParameterError(f"tap {k} outside -{self.half_width}..{self.half_width}")
         return float(self.taps[self.half_width + k])
 
 
@@ -53,6 +65,17 @@ class DesignReport:
     grid_size: int
     condition_number: float
     passband_median_relative_error: float
+
+
+def _check_edges(passband_edge, stopband_edge):
+    if not 0.0 < passband_edge < stopband_edge <= math.pi:
+        raise ParameterError("need 0 < passband_edge < stopband_edge <= pi")
+
+
+def _trig(omegas, n, k):
+    """The parity basis of K^n's taps c_{+-k} at frequencies omegas: 2 cos(w k) for even n,
+    2 sin(w k) for odd n, matching the parity of i^n p_n(w)."""
+    return 2.0 * (np.sin if n % 2 else np.cos)(np.outer(omegas, k))
 
 
 def _target_values(spec, n, omegas, target):
@@ -138,8 +161,7 @@ def design_ls(family, n: int, half_width: int,
         raise ParameterError("need n >= 0 and half_width >= 1")
     if n > 2 * half_width:
         raise ParameterError(f"operator order n={n} exceeds 2*half_width={2*half_width}")
-    if not 0.0 < passband_edge < stopband_edge <= math.pi:
-        raise ParameterError("need 0 < passband_edge < stopband_edge <= pi")
+    _check_edges(passband_edge, stopband_edge)
     if grid_density < 1:
         raise ParameterError(f"need grid_density >= 1, got {grid_density}")
     if not (math.isfinite(weight_ratio) and weight_ratio > 0):
@@ -152,10 +174,7 @@ def design_ls(family, n: int, half_width: int,
     w = np.where(in_pass, 1.0, float(weight_ratio))
 
     k = np.arange(1, half_width + 1)
-    if n % 2 == 0:
-        A = np.hstack([np.ones((omegas.size, 1)), 2.0 * np.cos(np.outer(omegas, k))])
-    else:
-        A = 2.0 * np.sin(np.outer(omegas, k))
+    A = np.hstack([np.ones((omegas.size, 1 - n % 2)), _trig(omegas, n, k)])  # c_0's column: even n only
 
     if refine_iterations > 0:
         w = _lawson_weights(A, tgt, w, refine_iterations)
@@ -168,14 +187,8 @@ def design_ls(family, n: int, half_width: int,
         )
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
 
-    taps = np.zeros(2 * half_width + 1)
-    if n % 2 == 0:
-        taps[half_width] = coef[0]
-        taps[half_width + 1 :] = coef[1:]
-        taps[:half_width] = coef[:0:-1]
-    else:
-        taps[half_width + 1 :] = coef
-        taps[:half_width] = -coef[::-1]
+    c0 = coef[0] if n % 2 == 0 else 0.0
+    taps = np.r_[(-1.0) ** n * coef[: -half_width - 1 : -1], c0, coef[-half_width:]]
     filt = FirFilter(spec.id, n, half_width, taps, passband_edge, stopband_edge)
 
     dense = np.linspace(0.0, math.pi, 8001)
@@ -184,10 +197,7 @@ def design_ls(family, n: int, half_width: int,
     td = _target_values(spec, n, dense, target)
     H = np.empty_like(dense)
     for s in range(0, dense.size, _CHUNK):  # the points x half_width matrix, _CHUNK rows at a time
-        if n % 2 == 0:
-            H[s : s + _CHUNK] = coef[0] + 2.0 * np.cos(np.outer(dense[s : s + _CHUNK], k)) @ coef[1:]
-        else:
-            H[s : s + _CHUNK] = 2.0 * np.sin(np.outer(dense[s : s + _CHUNK], k)) @ coef
+        H[s : s + _CHUNK] = c0 + _trig(dense[s : s + _CHUNK], n, k) @ coef[-half_width:]
     err = np.abs(H - td)
     nonzero = dpass & (np.abs(td) > 1e-300)
     rel_median = float(np.median(err[nonzero] / np.abs(td[nonzero]))) if nonzero.any() else np.inf
@@ -260,7 +270,7 @@ def load_filter(path: str) -> FirFilter:
     if not isinstance(doc, dict) or doc.get("format_version") != FILTER_FORMAT_VERSION:
         raise ParameterError(f"{path} is not a filter file of format version {FILTER_FORMAT_VERSION}")
     try:
-        filt = FirFilter(
+        return FirFilter(
             family=parse_family(doc["family"]),
             operator_order=int(doc["operator_order"]),
             half_width=int(doc["half_width"]),
@@ -268,19 +278,7 @@ def load_filter(path: str) -> FirFilter:
             passband_edge=float(doc["passband_edge"]),
             stopband_edge=float(doc["stopband_edge"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a family that is no string
         raise ParameterError(f"filter file {path} lacks or mistypes {exc}") from exc
-    N = filt.half_width
-    if N < 1:
-        raise ParameterError(f"filter file {path} has half_width {N}, below 1")
-    if filt.taps.size != 2 * N + 1:
-        raise ParameterError(
-            f"filter file {path} has {filt.taps.size} taps, not 2*half_width+1 = {2 * N + 1}"
-        )
-    if not np.all(np.isfinite(filt.taps)):
-        raise ParameterError(f"filter file {path} has non-finite taps")
-    if not 0.0 < filt.passband_edge < filt.stopband_edge <= math.pi:
-        raise ParameterError(
-            f"filter file {path} needs 0 < passband_edge < stopband_edge <= pi"
-        )
-    return filt
+    except ParameterError as exc:  # the file parsed, and FirFilter or parse_family refused it
+        raise ParameterError(f"filter file {path}: {exc}") from exc

@@ -11,10 +11,12 @@ from chromex import (
     ConvergenceError,
     NumericError,
     ParameterError,
+    Sinc,
     UnsupportedFamilyError,
     bessel_j,
     bessel_j_all,
     build_table,
+    chromatic_approximation,
     error_envelope,
     identity_exponential,
     kbasis_closed,
@@ -197,6 +199,23 @@ def test_non_finite_arguments_raise_parameter_error(z):
     if np.isrealobj(z):
         with pytest.raises(ParameterError, match=msg):
             error_envelope("legendre", 10, z)
+
+
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_u", "jacobi(0.5,-0.25)", "hermite", "laguerre"])
+@pytest.mark.parametrize("z", [np.full((2, 3), 0.5), np.zeros((1, 1)), np.full((3, 1), 0.25 + 0.5j)])
+def test_arguments_of_more_than_one_dimension_raise_parameter_error(family, z):
+    """Every entry point refuses a 2-D z with one message: numpy's broadcast error,
+    an IndexError or a (2, 3) result before, depending on the route."""
+    msg = "z must be a scalar or a 1-D array"
+    calls = [lambda: kbasis_rows(family, 0, 3, z),
+             lambda: error_envelope(family, 3, z.real),
+             lambda: chromatic_approximation(family, Sinc(), 0.3, 3, z),
+             lambda: identity_exponential(family, 1.0, z, 10)]
+    if family in ("legendre", "chebyshev_u", "hermite", "laguerre"):
+        calls.append(lambda: kbasis_closed(family, 3, z.real))
+    for call in calls:
+        with pytest.raises(ParameterError, match=msg):
+            call()
 
 
 def test_legendre_boundedness_on_reals():

@@ -179,6 +179,10 @@ def test_non_finite_argument_exit_code(capsys, argv):
     (["power-norm", "--function", "sinc", "--t", "nan", "--order", "5"], "t must be finite"),
     # a traceback (OverflowError) before
     (["families", "--family", "laguerre", "--orders", "200"], "mu_171 of laguerre overflows float64"),
+    # a traceback under -W error::RuntimeWarning before
+    (["families", "--family", "gegenbauer(inf)"], "gegenbauer requires a finite a"),
+    # "Jacobi matrix eigendecomposition failed" before
+    (["basis", "--family", "jacobi(0.5,inf)", "--n", "2", "--t=0:1:0.5"], "jacobi requires finite a"),
 ])
 def test_bad_argument_is_a_library_error(capsys, argv, message):
     code = main(argv)
@@ -378,6 +382,26 @@ def test_legendre_basis_past_the_old_series(capsys):
     rows = np.loadtxt(out.splitlines(), delimiter=",", skiprows=1)
     np.testing.assert_allclose(rows[:, 2], [-0.100536701487, 0.09074918503, -0.0820731797], rtol=1e-9)
     assert np.abs(rows[:, 2] - kbasis_closed("legendre", 10, rows[:, 0]).real).max() <= 1e-14
+
+
+@pytest.mark.parametrize("source", ["cos:nan", "exponential:nan", "cos:inf", "exponential:inf",
+                                    "exponential:1e308", "csv"])
+def test_apply_fir_refuses_non_finite_samples(capsys, tmp_path, source):
+    """NaN samples once printed NaN rows at exit 0, and an infinite or overflowing
+    frequency a RuntimeWarning traceback."""
+    filt = str(tmp_path / "k1.json")
+    assert main(["design-fir", "--n", "1", "--half-width", "2", "--filter-file", filt,
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    if source == "csv":
+        (tmp_path / "s.csv").write_text("x\n1.0\n2.0\nnan\n3.0\n4.0\n5.0\n")
+        argv = ["--samples", str(tmp_path / "s.csv")]
+    else:
+        argv = ["--signal", source, "--extent", "8"]
+    capsys.readouterr()
+    code = main(["apply-fir", "--filter-file", filt, *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: non-finite argument; samples must be finite\n"
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '{"format_version": 1}'])

@@ -52,6 +52,11 @@ def test_parameter_domains():
         FamilyId("jacobi", a=-1.0, b=0.0)
     with pytest.raises(ParameterError):
         FamilyId("legendre", a=1.0)
+    # an infinite parameter once gave recursion_coefficients("gegenbauer(inf)", 0) = (nan, 0.0)
+    # and a failed Jacobi matrix eigendecomposition for jacobi(0.5,inf)
+    for text in ("gegenbauer(inf)", "jacobi(0.5,inf)", "jacobi(inf,0.5)"):
+        with pytest.raises(ParameterError, match="requires (a )?finite"):
+            recursion_coefficients(text, 0)
     for text in ("nosuchfamily", "jacobi(0.5", "jacobi(a,b)", "gegenbauer(1,2)"):
         with pytest.raises(ParameterError):
             parse_family(text)

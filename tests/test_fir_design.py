@@ -14,12 +14,13 @@ from chromex import (
     design_ls,
     eval_all_p,
     eval_p_grid,
+    family_spec,
     load_filter,
     save_filter,
     shannon_decay_report,
     transfer_function,
 )
-from chromex.fir_design import _design_grid
+from chromex.fir_design import _design_grid, _lawson_weights, _target_values
 
 
 def test_tap_parity_structure():
@@ -39,6 +40,33 @@ def test_dc_response():
     assert abs(transfer_function(filt, 0.0) - 1.0) < 1e-5
     filt, _ = design_ls("legendre", 3, 16)
     assert abs(transfer_function(filt, 0.0)) < 1e-15  # antisymmetric taps
+
+
+def test_tap_is_bounded_by_the_half_width():
+    # tap(-half_width - 1) once read c_{half_width} through a negative index, and
+    # tap(half_width + 1) raised a bare IndexError
+    filt, _ = design_ls("legendre", 3, 4)
+    assert filt.tap(-4) == filt.taps[0] and filt.tap(4) == filt.taps[-1]
+    for k in (-5, 5, -100, 100):
+        with pytest.raises(ParameterError, match=f"tap {k} outside -4..4"):
+            filt.tap(k)
+
+
+@pytest.mark.parametrize("half_width, taps, edges, message", [
+    (2, np.zeros(4), (2.8, 3.0), "4 taps, not 2[*]half_width[+]1 = 5"),
+    (2, np.zeros(3), (2.8, 3.0), "3 taps, not"),
+    (0, np.zeros(1), (2.8, 3.0), "half_width 0 is below 1"),
+    (-1, np.zeros(1), (2.8, 3.0), "half_width -1 is below 1"),
+    (2, np.array([0.0, 0.0, math.nan, 0.0, 0.0]), (2.8, 3.0), "non-finite taps"),
+    (2, np.array([0.0, math.inf, 1.0, 0.0, 0.0]), (2.8, 3.0), "non-finite taps"),
+    (2, np.zeros(5), (0.0, 3.0), "passband_edge"),
+    (2, np.zeros(5), (3.0, 2.8), "passband_edge"),
+    (2, np.zeros(5), (2.8, 3.2), "stopband_edge <= pi"),
+    (2, np.zeros(5), (2.8, math.nan), "stopband_edge"),
+])
+def test_a_hand_built_filter_checks_itself(half_width, taps, edges, message):
+    with pytest.raises(ParameterError, match=message):
+        FirFilter(None, 0, half_width, taps, *edges)
 
 
 def test_transfer_function_trivia():
@@ -182,6 +210,62 @@ def test_apply_filter_is_the_plain_sum_bit_for_bit(rng):
 
 
 BOUNDED = ["legendre", "chebyshev_t", "chebyshev_u", "gegenbauer(1)", "jacobi(0.5,-0.25)"]
+
+
+def _three_branch_design(family, n, half_width, refine_iterations=8, target="operator"):
+    """design_ls as it was before its one parity basis, at the default bands, grid and
+    weights: the design matrix, the tap layout and the report each branch on n % 2.
+    Returns the taps and the five report fields."""
+    spec = family_spec(family)
+    omegas, in_pass = _design_grid(half_width, 0.9 * math.pi, 0.98 * math.pi, 16)
+    tgt = np.where(in_pass, _target_values(spec, n, omegas, target), 0.0)
+    w = np.where(in_pass, 1.0, 10.0)
+    k = np.arange(1, half_width + 1)
+    if n % 2 == 0:
+        A = np.hstack([np.ones((omegas.size, 1)), 2.0 * np.cos(np.outer(omegas, k))])
+    else:
+        A = 2.0 * np.sin(np.outer(omegas, k))
+    if refine_iterations > 0:
+        w = _lawson_weights(A, tgt, w, refine_iterations)
+    sw = np.sqrt(w)[:, None]
+    A *= sw
+    coef, _, _, sv = np.linalg.lstsq(A, tgt * sw[:, 0], rcond=None)
+    taps = np.zeros(2 * half_width + 1)
+    if n % 2 == 0:
+        taps[half_width] = coef[0]
+        taps[half_width + 1 :] = coef[1:]
+        taps[:half_width] = coef[:0:-1]
+    else:
+        taps[half_width + 1 :] = coef
+        taps[:half_width] = -coef[::-1]
+    dense = np.linspace(0.0, math.pi, 8001)
+    dpass, dstop = dense <= 0.9 * math.pi, dense >= 0.98 * math.pi
+    td = _target_values(spec, n, dense, target)
+    H = np.empty_like(dense)
+    for s in range(0, dense.size, 1024):
+        if n % 2 == 0:
+            H[s : s + 1024] = coef[0] + 2.0 * np.cos(np.outer(dense[s : s + 1024], k)) @ coef[1:]
+        else:
+            H[s : s + 1024] = 2.0 * np.sin(np.outer(dense[s : s + 1024], k)) @ coef
+    err = np.abs(H - td)
+    nonzero = dpass & (np.abs(td) > 1e-300)
+    return taps, (float(err[dpass].max()), float(np.abs(H[dstop]).max()), int(omegas.size),
+                  float(sv[0] / sv[-1]), float(np.median(err[nonzero] / np.abs(td[nonzero]))))
+
+
+@pytest.mark.parametrize("family", BOUNDED + ["jacobi(0.5,0.5)"])
+@pytest.mark.parametrize("half_width", [1, 2, 16, 45])
+def test_one_parity_basis_matches_the_three_branch_design_bit_for_bit(family, half_width):
+    """The taps and every report field of design_ls equal, bit for bit, those of the
+    design that branched on the parity of n for its matrix, its taps and its report."""
+    for n in [n for n in (0, 1, 2, 7, 31, 32) if n <= 2 * half_width]:
+        for kwargs in ({}, {"refine_iterations": 0}, {"target": "monomial"}):
+            filt, rep = design_ls(family, n, half_width, **kwargs)
+            taps, fields = _three_branch_design(family, n, half_width, **kwargs)
+            assert filt.taps.tobytes() == taps.tobytes()
+            got = (rep.passband_max_error, rep.stopband_max_magnitude, rep.grid_size,
+                   rep.condition_number, rep.passband_median_relative_error)
+            assert np.array(got).tobytes() == np.array(fields).tobytes()
 
 
 @pytest.mark.parametrize("family", BOUNDED)
@@ -338,6 +422,7 @@ def test_design_argument_guards(kwargs, name):
     ({"passband_edge": "3.0", "stopband_edge": "2.0"}, "passband_edge"),
     ({"stopband_edge": "3.2"}, "stopband_edge <= pi"),
     ({"stopband_edge": "nan"}, "stopband_edge"),
+    ({"family": 5}, "lacks or mistypes"),  # a traceback (AttributeError) before
 ])
 def test_load_filter_rejects_inconsistent_files(tmp_path, edit, message):
     filt, _ = design_ls("legendre", 2, 4)
