@@ -23,7 +23,7 @@ import numpy as np
 from . import expansions, fir_design, power_spaces
 from .basis_functions import kbasis_rows
 from .chromatic_core import build_table, orthonormality_matrix, table_for
-from .errors import ChromexError
+from .errors import ChromexError, ParameterError
 from .families import (
     FAMILY_TAGS,
     family_spec,
@@ -209,6 +209,9 @@ def cmd_apply_fir(args):
             samples = f.value(idx.astype(float)).real
     require_finite(samples, "samples")
     N = filt.half_width
+    if samples.size < 2 * N + 1:  # no t would have a full window: only the header would print
+        raise ParameterError(f"a filter of half_width {N} needs at least {2 * N + 1} samples; "
+                             f"{samples.size} given")
     return ["t", "output"], [(t, float(np.real(fir_design.apply_filter(filt, samples, t))))
                              for t in range(N, samples.size - N)]
 

@@ -208,55 +208,197 @@ def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
 
 def three_term(gam, bet, x) -> np.ndarray:
     """p_0..p_{len(gam)-1} at x, a float or a float64 array (then one row
-    per order), by the forward recurrence from p_{-1} = 0, p_0 = 1.  At a
-    float the step runs on Python floats through memoryviews: several
-    times faster than numpy scalars, and the same to the bit."""
+    per order), by the forward recurrence from p_{-1} = 0, p_0 = 1; at a
+    float, by _recur."""
     out = np.empty(gam.shape + np.shape(x))
     out[0] = 1.0
-    if np.ndim(x):
-        rows, p_prev, p = out, np.zeros_like(x), np.ones_like(x)
-    else:
-        x = float(x)
-        rows, p_prev, p = memoryview(out), 0.0, 1.0
-    g_prev = 1.0
+    if not np.ndim(x):
+        _recur(gam, bet, (float(x),), _p_steps, (0.0, 1.0), (out,))
+        return out
+    p_prev, p, g_prev = np.zeros_like(x), np.ones_like(x), 1.0
     for j, g, b in zip(range(1, len(gam)), memoryview(gam[:-1]), memoryview(bet)):
         p_prev, p = p, ((x + b) * p - g_prev * p_prev) / g
-        rows[j] = p
+        out[j] = p
         g_prev = g
     return out
 
 
-# Three loops run three_term's step, operand for operand, at Python floats, so their
-# values are its bits; an overflow stays inf or NaN at every later step, so end values show it.
-
 def three_term_pair(gam, bet, x: float, y: float):
     """(three_term(gam, bet, x), three_term(gam, bet, y)) from one loop."""
-    out_x, out_y = np.ones(len(gam)), np.ones(len(gam))
-    rows_x, rows_y = memoryview(out_x), memoryview(out_y)
-    px_prev, px, py_prev, py, g_prev = 0.0, 1.0, 0.0, 1.0, 1.0
-    for j, g, b in zip(range(1, len(gam)), memoryview(gam[:-1]), memoryview(bet)):
-        px_prev, px = px, ((x + b) * px - g_prev * px_prev) / g
-        py_prev, py = py, ((y + b) * py - g_prev * py_prev) / g
-        rows_x[j], rows_y[j], g_prev = px, py, g
-    return out_x, out_y
+    rows = np.ones(len(gam)), np.ones(len(gam))
+    _recur(gam, bet, (x, y), _pair_steps, (0.0, 1.0, 0.0, 1.0), rows)
+    return rows
+
+
+def three_term_jet(gam, bet, x: float) -> np.ndarray:
+    """Rows p_0..p_n and p'_0..p'_n at x, n = len(gam) - 1, p' by the differentiated step
+    p'_{n+1} = (p_n + (x + beta_n) p'_n - gamma_{n-1} p'_{n-1}) / gamma_n."""
+    rows = np.zeros((2, len(gam)))
+    rows[0, 0] = 1.0
+    _recur(gam, bet, (x,), _jet_steps, (0.0, 1.0, 0.0, 0.0), rows)
+    return rows
 
 
 def three_term_ends(gam, bet, x: float, y: float):
-    """(p_{n-1}(x), p_n(x), p_{n-1}(y), p_n(y)), n = len(gam) - 1 >= 1, keeping no array."""
-    px_prev, px, py_prev, py, g_prev = 0.0, 1.0, 0.0, 1.0, 1.0
-    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
+    """(p_{n-1}(x), p_n(x), p_{n-1}(y), p_n(y)), n = len(gam) - 1 >= 1, keeping no array of n."""
+    return _recur(gam, bet, (x, y), _ends_steps, (0.0, 1.0, 0.0, 1.0))
+
+
+def three_term_jet_ends(gam, bet, x: float):
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at x, n = len(gam) - 1 >= 1, keeping no array of n."""
+    return _recur(gam, bet, (x,), _jet_ends_steps, (0.0, 1.0, 0.0, 0.0))
+
+
+_HEAD = 4096        # orders up to this run on the float loops, bit for bit at every length
+_BLOCK = 64         # orders per lane
+_LANES = 256        # blocks per chunk, so the lane buffers stay a few hundred kB
+_MIN_BLOCKS = 64    # below this many whole blocks past the head, the float loop is as fast (measured)
+
+
+def _recur(gam, bet, xs, steps, state, rows=None):
+    """The state at order n = len(gam) - 1 from the state at order 0, for the floats xs.
+
+    steps, one of the float loops below, runs orders 1.._HEAD and the last partial
+    block; _lanes runs the whole blocks between, _LANES at a time, and below _MIN_BLOCKS
+    of them steps runs every order.  Where rows are given, orders 1..n are stored there.
+    An overflow stays inf or NaN at every later step, so the end values show it."""
+    n = len(gam) - 1
+    nblocks = (n - _HEAD) // _BLOCK
+    if nblocks < _MIN_BLOCKS:
+        return steps(gam, bet, xs, 0, n, state, rows)
+    mid = _HEAD + nblocks * _BLOCK
+    state = steps(gam, bet, xs, 0, _HEAD, state, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats overflow
+        for s in range(_HEAD, mid, _LANES * _BLOCK):
+            state = _lanes(gam, bet, xs, s, min(_LANES, (mid - s) // _BLOCK), state, rows)
+    return steps(gam, bet, xs, mid, n, state, rows)
+
+
+# The float loops: orders lo + 1..hi from the state at lo, on Python floats through
+# memoryviews, several times faster than numpy scalars.  Each runs three_term's step,
+# operand for operand, so their values are its bits.
+
+def _p_steps(gam, bet, xs, lo, hi, state, rows):
+    """p at x; stored in rows[0]."""
+    (x,), (p_prev, p), out = xs, state, memoryview(rows[0])
+    g_prev = float(gam[lo - 1]) if lo else 1.0
+    for j, g, b in zip(range(lo + 1, hi + 1), memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
+        p_prev, p = p, ((x + b) * p - g_prev * p_prev) / g
+        out[j] = p
+        g_prev = g
+    return p_prev, p
+
+
+def _pair_steps(gam, bet, xs, lo, hi, state, rows):
+    """p at x and at y; stored in rows[0] and rows[1]."""
+    (x, y), (px_prev, px, py_prev, py), out_x, out_y = xs, state, memoryview(rows[0]), memoryview(rows[1])
+    g_prev = float(gam[lo - 1]) if lo else 1.0
+    for j, g, b in zip(range(lo + 1, hi + 1), memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
+        px_prev, px = px, ((x + b) * px - g_prev * px_prev) / g
+        py_prev, py = py, ((y + b) * py - g_prev * py_prev) / g
+        out_x[j], out_y[j], g_prev = px, py, g
+    return px_prev, px, py_prev, py
+
+
+def _jet_steps(gam, bet, xs, lo, hi, state, rows):
+    """p and p' at x; stored in rows[0] and rows[1]."""
+    (x,), (p_prev, p, d_prev, d), out, dout = xs, state, memoryview(rows[0]), memoryview(rows[1])
+    g_prev = float(gam[lo - 1]) if lo else 1.0
+    for j, g, b in zip(range(lo + 1, hi + 1), memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
+        d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
+        p_prev, p = p, ((x + b) * p - g_prev * p_prev) / g
+        out[j], dout[j], g_prev = p, d, g
+    return p_prev, p, d_prev, d
+
+
+def _ends_steps(gam, bet, xs, lo, hi, state, rows):
+    """p at x and at y, stored nowhere."""
+    (x, y), (px_prev, px, py_prev, py) = xs, state
+    g_prev = float(gam[lo - 1]) if lo else 1.0
+    for g, b in zip(memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
         px_prev, px = px, ((x + b) * px - g_prev * px_prev) / g
         py_prev, py, g_prev = py, ((y + b) * py - g_prev * py_prev) / g, g
     return px_prev, px, py_prev, py
 
 
-def three_term_jet_ends(gam, bet, x: float):
-    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at x, n = len(gam) - 1 >= 1, keeping no array; p' as eval_all_p's."""
-    p_prev, p, d_prev, d, g_prev = 0.0, 1.0, 0.0, 0.0, 1.0
-    for g, b in zip(memoryview(gam[:-1]), memoryview(bet)):
+def _jet_ends_steps(gam, bet, xs, lo, hi, state, rows):
+    """p and p' at x, stored nowhere."""
+    (x,), (p_prev, p, d_prev, d) = xs, state
+    g_prev = float(gam[lo - 1]) if lo else 1.0
+    for g, b in zip(memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
         d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
         p_prev, p, g_prev = p, ((x + b) * p - g_prev * p_prev) / g, g
     return p_prev, p, d_prev, d
+
+
+def _lanes(gam, bet, xs, s, nb, state, rows):
+    """The state at order s + nb _BLOCK from the state at s, for the floats xs:
+    (p_{s-1}, p_s) per x, or (p_{s-1}, p_s, p'_{s-1}, p'_s) at one x; rows, if given,
+    get the orders between: p per x, or p and p' at one x.
+
+    Each of the nb blocks of _BLOCK orders, from its order t, runs as numpy lanes from
+    two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V, and their x-derivatives
+    U', V' run from 0.  _join then gives p_{t+i} = a U_i + c V_i, with (a, c) =
+    (p_{t-1} - p_t, p_{t-1} + p_t) / 2, and p'_{t+i} = a U'_i + c V'_i + e U_i + f V_i,
+    with (e, f) likewise from p'.  The unit starts (1, 0), (0, 1) would cancel about
+    64-fold in a U + c V: Laguerre's step tends to a Jordan block with eigenvector
+    (1, -1), and at a band edge it is (1, +-1)."""
+    width = len(state) // len(xs)
+    starts = np.array([[1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])[:, None, :width, None]
+
+    def cols(a, at):  # entry [i, k] is order at + k _BLOCK + i of a
+        return a[at : at + nb * _BLOCK].reshape(nb, _BLOCK).T
+
+    # step i: xb[i] is (len(xs), 1, nb), the lanes (len(xs), width, nb)
+    xb = cols(bet, s)[:, None, None, :] + np.array(xs)[:, None, None]
+    g, g_prev = cols(gam, s), cols(gam, s - 1)
+    store = None if rows is None else np.empty((_BLOCK, len(xs), width, nb))
+    prev, cur = starts.repeat(nb, axis=3)
+    for i in range(_BLOCK):
+        new = np.multiply(xb[i], cur, out=None if store is None else store[i])
+        if width == 4:
+            new[:, 2:] += cur[:, :2]
+        new -= g_prev[i] * prev
+        new /= g[i]
+        prev, cur = cur, new
+    coef = []
+    ends = np.concatenate([prev[:, :2], cur[:, :2], prev[:, 2:], cur[:, 2:]], axis=1)
+    state = sum((_join(state[q * width : q * width + width], e, coef) for q, e in enumerate(ends)), ())
+    if store is None:
+        return state
+    # p = a U + c V, p' = a U' + c V' + e U + f V, in place: p' first
+    for q, k in enumerate(np.array(coef).reshape(len(xs), nb, width).transpose(0, 2, 1)):
+        lanes, r = store[:, q], q * width // 2  # p at x q in rows[r], p' in rows[r + 1]
+        if width == 4:
+            d, t = lanes[:, 2], lanes[:, 3]
+            d *= k[0]
+            t *= k[1]
+            d += t
+            for lane, kk in ((0, 2), (1, 3)):  # V' is spent: it holds e U, then f V
+                d += np.multiply(lanes[:, lane], k[kk], out=t)
+            cols(rows[r + 1], s + 1)[:] = d
+        p, t = lanes[:, 0], lanes[:, 1]
+        p *= k[0]
+        t *= k[1]
+        p += t
+        cols(rows[r], s + 1)[:] = p
+    return state
+
+
+def _join(state, ends, coef):
+    """_lanes' float loop over the blocks at one x: the state after each block, from the
+    lanes' last two orders (U, V, then U', V'); each block's a, c (e, f) go to coef."""
+    for u_prev, v_prev, u, v, *d_ends in zip(*map(memoryview, ends)):
+        p_prev, p, *d_state = state
+        a, c = (p_prev - p) * 0.5, (p_prev + p) * 0.5
+        state = a * u_prev + c * v_prev, a * u + c * v
+        coef += a, c
+        if d_state:
+            (d_prev, d), (du_prev, dv_prev, du, dv) = d_state, d_ends
+            e, f = (d_prev - d) * 0.5, (d_prev + d) * 0.5
+            state += a * du_prev + c * dv_prev + e * u_prev + f * v_prev, a * du + c * dv + e * u + f * v
+            coef += e, f
+    return state
 
 
 def require_nonnegative(n: int, name: str = "N") -> int:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (FamilyId, family_spec, gamma_beta_arrays, require_finite,
-                       require_nonnegative, three_term, three_term_ends, three_term_jet_ends)
+from .families import (FamilyId, family_spec, gamma_beta_arrays, require_finite, require_nonnegative,
+                       three_term, three_term_ends, three_term_jet, three_term_jet_ends)
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,9 @@ def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyE
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
     x = require_finite(float(omega), "omega")
-    values = _finite(three_term(gam, bet, x), N)
-    dvals = np.zeros(N + 1) if derivatives else None
-    if derivatives:
-        out = memoryview(dvals)
-        d_prev, d, g_prev = 0.0, 0.0, 1.0
-        for n, (g, b, p) in enumerate(zip(memoryview(gam[:-1]), memoryview(bet), memoryview(values)), 1):
-            d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
-            out[n] = d
-            g_prev = g
-        _finite(dvals, N)
+    if not derivatives:
+        return PolyEvaluation(spec.id, N, _finite(three_term(gam, bet, x), N), None)
+    values, dvals = _finite(three_term_jet(gam, bet, x), N)
     return PolyEvaluation(spec.id, N, values, dvals)
 
 

@@ -404,6 +404,28 @@ def test_apply_fir_refuses_non_finite_samples(capsys, tmp_path, source):
     assert captured.err == "error: non-finite argument; samples must be finite\n"
 
 
+@pytest.mark.parametrize("source, given", [("7", 15), ("-3", 0), ("csv", 16)])
+def test_apply_fir_refuses_too_few_samples(capsys, tmp_path, source, given):
+    """Fewer than 2 half_width + 1 samples once printed only the header at exit 0."""
+    filt = str(tmp_path / "k1.json")
+    assert main(["design-fir", "--n", "1", "--half-width", "8", "--filter-file", filt,
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    if source == "csv":
+        (tmp_path / "s.csv").write_text("x\n" + "1.0\n" * given)
+        argv = ["--samples", str(tmp_path / "s.csv")]
+    else:
+        argv = ["--extent", source]
+    capsys.readouterr()
+    code = main(["apply-fir", "--filter-file", filt, *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: a filter of half_width 8 needs at least 17 samples; {given} given\n"
+    # exactly 2 half_width + 1 samples give one output
+    code, out = run(capsys, "apply-fir", "--filter-file", filt, "--extent", "8")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2 and lines[1].startswith("8,")
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"format_version": 1}'])
 def test_json_that_is_not_a_filter_is_a_library_error(capsys, tmp_path, text):
     filt = tmp_path / "f.json"

@@ -8,6 +8,16 @@ output must be bitwise equal to theirs.  ``orthonormality_matrix`` is the
 one exception: it now divides by sqrt(s * sum w) instead of multiplying
 by sqrt(w), and is compared within ten machine epsilons.
 
+That holds at a float argument through order 4096 (``families._HEAD``),
+and at every order while fewer than ``_MIN_BLOCKS`` whole blocks of 64
+orders lie past it: there the float loops run.  Past that, whole blocks
+run as numpy lanes from the start states (p_{s-1}, p_s) = (1, -1) and
+(1, 1), joined by one float loop over the blocks.  Those values are held
+within c N eps times the running RMS of p (of p' for p') of an 80-bit
+loop on the same float64 coefficients, the end-value kernels behind
+``cd_kernel`` and ``cd_diagonal`` equal the full-array route to the bit,
+and ``sigma_sequence``'s two-argument rows equal ``three_term`` at each.
+
 ``gamma_beta_ld_scalar`` and ``gamma_beta_arrays_loop`` are the per-order
 80-bit formulas and loop that the blocked array expressions replaced, and
 ``derivative_loop`` is the numpy-scalar loop of ``eval_all_p``'s
@@ -43,7 +53,11 @@ from chromex import (
     sigma_sequence,
 )
 from chromex.families import (
+    _BLOCK,
     _COEFF_BLOCK,
+    _HEAD,
+    _LANES,
+    _MIN_BLOCKS,
     PI_LD,
     family_spec,
     gamma_beta_arrays,
@@ -193,6 +207,22 @@ def derivative_loop(gam, bet, p, omega):
         dm1, d = d, dn
         dvals[n + 1] = d
     return dvals
+
+
+def jet_loop_80(gam, bet, omega):
+    """p and p' by derivative_loop's steps in 80-bit arithmetic on the float64
+    coefficients, each order rounded to float64 once."""
+    g, b = gam.astype(np.longdouble), bet.astype(np.longdouble)
+    x, one = np.longdouble(omega), np.longdouble(1.0)
+    p, d = np.empty(len(gam)), np.empty(len(gam))
+    p[0], d[0] = 1.0, 0.0
+    pm1, pc, dm1, dc, gm1 = 0 * one, one, 0 * one, 0 * one, one
+    for j in range(len(gam) - 1):
+        xb = x + b[j]
+        dm1, dc = dc, (pc + xb * dc - gm1 * dm1) / g[j]
+        pm1, pc = pc, (xb * pc - gm1 * pm1) / g[j]
+        p[j + 1], d[j + 1], gm1 = pc, dc, g[j]
+    return p, d
 
 
 def assert_bitwise(got, want):
@@ -474,3 +504,85 @@ def test_one_pass_loops_peak_memory(call, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit
+
+
+# orders that end at, next to and one block past the head, all on the float loops
+HEAD_EDGES = (_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + _BLOCK)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_float_loops_are_bitwise_at_the_head(family):
+    for i, N in enumerate(HEAD_EDGES):
+        om, sg = ((0.4, 1.3), (1.3, 0.0))[i % 2]
+        gam, bet = gamma_beta_arrays(family, N + 1)
+        po, ps = poly_sequence_loop(gam, bet, om), poly_sequence_loop(gam, bet, sg)
+        d = derivative_loop(gam, bet, po, om)
+        ev = eval_all_p(family, N, om, derivatives=True)
+        assert_bitwise(ev.values, po[: N + 1])
+        assert_bitwise(ev.derivative_values, d[: N + 1])
+        assert_bitwise(eval_all_p(family, N, sg).values, ps[: N + 1])
+        assert cd_kernel(family, N, om, sg) == float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
+        assert cd_diagonal(family, N, om) == float(gam[N] * (d[N + 1] * po[N] - po[N + 1] * d[N]))
+        den = np.cumsum(1.0 / gam[: N + 1])
+        # no |p| passes 1e100 here, so pair_products_loop is the plain products
+        assert_bitwise(nu_sequence(family, Exponential(om), 0.0, N).values, np.cumsum(po[: N + 1] ** 2) / den)
+        assert_bitwise(sigma_sequence(family, om, sg, 0.0, N).values,
+                       np.abs(np.cumsum(po[: N + 1] * ps[: N + 1])) / den)
+
+
+# (family, omega, c): legendre at +-3.1 is near the band edge +-pi and laguerre's step
+# tends to a Jordan block, where the unit start basis (1, 0), (0, 1) would cancel; there
+# the running sums of p^2 that nu divides moved by 22 and 21 times more.  At laguerre
+# the float loop itself is off by 33 N eps times the running RMS of p, and 56 for p'.
+LANE_CASES = [("legendre", 3.1, 1), ("legendre", -3.1, 1), ("legendre", 2.1, 1), ("laguerre", 1.7, 50),
+              ("hermite", 2.3, 1), ("herron", 0.9, 1), ("jacobi(0.5,-0.25)", 1.1, 1), ("chebyshev_t", 2.5, 1)]
+
+
+@pytest.mark.parametrize("family, omega, c", LANE_CASES)
+def test_lanes_track_an_80_bit_loop(family, omega, c):
+    """p within c N eps of the running RMS of p, p' within 2 c N eps of its own, and
+    the running sums of p^2 within c N eps / 100, relative."""
+    N = 200_000
+    gam, bet = gamma_beta_arrays(family, N)
+    ev = eval_all_p(family, N, omega, derivatives=True)
+    assert_bitwise(ev.values, three_term(gam, bet, omega))
+    p80, d80 = jet_loop_80(gam, bet, omega)
+    bound = c * N * np.finfo(float).eps
+    for got, want, factor in ((ev.values, p80, 1), (ev.derivative_values, d80, 2)):
+        rms = np.sqrt(np.cumsum(want * want) / np.arange(1, N + 2))
+        assert (np.abs(got - want) <= factor * bound * rms).all()
+    sums = np.cumsum(p80 * p80)
+    assert (np.abs(np.cumsum(ev.values ** 2) - sums) <= bound / 100 * sums).all()
+
+
+# the last order on the float loops, the first with lanes, lanes and a float tail,
+# lanes in two chunks, and aim 1's largest power sum
+SWITCH = _HEAD + _MIN_BLOCKS * _BLOCK
+PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _HEAD + _LANES * _BLOCK + 5, 200_000)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_end_values_are_the_full_arrays_past_the_head(family):
+    # cd_kernel and cd_diagonal run to order N + 1: at SWITCH - 2 the float loops, from SWITCH - 1 the lanes;
+    # sigma_sequence's pair rows, to order N, are checked against three_term once per argument
+    i = ALL_FAMILIES.index(family)
+    for j, N in enumerate(PAST_HEAD):
+        _same_as_before(family, N, *PAIRS[(i + j) % 4])
+
+
+def test_magnitude_guard_trips_past_the_head():
+    # legendre at omega = 3.143, just past the band edge pi: |p_n| first passes
+    # 1e100 at n = 7653, on the float loop and, from N = 20000, on the lanes alike
+    first = 7653
+    assert first > _HEAD and (20_000 - _HEAD) // _BLOCK >= _MIN_BLOCKS
+    gam, bet = gamma_beta_arrays("legendre", 20_000)
+    assert np.flatnonzero(np.abs(poly_sequence_loop(gam[: first + 1], bet, 3.143)) > 1e100).tolist() == [first]
+    assert np.flatnonzero(np.abs(three_term(gam, bet, 3.143)) > 1e100)[0] == first
+    nu_sequence("legendre", Exponential(3.143), 0.0, first - 1)
+    sigma_sequence("legendre", 3.143, 0.5, 0.0, first - 1)
+    for N in (first, 20_000, 200_000):
+        for call, args in ((nu_sequence, (Exponential(3.143), 0.0, N)), (sigma_sequence, (3.143, 0.5, 0.0, N)),
+                           (sigma_sequence, (0.5, 3.143, 0.0, N))):
+            with pytest.raises(NumericError) as exc:
+                call("legendre", *args)
+            assert str(exc.value) == GUARD
