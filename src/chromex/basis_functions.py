@@ -120,7 +120,7 @@ def kbasis_rows(family, lo: int, hi: int, z):
             raise ConvergenceError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
                                    "z is near a pole or |Im z| is too large")
         return rows
-    imz = float(np.abs(zs.imag).max())
+    imz = float(np.abs(zs.imag).max(initial=0.0))
     nodes, A, xp, H = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
     rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
     half = H is not None and imz == 0.0
@@ -157,6 +157,7 @@ def kbasis_series(table: ChromaticTable, n: int, z):
 def kbasis_closed(family, n: int, z):
     """Printed closed forms of K^n[m](z); kbasis_rows is the general fallback.  Where a printed
     form loses a factor to over- or underflow, or is not finite, a NumericError names it."""
+    require_nonnegative(n, "n")
     spec = family_spec(family)
     tag = spec.tag
     if tag in ("gegenbauer", "jacobi"):

@@ -50,7 +50,6 @@ serves every caller that has no width of its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,7 +138,8 @@ class ConversionMatrices:
     computations: k2d_scaled[n][k] = k2d[n][k] k! maps Taylor coefficients
     f^(k)/k! to chromatic values, and d2k_scaled[n][k] = d2k[n][k]/n!
     maps chromatic values back to Taylor coefficients, keeping every
-    factorial inside a ratio that stays representable.
+    factorial inside a ratio that stays representable.  d2k itself, whose
+    n! overflows float64 past N = 170, is not stored.
     """
 
     family: FamilyId
@@ -148,16 +148,9 @@ class ConversionMatrices:
     k2d_scaled: np.ndarray
     d2k_scaled: np.ndarray
 
-    @property
-    def d2k(self) -> np.ndarray:
-        if self.N > 170:
-            raise HorizonError("d2k with explicit n! overflows for N > 170")
-        fac = np.array([math.factorial(n) for n in range(self.N + 1)], dtype=np.float64)
-        return self.d2k_scaled * fac[:, None]
-
 
 def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> ConversionMatrices:
-    """Build both change-of-basis matrices; d2k is read off the table."""
+    """Build both change-of-basis matrices; d2k_scaled is read off the table."""
     spec = family_spec(family)
     if table is None:
         # only the (N+1) x (N+1) corner is read

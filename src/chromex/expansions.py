@@ -18,7 +18,7 @@ from .chromatic_core import (
     taylor_from_chromatic_jet,
 )
 from .errors import ParameterError
-from .families import FamilyId, _gauss_pass, family_spec, require_finite
+from .families import FamilyId, _gauss_pass, family_spec, require_finite, require_nonnegative
 from .orthopoly import eval_all_p, eval_p_grid
 
 
@@ -129,7 +129,7 @@ def _sinc_jets(family, ts, N):
     As sum_k |K^k_leg|^2 <= 1, row n rounds off by about (N + 1) eps c_n, where
     c_n = ||C[n, :]||_2 also bounds |K^n[sinc]| (Cauchy-Schwarz)."""
     spec = family_spec(family)
-    n = np.arange(N + 1)
+    n = np.arange(require_nonnegative(N) + 1)
     js = _miller(True, N, math.pi * require_finite(np.asarray(ts), "t"), range(N + 1))
     jets = (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
     return jets if spec.tag == "legendre" else _sinc_connection(spec.id, N) @ jets

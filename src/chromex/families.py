@@ -230,15 +230,6 @@ def three_term_pair(gam, bet, x: float, y: float):
     return rows
 
 
-def three_term_jet(gam, bet, x: float) -> np.ndarray:
-    """Rows p_0..p_n and p'_0..p'_n at x, n = len(gam) - 1, p' by the differentiated step
-    p'_{n+1} = (p_n + (x + beta_n) p'_n - gamma_{n-1} p'_{n-1}) / gamma_n."""
-    rows = np.zeros((2, len(gam)))
-    rows[0, 0] = 1.0
-    _recur(gam, bet, (x,), _jet_steps, (0.0, 1.0, 0.0, 0.0), rows)
-    return rows
-
-
 def three_term_ends(gam, bet, x: float, y: float):
     """(p_{n-1}(x), p_n(x), p_{n-1}(y), p_n(y)), n = len(gam) - 1 >= 1, keeping no array of n."""
     return _recur(gam, bet, (x, y), _ends_steps, (0.0, 1.0, 0.0, 1.0))
@@ -300,17 +291,6 @@ def _pair_steps(gam, bet, xs, lo, hi, state, rows):
     return px_prev, px, py_prev, py
 
 
-def _jet_steps(gam, bet, xs, lo, hi, state, rows):
-    """p and p' at x; stored in rows[0] and rows[1]."""
-    (x,), (p_prev, p, d_prev, d), out, dout = xs, state, memoryview(rows[0]), memoryview(rows[1])
-    g_prev = float(gam[lo - 1]) if lo else 1.0
-    for j, g, b in zip(range(lo + 1, hi + 1), memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
-        d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
-        p_prev, p = p, ((x + b) * p - g_prev * p_prev) / g
-        out[j], dout[j], g_prev = p, d, g
-    return p_prev, p, d_prev, d
-
-
 def _ends_steps(gam, bet, xs, lo, hi, state, rows):
     """p at x and at y, stored nowhere."""
     (x, y), (px_prev, px, py_prev, py) = xs, state
@@ -333,12 +313,12 @@ def _jet_ends_steps(gam, bet, xs, lo, hi, state, rows):
 
 def _lanes(gam, bet, xs, s, nb, state, rows):
     """The state at order s + nb _BLOCK from the state at s, for the floats xs:
-    (p_{s-1}, p_s) per x, or (p_{s-1}, p_s, p'_{s-1}, p'_s) at one x; rows, if given,
-    get the orders between: p per x, or p and p' at one x.
+    (p_{s-1}, p_s) per x, or (p_{s-1}, p_s, p'_{s-1}, p'_s) at one x.  Where rows are
+    given, the state is p alone, and rows get p per x at the orders between.
 
     Each of the nb blocks of _BLOCK orders, from its order t, runs as numpy lanes from
-    two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V, and their x-derivatives
-    U', V' run from 0.  _join then gives p_{t+i} = a U_i + c V_i, with (a, c) =
+    two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V, and U', V' (d/dx)
+    run from 0.  _join then gives p_{t+i} = a U_i + c V_i, with (a, c) =
     (p_{t-1} - p_t, p_{t-1} + p_t) / 2, and p'_{t+i} = a U'_i + c V'_i + e U_i + f V_i,
     with (e, f) likewise from p'.  The unit starts (1, 0), (0, 1) would cancel about
     64-fold in a U + c V: Laguerre's step tends to a Jordan block with eigenvector
@@ -366,22 +346,13 @@ def _lanes(gam, bet, xs, s, nb, state, rows):
     state = sum((_join(state[q * width : q * width + width], e, coef) for q, e in enumerate(ends)), ())
     if store is None:
         return state
-    # p = a U + c V, p' = a U' + c V' + e U + f V, in place: p' first
-    for q, k in enumerate(np.array(coef).reshape(len(xs), nb, width).transpose(0, 2, 1)):
-        lanes, r = store[:, q], q * width // 2  # p at x q in rows[r], p' in rows[r + 1]
-        if width == 4:
-            d, t = lanes[:, 2], lanes[:, 3]
-            d *= k[0]
-            t *= k[1]
-            d += t
-            for lane, kk in ((0, 2), (1, 3)):  # V' is spent: it holds e U, then f V
-                d += np.multiply(lanes[:, lane], k[kk], out=t)
-            cols(rows[r + 1], s + 1)[:] = d
-        p, t = lanes[:, 0], lanes[:, 1]
-        p *= k[0]
-        t *= k[1]
+    # p = a U + c V, in place
+    for q, (a, c) in enumerate(np.array(coef).reshape(len(xs), nb, 2).transpose(0, 2, 1)):
+        p, t = store[:, q, 0], store[:, q, 1]
+        p *= a
+        t *= c
         p += t
-        cols(rows[r], s + 1)[:] = p
+        cols(rows[q], s + 1)[:] = p
     return state
 
 

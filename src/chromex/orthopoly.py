@@ -8,15 +8,14 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .families import (FamilyId, family_spec, gamma_beta_arrays, require_finite, require_nonnegative,
-                       three_term, three_term_ends, three_term_jet, three_term_jet_ends)
+                       three_term, three_term_ends, three_term_jet_ends)
 
 
 @dataclass(frozen=True)
 class PolyEvaluation:
     family: FamilyId
     degree: int
-    values: np.ndarray                    # p_0(omega) .. p_N(omega)
-    derivative_values: np.ndarray | None  # p'_0(omega) .. p'_N(omega)
+    values: np.ndarray  # p_0(omega) .. p_N(omega)
 
 
 def _finite(a, N: int):
@@ -27,20 +26,15 @@ def _finite(a, N: int):
     return a
 
 
-def eval_all_p(family, N: int, omega: float, derivatives: bool = False) -> PolyEvaluation:
+def eval_all_p(family, N: int, omega: float) -> PolyEvaluation:
     """Evaluate p_0..p_N at a single omega by the forward recurrence.
 
-    With derivatives=True also returns p'_n via the differentiated
-    recurrence p'_{n+1} = (p_n + (w+beta_n) p'_n)/gamma_n - (gamma_{n-1}/gamma_n) p'_{n-1}.
     Raises NumericError once a value overflows float64.
     """
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
     x = require_finite(float(omega), "omega")
-    if not derivatives:
-        return PolyEvaluation(spec.id, N, _finite(three_term(gam, bet, x), N), None)
-    values, dvals = _finite(three_term_jet(gam, bet, x), N)
-    return PolyEvaluation(spec.id, N, values, dvals)
+    return PolyEvaluation(spec.id, N, _finite(three_term(gam, bet, x), N))
 
 
 def eval_p_grid(family, N: int, omegas) -> np.ndarray:

@@ -106,6 +106,13 @@ def test_closed_unsupported_families():
             kbasis_closed(family, 2, 0.5)
 
 
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_t", "chebyshev_u", "hermite", "laguerre", "herron"])
+def test_closed_refuses_a_negative_order(family):
+    # laguerre, herron and both chebyshevs once returned numbers at n = -1 (laguerre -2 at z = 0.5)
+    with pytest.raises(ParameterError, match="^n must be nonnegative$"):
+        kbasis_closed(family, -1, 0.5)
+
+
 @pytest.mark.parametrize("family", ["legendre", "chebyshev_t", "chebyshev_u", "hermite"])
 def test_series_matches_closed_weakly_bounded(family):
     t = build_table(family, 20, 200)

@@ -183,6 +183,9 @@ def test_non_finite_argument_exit_code(capsys, argv):
     (["families", "--family", "gegenbauer(inf)"], "gegenbauer requires a finite a"),
     # "Jacobi matrix eigendecomposition failed" before
     (["basis", "--family", "jacobi(0.5,inf)", "--n", "2", "--t=0:1:0.5"], "jacobi requires finite a"),
+    # a traceback (max() of an empty row list) before
+    (["expand", "--function", "sinc", "--order", "-1"], "N must be nonnegative"),
+    (["compare", "--order", "-1"], "N must be nonnegative"),
 ])
 def test_bad_argument_is_a_library_error(capsys, argv, message):
     code = main(argv)

@@ -158,6 +158,17 @@ def test_local_scalar_matches_norm():
     assert s.real == pytest.approx(local_norm_sq("legendre", f, 0.4, 50), rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ["legendre", "chebyshev_t"])
+@pytest.mark.parametrize("f", [Sinc(), ShannonCombo(np.array([0.5, -1.0, 2.0]), -1)])
+def test_sinc_jets_refuse_a_negative_order(family, f):
+    # each raised a bare ValueError (max() of an empty row list) before
+    for call in (lambda: chromatic_approximation(family, f, 0.0, -1, 0.5),
+                 lambda: local_norm_sq(family, f, 0.0, -1),
+                 lambda: local_scalar(family, f, f, 0.0, -1)):
+        with pytest.raises(ParameterError, match="^N must be nonnegative$"):
+            call()
+
+
 def test_convolution_center_independence():
     f = Sinc()
     vals = [local_convolution("legendre", f, f, u, 0.8, 60) for u in (0.0, 0.8, 0.4)]

@@ -274,6 +274,13 @@ def test_rows_refuse_what_no_route_certifies():
         kbasis_rows("legendre", 3, 2, 0.5)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_rows_at_no_points(family):
+    # the Gauss route once raised numpy's "zero-size array to reduction operation maximum"
+    assert kbasis_rows(family, 2, 7, []).shape == (6, 0)
+    assert error_envelope(family, 7, []).shape == (0,)
+
+
 @pytest.mark.parametrize("family, hi", [("legendre", 10), ("chebyshev_t", 0), ("jacobi(0.5,-0.25)", 40)])
 def test_gauss_refusal_names_the_reach_it_certifies(family, hi):
     reach = None

@@ -86,16 +86,6 @@ def test_grid_matches_scalar_evaluation():
         )
 
 
-def test_derivative_recurrence_matches_finite_difference():
-    h = 1e-6
-    for fam in ("legendre", "laguerre"):
-        ev = eval_all_p(fam, 15, 0.8, derivatives=True)
-        plus = eval_all_p(fam, 15, 0.8 + h).values
-        minus = eval_all_p(fam, 15, 0.8 - h).values
-        fd = (plus - minus) / (2 * h)
-        np.testing.assert_allclose(ev.derivative_values, fd, rtol=1e-7, atol=1e-7)
-
-
 @pytest.mark.parametrize("family", ["gegenbauer(2.5)", "gegenbauer(-0.3)", "jacobi(0.5,-0.5)"])
 def test_orthonormality_at_general_parameters(family):
     nodes, w = gauss_quadrature(family, 48)
@@ -106,7 +96,7 @@ def test_orthonormality_at_general_parameters(family):
 
 @pytest.mark.parametrize("call, name", [
     (lambda w: eval_all_p("hermite", 3, w), "omega"),
-    (lambda w: eval_all_p("legendre", 3, w, derivatives=True), "omega"),
+    (lambda w: cd_diagonal("legendre", 3, w), "omega"),
     (lambda w: eval_p_grid("hermite", 3, [0.5, w]), "omega"),
     (lambda w: cd_kernel("hermite", 3, w, 0.5), "omega"),
     (lambda w: cd_kernel("laguerre", 3, 0.5, w), "sigma"),
