@@ -9,13 +9,10 @@ target i^n p_n(w).  Real taps of that parity reproduce K^n only where
 p_n(-w) = (-1)^n p_n(w), as in the symmetric families; for jacobi(a, b)
 with a != b the misfit shows in passband_max_error.
 
-The design matrix A is factored once, A = QR (R built _CHUNK rows at a
-time), and every Lawson reweighting solves its weighted problem on
-B = A R^-1, whose columns are orthonormal to rounding: the (h+1)-square
-normal equations (B^T W B) y = B^T W t stay well conditioned (below 6e4
-up to half-width 128) however far the weights spread.  Only the last
-solve, on the final weights, is a full least-squares (gelsd) call; it
-gives the taps and the reported condition number.
+The design matrix A is factored once, and every solve runs on that one
+QR, the reported condition number included (_solve_ls); the report reads
+the response on its 8001 dense frequencies from one real FFT of the taps
+(_response), so its cost does not grow with the half-width.
 """
 
 from __future__ import annotations
@@ -43,6 +40,10 @@ class FirFilter:
     stopband_edge: float
 
     def __post_init__(self):  # checked wherever it is built: design_ls, load_filter or by hand
+        for name in ("operator_order", "half_width"):  # int() would read 2.7 as 2 and true as 1
+            value = getattr(self, name)
+            if not _integral(value):
+                raise ParameterError(f"{name} {value!r} is not an integer")
         N = self.half_width
         if N < 1:
             raise ParameterError(f"half_width {N} is below 1")
@@ -53,6 +54,8 @@ class FirFilter:
         _check_edges(self.passband_edge, self.stopband_edge)
 
     def tap(self, k: int) -> float:
+        if not _integral(k):
+            raise ParameterError(f"tap index {k!r} is not an integer")
         if abs(k) > self.half_width:
             raise ParameterError(f"tap {k} outside -{self.half_width}..{self.half_width}")
         return float(self.taps[self.half_width + k])
@@ -65,6 +68,10 @@ class DesignReport:
     grid_size: int
     condition_number: float
     passband_median_relative_error: float
+
+
+def _integral(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_edges(passband_edge, stopband_edge):
@@ -89,6 +96,20 @@ def _target_values(spec, n, omegas, target):
     return (-1.0) ** (n // 2) * vals
 
 
+_DENSE = 8000  # the report reads the response at j pi / _DENSE, j = 0.._DENSE
+
+
+def _response(taps, n):
+    """H(w_j) = sum_k c_k e^{i k w_j} at w_j = j pi / _DENSE, in _trig's parity basis.
+    rfft gives the conjugate of H, which is real for even n and i times _trig's
+    real sum for odd n."""
+    half_width = taps.size // 2
+    x = np.zeros(2 * _DENSE)
+    np.add.at(x, np.arange(-half_width, half_width + 1) % x.size, taps)  # c_k at k mod 2 _DENSE
+    X = np.fft.rfft(x)
+    return X.real if n % 2 == 0 else -X.imag
+
+
 def _design_grid(half_width, passband_edge, stopband_edge, grid_density):
     total = grid_density * (2 * half_width + 1)
     npass = max(int(total * 0.85), 8)
@@ -103,25 +124,37 @@ def _design_grid(half_width, passband_edge, stopband_edge, grid_density):
     return omegas, in_pass
 
 
-def _lawson_weights(A, tgt, w, iterations):
-    """The weights after `iterations` Lawson updates, each solved on one QR of A.
+def _check_rank(sv, m, n):
+    """Refuse an m x n system with a singular value in sv below eps max(m, n) sv_max,
+    the default rank threshold of numpy's least squares."""
+    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(m, n) * sv[0]))
+    if rank < n:
+        raise NumericError(f"ill-conditioned design system (rank {rank} of {n})")
 
-    With A = QR, B = A R^-1 spans range(A) with orthonormal columns to
-    rounding, so each weighted least-squares step is the (h+1)-square
-    system (B^T W B) y = B^T W tgt, whose residual B y - tgt is A's.
+
+def _solve_ls(A, tgt, w, iterations):
+    """The coefficients c of the weighted least-squares fit A c ~ tgt after
+    `iterations` Lawson updates of the weights w, and the condition number of
+    the last weighted system W^1/2 A.  A is overwritten.
+
+    A is factored once, A = QR, and B = A R^-1 spans range(A) with orthonormal
+    columns to rounding.  Every solve, the first, each reweighting and the last,
+    is the (h+1)-square system (B^T W B) y = B^T W tgt, whose residual B y - tgt
+    is A's; c = R^-1 y, by the R^-1 that formed B, so A c is B y.  With
+    L = chol(B^T W B), (W^1/2 A)^T (W^1/2 A) = (L^T R)^T (L^T R), so L^T R has
+    the weighted singular values.
     """
     m, n = A.shape
     R = np.empty((0, n))
     for s in range(0, m, _CHUNK):  # R of A = QR, _CHUNK rows at a time: qr copies its argument
         R = np.linalg.qr(np.vstack([R, A[s : s + _CHUNK]]), mode="r")
-    # R's singular values are A's; lstsq's rank threshold (rcond=None) on them
-    sv = np.linalg.svd(R, compute_uv=False)
-    rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(m, n) * sv[0]))
-    if rank < n:
-        raise NumericError(f"ill-conditioned design system (rank {rank} of {n})")
-    B = A @ np.linalg.inv(R)
+    _check_rank(np.linalg.svd(R, compute_uv=False), m, n)  # R's singular values are A's
+    Rinv = np.linalg.inv(R)
+    for s in range(0, m, _CHUNK):  # B = A R^-1 overwrites A, _CHUNK rows at a time
+        A[s : s + _CHUNK] = A[s : s + _CHUNK] @ Rinv
+    B = A
     Bs = np.empty((min(m, _CHUNK), n))
-    for it in range(iterations):
+    for it in range(iterations + 1):
         sw = np.sqrt(w)[:, None]
         G = np.zeros((n, n))
         for s in range(0, m, _CHUNK):  # B^T W B, _CHUNK weighted rows at a time
@@ -133,10 +166,17 @@ def _lawson_weights(A, tgt, w, iterations):
             raise NumericError(f"Lawson iteration {it + 1}: {exc}") from exc
         if not np.all(np.isfinite(y)):
             raise NumericError(f"Lawson iteration {it + 1} has a non-finite solution")
-        r = np.abs(B @ y - tgt)
-        w = w * (r + 1e-3 * r.max())
-        w *= m / w.sum()
-    return w
+        if it < iterations:
+            r = np.abs(B @ y - tgt)
+            w = w * (r + 1e-3 * r.max())
+            w *= m / w.sum()
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"the final weighted system: {exc}") from exc
+    sv = np.linalg.svd(L.T @ R, compute_uv=False)
+    _check_rank(sv, m, n)
+    return Rinv @ y, float(sv[0] / sv[-1])
 
 
 def design_ls(family, n: int, half_width: int,
@@ -149,8 +189,8 @@ def design_ls(family, n: int, half_width: int,
     """Design taps for K^n (or the monomial contrast target (w/pi)^n).
 
     Returns (FirFilter, DesignReport).  weight_ratio is the stopband
-    weight relative to the passband; refine_iterations > 0 applies Lawson
-    reweighting after the initial least-squares solve.
+    weight relative to the passband; refine_iterations Lawson
+    reweightings follow the initial least-squares solve.
     """
     spec = family_spec(family)
     if spec.support != "[-pi, pi]":
@@ -173,31 +213,19 @@ def design_ls(family, n: int, half_width: int,
     tgt = np.where(in_pass, _target_values(spec, n, omegas, target), 0.0)
     w = np.where(in_pass, 1.0, float(weight_ratio))
 
-    k = np.arange(1, half_width + 1)
-    A = np.hstack([np.ones((omegas.size, 1 - n % 2)), _trig(omegas, n, k)])  # c_0's column: even n only
-
-    if refine_iterations > 0:
-        w = _lawson_weights(A, tgt, w, refine_iterations)
-    sw = np.sqrt(w)[:, None]
-    A *= sw  # A's last use: weighted in place
-    coef, _, rank, sv = np.linalg.lstsq(A, tgt * sw[:, 0], rcond=None)
-    if rank < A.shape[1] or not np.all(np.isfinite(coef)):
-        raise NumericError(
-            f"ill-conditioned design system (rank {rank} of {A.shape[1]})"
-        )
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    A = np.hstack([np.ones((omegas.size, 1 - n % 2)),  # c_0's column: even n only
+                   _trig(omegas, n, np.arange(1, half_width + 1))])
+    coef, cond = _solve_ls(A, tgt, w, refine_iterations)
 
     c0 = coef[0] if n % 2 == 0 else 0.0
     taps = np.r_[(-1.0) ** n * coef[: -half_width - 1 : -1], c0, coef[-half_width:]]
     filt = FirFilter(spec.id, n, half_width, taps, passband_edge, stopband_edge)
 
-    dense = np.linspace(0.0, math.pi, 8001)
+    dense = np.linspace(0.0, math.pi, _DENSE + 1)
     dpass = dense <= passband_edge
     dstop = dense >= stopband_edge
     td = _target_values(spec, n, dense, target)
-    H = np.empty_like(dense)
-    for s in range(0, dense.size, _CHUNK):  # the points x half_width matrix, _CHUNK rows at a time
-        H[s : s + _CHUNK] = c0 + _trig(dense[s : s + _CHUNK], n, k) @ coef[-half_width:]
+    H = _response(taps, n)
     err = np.abs(H - td)
     nonzero = dpass & (np.abs(td) > 1e-300)
     rel_median = float(np.median(err[nonzero] / np.abs(td[nonzero]))) if nonzero.any() else np.inf
@@ -272,8 +300,8 @@ def load_filter(path: str) -> FirFilter:
     try:
         return FirFilter(
             family=parse_family(doc["family"]),
-            operator_order=int(doc["operator_order"]),
-            half_width=int(doc["half_width"]),
+            operator_order=doc["operator_order"],
+            half_width=doc["half_width"],
             taps=np.array([float(c) for c in doc["taps"]]),
             passband_edge=float(doc["passband_edge"]),
             stopband_edge=float(doc["stopband_edge"]),
