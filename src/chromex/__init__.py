@@ -13,10 +13,8 @@ from .basis_functions import (
     spherical_j_all,
 )
 from .chromatic_core import (
-    ChromaticJet,
     ChromaticTable,
     ConversionMatrices,
-    TaylorJet,
     build_table,
     chromatic_jet_from_taylor,
     compose_at_zero,
@@ -57,7 +55,6 @@ from .families import (
     FAMILY_TAGS,
     FamilyId,
     FamilySpec,
-    JacobiMatrix,
     euler_numbers,
     family_spec,
     gauss_quadrature,
@@ -77,7 +74,7 @@ from .fir_design import (
     shannon_decay_report,
     transfer_function,
 )
-from .orthopoly import PolyEvaluation, cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
+from .orthopoly import cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
 from .power_spaces import (
     ConditionReport,
     SequenceDiagnostics,

@@ -149,15 +149,11 @@ class ConversionMatrices:
     d2k_scaled: np.ndarray
 
 
-def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> ConversionMatrices:
-    """Build both change-of-basis matrices; d2k_scaled is read off the table."""
+def conversion_matrices(family, N: int) -> ConversionMatrices:
+    """Build both change-of-basis matrices; d2k_scaled is read off the
+    (N+1)-square table, whose columns are any wider table's."""
     spec = family_spec(family)
-    if table is None:
-        # only the (N+1) x (N+1) corner is read
-        table = build_table(spec, N, N)
-    if table.N < N or table.K < N:
-        raise HorizonError("table horizon too small for conversion matrices")
-    gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
+    gam, bet = gamma_beta_arrays(spec, require_nonnegative(N), longdouble=True)
     k2d = np.zeros((N + 1, N + 1), dtype=np.clongdouble)
     k2d[0, 0] = 1.0
     for n in range(N):
@@ -171,54 +167,31 @@ def conversion_matrices(family, N: int, table: ChromaticTable | None = None) -> 
     with np.errstate(over="ignore"):  # past N = 170, k2d k! overflows to inf
         k2d_scaled = (k2d * fac[None, :]).astype(np.complex128)
     signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    d2k_scaled = (table.b[: N + 1, : N + 1].T * signs[None, :]).copy()
+    d2k_scaled = (build_table(spec, N, N).b.T * signs[None, :]).copy()  # copied to C order
     return ConversionMatrices(spec.id, N, k2d64, k2d_scaled, d2k_scaled)
 
 
-@dataclass(frozen=True)
-class TaylorJet:
-    """coefficients[k] = f^(k)(u) / k!"""
-
-    u: complex
-    coefficients: np.ndarray
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
-@dataclass(frozen=True)
-class ChromaticJet:
-    """values[n] = K^n[f](u)"""
-
-    family: FamilyId
-    u: complex
-    values: np.ndarray
-
-    def __len__(self):
-        return len(self.values)
-
-
-def chromatic_jet_from_taylor(family, jet: TaylorJet, N: int) -> ChromaticJet:
-    """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N."""
+def chromatic_jet_from_taylor(family, jet, N: int) -> np.ndarray:
+    """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N, from the
+    Taylor jet jet[k] = f^(k)(u)/k!."""
     spec = family_spec(family)
     if len(jet) < N + 1:
         raise HorizonError(f"jet of length {len(jet)} too short for N={N}")
-    coeff = np.asarray(jet.coefficients[: N + 1], dtype=np.complex128)
+    coeff = np.asarray(jet[: N + 1], dtype=np.complex128)
     k2d_scaled = conversion_matrices(spec, N).k2d_scaled
     if not np.isfinite(k2d_scaled).all():
         raise NumericError(f"the Taylor conversion k2d[n][k] k! overflows float64 at N={N}; use a smaller N")
-    values = k2d_scaled @ coeff
-    return ChromaticJet(spec.id, jet.u, values)
+    return k2d_scaled @ coeff
 
 
-def taylor_from_chromatic_jet(family, cjet: ChromaticJet, N: int) -> TaylorJet:
-    """Invert the basis change: f^(n)(u)/n! = sum_k (-1)^k b[k][n] K^k[f](u)."""
+def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
+    """Invert the basis change: f^(n)(u)/n! = sum_k (-1)^k b[k][n] K^k[f](u),
+    from the chromatic jet cjet[k] = K^k[f](u)."""
     spec = family_spec(family)
     if len(cjet) < N + 1:
         raise HorizonError(f"chromatic jet of length {len(cjet)} too short for N={N}")
-    vals = np.asarray(cjet.values[: N + 1], dtype=np.complex128)
-    coeff = conversion_matrices(spec, N).d2k_scaled @ vals
-    return TaylorJet(cjet.u, coeff)
+    vals = np.asarray(cjet[: N + 1], dtype=np.complex128)
+    return conversion_matrices(spec, N).d2k_scaled @ vals
 
 
 def compose_at_zero(family, n: int, m: int) -> complex:

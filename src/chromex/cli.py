@@ -263,10 +263,10 @@ def cmd_check(args):
         checks.append(("moment oracle agreement", ok))
 
     om = 0.7
-    po = eval_all_p(spec, 30, om).values
+    po = eval_all_p(spec, 30, om)
     direct = float(np.sum(po ** 2))
     checks.append(("Christoffel-Darboux diagonal", abs(cd_diagonal(spec, 30, om) - direct) < 1e-9 * direct))
-    cross = float(np.sum(po * eval_all_p(spec, 30, 1.3).values))
+    cross = float(np.sum(po * eval_all_p(spec, 30, 1.3)))
     checks.append(("Christoffel-Darboux kernel",
                    abs(cd_kernel(spec, 30, om, 1.3) - cross) < 1e-9 * max(1.0, abs(cross))))
 

@@ -9,14 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis_functions import _miller, kbasis_rows
-from .chromatic_core import (
-    ChromaticJet,
-    ChromaticTable,
-    TaylorJet,
-    _i_pow,
-    chromatic_jet_from_taylor,
-    taylor_from_chromatic_jet,
-)
+from .chromatic_core import ChromaticTable, _i_pow, chromatic_jet_from_taylor, taylor_from_chromatic_jet
 from .errors import ParameterError
 from .families import FamilyId, _gauss_pass, family_spec, require_finite, require_nonnegative
 from .orthopoly import eval_all_p, eval_p_grid
@@ -35,16 +28,14 @@ class FunctionSpec:
 
     def chromatic_jet(self, family, t, N) -> np.ndarray:
         """K^n[f](t), n <= N, converted from the Taylor jet at t."""
-        return chromatic_jet_from_taylor(family, self.taylor_jet(t, N + 1), N).values
+        return chromatic_jet_from_taylor(family, self.taylor_jet(t, N + 1), N)
 
-    def taylor_jet(self, u, length) -> TaylorJet:
+    def taylor_jet(self, u, length) -> np.ndarray:
         """f^(k)(u)/k!, k < length, converted from the Legendre chromatic jet."""
         if type(self).chromatic_jet is FunctionSpec.chromatic_jet:
             raise NotImplementedError(f"{type(self).__name__} states neither jet")
         cjet = self.chromatic_jet("legendre", float(u), length - 1)
-        return taylor_from_chromatic_jet(
-            "legendre", ChromaticJet(family_spec("legendre").id, u, cjet), length - 1
-        )
+        return taylor_from_chromatic_jet("legendre", cjet, length - 1)
 
     def norm_sq(self, family) -> float | None:
         """Squared local norm sum |K^n[f]|^2 under the given family, when
@@ -62,13 +53,13 @@ class Exponential(FunctionSpec):
         return np.exp(1j * self.omega * np.asarray(z, dtype=np.complex128))
 
     def chromatic_jet(self, family, t, N):
-        pv = eval_all_p(family, N, self.omega).values
+        pv = eval_all_p(family, N, self.omega)
         return _i_pow(np.arange(N + 1)) * pv * np.exp(1j * self.omega * t)
 
     def taylor_jet(self, u, length):
         # (i w)^k / k! as one running product, so long jets underflow to 0
         steps = np.r_[1.0, 1j * self.omega / np.arange(1, length)][:length]
-        return TaylorJet(u, np.cumprod(steps) * np.exp(1j * self.omega * u))
+        return np.cumprod(steps) * np.exp(1j * self.omega * u)
 
 
 @dataclass
@@ -86,9 +77,9 @@ class Cosine(FunctionSpec):
         return 0.5 * (plus + minus)
 
     def taylor_jet(self, u, length):
-        plus = Exponential(self.omega).taylor_jet(u, length).coefficients
-        minus = Exponential(-self.omega).taylor_jet(u, length).coefficients
-        return TaylorJet(u, 0.5 * (plus + minus))
+        plus = Exponential(self.omega).taylor_jet(u, length)
+        minus = Exponential(-self.omega).taylor_jet(u, length)
+        return 0.5 * (plus + minus)
 
 
 @dataclass
@@ -107,7 +98,7 @@ class Constant(FunctionSpec):
     def taylor_jet(self, u, length):
         coeff = np.zeros(length, dtype=np.complex128)
         coeff[0] = self.c
-        return TaylorJet(u, coeff)
+        return coeff
 
 
 @lru_cache(maxsize=16)
@@ -170,26 +161,27 @@ class ShannonCombo(FunctionSpec):
         return _sinc_jets(family, t - idx, N) @ self.samples
 
 
-def _taylor_sum(jet: TaylorJet, z):
-    """sum_k c_k (z - u)^k at scalar or array z, one row sum per point; a
+def _taylor_sum(jet, u, z):
+    """sum_k jet[k] (z - u)^k at scalar or array z, one row sum per point; a
     real z stays real, so (z - u)^k is a float64 power."""
-    dz = np.asarray(z) - jet.u
-    return np.sum(jet.coefficients * dz[..., None] ** np.arange(len(jet)), axis=-1)
+    dz = np.asarray(z) - u
+    return np.sum(jet * dz[..., None] ** np.arange(len(jet)), axis=-1)
 
 
 @dataclass
 class JetFunction(FunctionSpec):
-    """A function known only through a Taylor jet at its center."""
+    """A function known only through its Taylor jet f^(k)(u)/k! at its center u."""
 
-    jet: TaylorJet
+    u: complex
+    jet: np.ndarray
 
     def value(self, z):
-        return _taylor_sum(self.jet, z)
+        return _taylor_sum(self.jet, self.u, z)
 
     def taylor_jet(self, u, length):
-        if u != self.jet.u or length > len(self.jet):
+        if u != self.u or length > len(self.jet):
             raise ParameterError("requested jet outside the stored one")
-        return TaylorJet(u, self.jet.coefficients[:length])
+        return self.jet[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +299,7 @@ def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, gr
     spec = family_spec(family)
     grid = np.asarray(grid, dtype=float)
     ca = chromatic_approximation_grid(spec, f, u, N, grid)
-    taylor = _taylor_sum(f.taylor_jet(u, N + 1), grid)
+    taylor = _taylor_sum(f.taylor_jet(u, N + 1), u, grid)
     fvals = f.value(grid)
     return [
         (float(t), complex(fv), complex(cv), complex(tv))

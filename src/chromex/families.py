@@ -385,25 +385,14 @@ def require_finite(x, name: str):
     return x
 
 
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Truncated symmetric tridiagonal encoding of the recurrence."""
-
-    dimension: int
-    diagonal: np.ndarray      # entry n is -beta_n
-    offdiagonal: np.ndarray   # entry n is gamma_n
-
-    def dense(self) -> np.ndarray:
-        J = np.diag(self.diagonal)
-        J += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return J
-
-
-def jacobi_matrix(family, dimension: int) -> JacobiMatrix:
+def jacobi_matrix(family, dimension: int) -> np.ndarray:
+    """The truncated Jacobi matrix: -beta_n on the diagonal, gamma_n beside it."""
     if dimension < 1:
         raise ParameterError("dimension must be positive")
     gam, bet = gamma_beta_arrays(family, dimension - 1)
-    return JacobiMatrix(dimension, -bet, gam[: dimension - 1])
+    J = np.diag(-bet)
+    J += np.diag(gam[: dimension - 1], 1) + np.diag(gam[: dimension - 1], -1)
+    return J
 
 
 @lru_cache(maxsize=None)
@@ -518,7 +507,7 @@ def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):
     1e-280, so Q = rows / sqrt(s * sum w) stays accurate where the weight
     w = 1/s itself underflows.
     """
-    J = jacobi_matrix(spec, n).dense()
+    J = jacobi_matrix(spec, n)
     try:
         nodes = np.linalg.eigvalsh(J)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here

@@ -3,11 +3,11 @@
 The design is weighted least squares on a band-edge-clustered frequency
 grid, optionally refined by Lawson iterations (iteratively reweighted
 least squares, which drives the solution toward the minimax optimum).
-The tap parity is imposed structurally by one basis, _trig: cosines for
-even operator orders and sines for odd ones, matching the parity of the
-target i^n p_n(w).  Real taps of that parity reproduce K^n only where
-p_n(-w) = (-1)^n p_n(w), as in the symmetric families; for jacobi(a, b)
-with a != b the misfit shows in passband_max_error.
+The tap parity is imposed structurally by one basis, _design_matrix's:
+cosines for even operator orders and sines for odd ones, matching the
+parity of the target i^n p_n(w).  Real taps of that parity reproduce K^n
+only where p_n(-w) = (-1)^n p_n(w), as in the symmetric families; for
+jacobi(a, b) with a != b the misfit shows in passband_max_error.
 
 The design matrix A is factored once, and every solve runs on that one
 QR, the reported condition number included (_solve_ls); the report reads
@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis_functions import _CHUNK, kbasis_closed
 from .errors import NumericError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, family_spec, parse_family
+from .families import FamilyId, family_spec, parse_family, require_finite
 from .orthopoly import eval_p_grid
 
 
@@ -79,10 +79,17 @@ def _check_edges(passband_edge, stopband_edge):
         raise ParameterError("need 0 < passband_edge < stopband_edge <= pi")
 
 
-def _trig(omegas, n, k):
-    """The parity basis of K^n's taps c_{+-k} at frequencies omegas: 2 cos(w k) for even n,
-    2 sin(w k) for odd n, matching the parity of i^n p_n(w)."""
-    return 2.0 * (np.sin if n % 2 else np.cos)(np.outer(omegas, k))
+def _design_matrix(omegas, n, half_width):
+    """The parity basis of K^n's taps c_0 and c_{+-k}, k = 1..half_width, at frequencies
+    omegas, written into one array: a column of ones for c_0 (even n only), then 2 cos(w k)
+    for even n or 2 sin(w k) for odd n, matching the parity of i^n p_n(w)."""
+    A = np.empty((omegas.size, half_width + 1 - n % 2))
+    A[:, :1 - n % 2] = 1.0
+    trig = A[:, 1 - n % 2 :]
+    np.multiply.outer(omegas, np.arange(1, half_width + 1), out=trig)
+    (np.sin if n % 2 else np.cos)(trig, out=trig)
+    trig *= 2.0
+    return A
 
 
 def _target_values(spec, n, omegas, target):
@@ -100,9 +107,9 @@ _DENSE = 8000  # the report reads the response at j pi / _DENSE, j = 0.._DENSE
 
 
 def _response(taps, n):
-    """H(w_j) = sum_k c_k e^{i k w_j} at w_j = j pi / _DENSE, in _trig's parity basis.
-    rfft gives the conjugate of H, which is real for even n and i times _trig's
-    real sum for odd n."""
+    """H(w_j) = sum_k c_k e^{i k w_j} at w_j = j pi / _DENSE, in the parity basis.
+    rfft gives the conjugate of H, which is real for even n and i times the
+    sine sum for odd n."""
     half_width = taps.size // 2
     x = np.zeros(2 * _DENSE)
     np.add.at(x, np.arange(-half_width, half_width + 1) % x.size, taps)  # c_k at k mod 2 _DENSE
@@ -213,9 +220,7 @@ def design_ls(family, n: int, half_width: int,
     tgt = np.where(in_pass, _target_values(spec, n, omegas, target), 0.0)
     w = np.where(in_pass, 1.0, float(weight_ratio))
 
-    A = np.hstack([np.ones((omegas.size, 1 - n % 2)),  # c_0's column: even n only
-                   _trig(omegas, n, np.arange(1, half_width + 1))])
-    coef, cond = _solve_ls(A, tgt, w, refine_iterations)
+    coef, cond = _solve_ls(_design_matrix(omegas, n, half_width), tgt, w, refine_iterations)
 
     c0 = coef[0] if n % 2 == 0 else 0.0
     taps = np.r_[(-1.0) ** n * coef[: -half_width - 1 : -1], c0, coef[-half_width:]]
@@ -241,7 +246,7 @@ def design_ls(family, n: int, half_width: int,
 
 def transfer_function(filt: FirFilter, omega):
     """H(w) = sum_k c_k e^{i w k}; omega scalar or array."""
-    om = np.asarray(omega, dtype=float)
+    om = require_finite(np.asarray(omega, dtype=float), "omega")
     ks = np.arange(-filt.half_width, filt.half_width + 1)
     H = np.exp(1j * np.multiply.outer(om, ks)) @ filt.taps
     return complex(H) if om.ndim == 0 else H
@@ -249,6 +254,8 @@ def transfer_function(filt: FirFilter, omega):
 
 def apply_filter(filt: FirFilter, samples, t: int):
     """sum_k c_k samples[t+k]; samples indexed 0..len-1, unit spacing."""
+    if not _integral(t):  # a float index would fail the slice, and True would read as 1
+        raise ParameterError(f"sample index {t!r} is not an integer")
     samples = np.asarray(samples)
     N = filt.half_width
     if t - N < 0 or t + N >= samples.size:

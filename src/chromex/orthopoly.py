@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (FamilyId, family_spec, gamma_beta_arrays, require_finite, require_nonnegative,
-                       three_term, three_term_ends, three_term_jet_ends)
-
-
-@dataclass(frozen=True)
-class PolyEvaluation:
-    family: FamilyId
-    degree: int
-    values: np.ndarray  # p_0(omega) .. p_N(omega)
+from .families import (family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term,
+                       three_term_ends, three_term_jet_ends)
 
 
 def _finite(a, N: int):
@@ -26,15 +17,14 @@ def _finite(a, N: int):
     return a
 
 
-def eval_all_p(family, N: int, omega: float) -> PolyEvaluation:
-    """Evaluate p_0..p_N at a single omega by the forward recurrence.
+def eval_all_p(family, N: int, omega: float) -> np.ndarray:
+    """p_0(omega)..p_N(omega) at a single omega, by the forward recurrence.
 
     Raises NumericError once a value overflows float64.
     """
-    spec = family_spec(family)
-    gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
+    gam, bet = gamma_beta_arrays(family_spec(family), require_nonnegative(N))
     x = require_finite(float(omega), "omega")
-    return PolyEvaluation(spec.id, N, _finite(three_term(gam, bet, x), N))
+    return _finite(three_term(gam, bet, x), N)
 
 
 def eval_p_grid(family, N: int, omegas) -> np.ndarray:

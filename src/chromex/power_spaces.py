@@ -188,12 +188,11 @@ def chebyshev_exponential_norm(x: float, n: int):
     return float(formula), float(direct)
 
 
-def hermite_exponential_norm(omega: float, N: int, averaging: bool = True) -> float:
+def hermite_exponential_norm(omega: float, N: int) -> float:
     """Estimate of the Hermite power norm of e^{i omega t}.
 
-    Converges to e^{omega^2/2} / (4 pi)^(1/4); Cesaro averaging over the
+    Converges to e^{omega^2/2} / (4 pi)^(1/4); the Cesaro mean over the
     final half of the nu sequence damps the slow oscillation.
     """
     diag = nu_sequence("hermite", Exponential(omega), 0.0, N)
-    nu_tail = diag.averaged_tail if averaging else float(diag.values[-1])
-    return math.sqrt(max(0.0, nu_tail))
+    return math.sqrt(max(0.0, diag.averaged_tail))

@@ -17,25 +17,22 @@ from conftest import ALL_FAMILIES
 
 def test_p0_is_one():
     for fam in ALL_FAMILIES:
-        ev = eval_all_p(fam, 0, 0.37)
-        assert ev.values.tolist() == [1.0]
+        assert eval_all_p(fam, 0, 0.37).tolist() == [1.0]
 
 
 def test_legendre_p1_at_pi():
-    ev = eval_all_p("legendre", 1, math.pi)
-    assert ev.values[1] == pytest.approx(math.sqrt(3), rel=1e-14)
+    assert eval_all_p("legendre", 1, math.pi)[1] == pytest.approx(math.sqrt(3), rel=1e-14)
 
 
 def test_chebyshev_t_p2_at_zero():
-    ev = eval_all_p("chebyshev_t", 2, 0.0)
-    assert ev.values[2] == pytest.approx(-math.sqrt(2), rel=1e-14)
+    assert eval_all_p("chebyshev_t", 2, 0.0)[2] == pytest.approx(-math.sqrt(2), rel=1e-14)
 
 
 @pytest.mark.parametrize("family", [f for f in ALL_FAMILIES if family_spec(f).symmetric])
 def test_parity(family):
     for om in (0.3, 1.1, 2.9):
-        plus = eval_all_p(family, 50, om).values
-        minus = eval_all_p(family, 50, -om).values
+        plus = eval_all_p(family, 50, om)
+        minus = eval_all_p(family, 50, -om)
         signs = (-1.0) ** np.arange(51)
         np.testing.assert_allclose(minus, signs * plus, rtol=1e-12, atol=1e-12)
 
@@ -51,8 +48,8 @@ def test_orthonormality_by_quadrature(family):
 def test_cd_kernel_matches_direct_sum():
     cases = [("legendre", 30, 1.0, 2.0), ("hermite", 25, 0.3, -0.3)]
     for fam, N, om, sg in cases:
-        po = eval_all_p(fam, N, om).values
-        ps = eval_all_p(fam, N, sg).values
+        po = eval_all_p(fam, N, om)
+        ps = eval_all_p(fam, N, sg)
         direct = float(np.sum(po * ps))
         assert cd_kernel(fam, N, om, sg) == pytest.approx(direct, rel=1e-10)
 
@@ -67,7 +64,7 @@ def test_cd_kernel_rejects_equal_arguments():
 
 
 def test_cd_diagonal_matches_direct_sum():
-    direct = float(np.sum(eval_all_p("legendre", 20, 0.5).values ** 2))
+    direct = float(np.sum(eval_all_p("legendre", 20, 0.5) ** 2))
     assert cd_diagonal("legendre", 20, 0.5) == pytest.approx(direct, rel=1e-9)
     assert cd_diagonal("herron", 0, 0.9) == pytest.approx(1.0, rel=1e-12)
 
@@ -82,7 +79,7 @@ def test_grid_matches_scalar_evaluation():
     P = eval_p_grid("jacobi(0.5,-0.25)", 12, omegas)
     for i, om in enumerate(omegas):
         np.testing.assert_allclose(
-            P[:, i], eval_all_p("jacobi(0.5,-0.25)", 12, om).values, rtol=1e-13
+            P[:, i], eval_all_p("jacobi(0.5,-0.25)", 12, om), rtol=1e-13
         )
 
 

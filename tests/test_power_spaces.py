@@ -48,7 +48,7 @@ def test_exponential_jet_reduction_exact():
     # |K^k[e^{iwt}](t)|^2 equals p_k(w)^2 through the jet machinery
     f = Exponential(1.3)
     jet = f.chromatic_jet("hermite", 0.7, 50)
-    pv = eval_all_p("hermite", 50, 1.3).values
+    pv = eval_all_p("hermite", 50, 1.3)
     assert np.abs(np.abs(jet) ** 2 - pv ** 2).max() < 1e-12
 
 

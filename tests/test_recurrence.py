@@ -234,7 +234,7 @@ def assert_bitwise(got, want):
 
 
 def _gauss_nodes(family, n):
-    return np.linalg.eigvalsh(jacobi_matrix(family, n).dense())
+    return np.linalg.eigvalsh(jacobi_matrix(family, n))
 
 
 OMEGAS = (-2.7, 0.0, 0.4, 1.3, 3.9)
@@ -245,7 +245,7 @@ def test_eval_all_p_matches_scalar_loop(family):
     for N in (0, 1, 40, 300):
         gam, bet = gamma_beta_arrays(family, N)
         for om in OMEGAS:
-            np.testing.assert_array_equal(eval_all_p(family, N, om).values,
+            np.testing.assert_array_equal(eval_all_p(family, N, om),
                                           poly_sequence_loop(gam, bet, om))
 
 
@@ -311,7 +311,7 @@ def test_cd_diagonal_matches_two_builds(family):
     # gamma_N from recursion_coefficients rounds like the array entry
     for N in (0, 9, 200):
         gam, bet = gamma_beta_arrays(family, N + 1)
-        p = eval_all_p(family, N + 1, 0.7).values
+        p = eval_all_p(family, N + 1, 0.7)
         d = derivative_loop(gam, bet, p, 0.7)
         assert cd_diagonal(family, N, 0.7) == float(gam[N] * (d[N + 1] * p[N] - p[N + 1] * d[N]))
 
@@ -418,7 +418,7 @@ def two_lane_cd_kernel(family, N, omega, sigma):
 
 
 def full_jet_cd_diagonal(family, N, omega):
-    p = eval_all_p(family, N + 1, omega).values
+    p = eval_all_p(family, N + 1, omega)
     gam, bet = gamma_beta_arrays(family, N + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # p' may overflow where p does not
         d = derivative_loop(gam, bet, p, omega)
@@ -513,8 +513,8 @@ def test_float_loops_are_bitwise_at_the_head(family):
         gam, bet = gamma_beta_arrays(family, N + 1)
         po, ps = poly_sequence_loop(gam, bet, om), poly_sequence_loop(gam, bet, sg)
         d = derivative_loop(gam, bet, po, om)
-        assert_bitwise(eval_all_p(family, N, om).values, po[: N + 1])
-        assert_bitwise(eval_all_p(family, N, sg).values, ps[: N + 1])
+        assert_bitwise(eval_all_p(family, N, om), po[: N + 1])
+        assert_bitwise(eval_all_p(family, N, sg), ps[: N + 1])
         assert cd_kernel(family, N, om, sg) == float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
         assert cd_diagonal(family, N, om) == float(gam[N] * (d[N + 1] * po[N] - po[N + 1] * d[N]))
         den = np.cumsum(1.0 / gam[: N + 1])
@@ -545,7 +545,7 @@ def test_lanes_track_an_80_bit_loop(family, omega, c):
     from N = SWITCH - 1, within c N eps of those sums, relative."""
     N = 200_000
     gam, bet = gamma_beta_arrays(family, N)
-    values = eval_all_p(family, N, omega).values
+    values = eval_all_p(family, N, omega)
     assert_bitwise(values, three_term(gam, bet, omega))
     p80, _ = jet_loop_80(gam, bet, omega)
     eps = np.finfo(float).eps
