@@ -26,7 +26,6 @@ from .chromatic_core import (
 from .errors import (
     ChromexError,
     ConvergenceError,
-    HorizonError,
     NumericError,
     ParameterError,
     UnsupportedFamilyError,
@@ -54,7 +53,6 @@ from .expansions import (
 from .families import (
     FAMILY_TAGS,
     FamilyId,
-    FamilySpec,
     euler_numbers,
     family_spec,
     gauss_quadrature,
@@ -74,7 +72,7 @@ from .fir_design import (
     shannon_decay_report,
     transfer_function,
 )
-from .orthopoly import cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
+from .orthopoly import cd_diagonal, cd_kernel, eval_all_p
 from .power_spaces import (
     ConditionReport,
     SequenceDiagnostics,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns
 from .errors import ConvergenceError, NumericError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, _gauss_pass, family_spec, require_nonnegative
+from .families import FamilyId, _gauss_pass, family_spec, require_integer, require_nonnegative
 
 _TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
 _CHUNK = 1024  # the Gauss route's points per matrix product
@@ -101,7 +101,7 @@ def kbasis_rows(family, lo: int, hi: int, z):
     Gauss rule, _CHUNK points at a time.  In a symmetric family at real z that is a real cosine
     (even n) or sine (odd n) sum over the M / 2 positive nodes, and each row is exactly real."""
     spec = family_spec(family)
-    if not 0 <= lo <= hi:
+    if not 0 <= require_integer(lo, "lo") <= require_integer(hi, "hi"):
         raise ParameterError(f"rows {lo}..{hi} must satisfy 0 <= lo <= hi")
     zs, absz = _points(z)
     if spec.tag in ("hermite", "laguerre", "herron"):
@@ -121,7 +121,7 @@ def kbasis_rows(family, lo: int, hi: int, z):
                                    "z is near a pole or |Im z| is too large")
         return rows
     imz = float(np.abs(zs.imag).max(initial=0.0))
-    nodes, A, xp, H = _gauss_rows(spec.id, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
+    nodes, A, xp, H = _gauss_rows(spec, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
     rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
     half = H is not None and imz == 0.0
     even, odd = lo + lo % 2, lo + 1 - lo % 2  # the first even and odd rows
@@ -284,9 +284,9 @@ def bessel_j(n: int, x: float) -> float:
 
 def spherical_j_all(n: int, x: float) -> np.ndarray:
     """j_0(x) .. j_n(x): the one-point case of _miller."""
-    return _miller(True, n, float(x), range(n + 1))[:, 0]
+    return _miller(True, require_nonnegative(n, "order"), float(x), range(n + 1))[:, 0]
 
 
 def bessel_j_all(n: int, x: float) -> np.ndarray:
     """J_0(x) .. J_n(x): the one-point case of _miller."""
-    return _miller(False, n, float(x), range(n + 1))[:, 0]
+    return _miller(False, require_nonnegative(n, "order"), float(x), range(n + 1))[:, 0]

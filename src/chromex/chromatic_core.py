@@ -55,13 +55,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HorizonError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .families import (
     FamilyId,
     _gauss_pass,
     _jacobi_powers,
     family_spec,
     gamma_beta_arrays,
+    require_integer,
     require_nonnegative,
 )
 
@@ -93,7 +94,7 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     require_nonnegative(N)
     if K is None:
         K = default_columns(N)
-    if K < N:
+    if require_integer(K, "K") < N:
         raise ParameterError(f"K={K} must be at least N={N}")
     # paths of length k from level 0 ending at level <= N reach at most
     # (k + N) / 2, so that dimension captures J^k e_0 exactly
@@ -123,7 +124,7 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
             kend = k + 1
             break
     land(k0, kend)
-    return ChromaticTable(spec.id, N, K, b)
+    return ChromaticTable(spec, N, K, b)
 
 
 @dataclass(frozen=True)
@@ -168,15 +169,15 @@ def conversion_matrices(family, N: int) -> ConversionMatrices:
         k2d_scaled = (k2d * fac[None, :]).astype(np.complex128)
     signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     d2k_scaled = (build_table(spec, N, N).b.T * signs[None, :]).copy()  # copied to C order
-    return ConversionMatrices(spec.id, N, k2d64, k2d_scaled, d2k_scaled)
+    return ConversionMatrices(spec, N, k2d64, k2d_scaled, d2k_scaled)
 
 
 def chromatic_jet_from_taylor(family, jet, N: int) -> np.ndarray:
     """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N, from the
     Taylor jet jet[k] = f^(k)(u)/k!."""
     spec = family_spec(family)
-    if len(jet) < N + 1:
-        raise HorizonError(f"jet of length {len(jet)} too short for N={N}")
+    if len(jet) < require_nonnegative(N) + 1:
+        raise ParameterError(f"jet of length {len(jet)} too short for N={N}")
     coeff = np.asarray(jet[: N + 1], dtype=np.complex128)
     k2d_scaled = conversion_matrices(spec, N).k2d_scaled
     if not np.isfinite(k2d_scaled).all():
@@ -188,8 +189,8 @@ def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
     """Invert the basis change: f^(n)(u)/n! = sum_k (-1)^k b[k][n] K^k[f](u),
     from the chromatic jet cjet[k] = K^k[f](u)."""
     spec = family_spec(family)
-    if len(cjet) < N + 1:
-        raise HorizonError(f"chromatic jet of length {len(cjet)} too short for N={N}")
+    if len(cjet) < require_nonnegative(N) + 1:
+        raise ParameterError(f"chromatic jet of length {len(cjet)} too short for N={N}")
     vals = np.asarray(cjet[: N + 1], dtype=np.complex128)
     return conversion_matrices(spec, N).d2k_scaled @ vals
 
@@ -203,15 +204,14 @@ def compose_at_zero(family, n: int, m: int) -> complex:
     roughly one digit per two orders to cancellation; the test suite keeps
     it as a low-order cross-check.
     """
-    if n < 0 or m < 0:
-        raise ParameterError("orders must be nonnegative")
-    return complex((-1.0) ** n * orthonormality_matrix(family, max(n, m))[n, m])
+    N = max(require_nonnegative(n, "n"), require_nonnegative(m, "m"))
+    return complex((-1.0) ** n * orthonormality_matrix(family, N)[n, m])
 
 
 def orthonormality_matrix(family, N: int) -> np.ndarray:
     """G[n][m] = (-1)^n (K^n o K^m)[m-function](0) for n, m <= N."""
     # an (N+4)-point Gauss rule integrates every p_n p_m with n, m <= N
-    _, _, Q = _gauss_pass(family_spec(family), N + 4, N + 1)
+    _, _, Q = _gauss_pass(family_spec(family), require_nonnegative(N) + 4, N + 1)
     idx = np.arange(N + 1)
     return _i_pow(3 * idx[:, None] + idx) * (Q @ Q.T)  # (-1)^n i^(n+m) = i^(3n+m)
 
@@ -227,7 +227,7 @@ def table_for(family, N: int, K: int | None = None) -> ChromaticTable:
     """
     if K is None:
         K = default_columns(N)
-    return _cached_table(family_spec(family).id, N, K)
+    return _cached_table(family_spec(family), N, K)
 
 
 @lru_cache(maxsize=32)

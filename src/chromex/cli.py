@@ -25,6 +25,7 @@ from .basis_functions import kbasis_rows
 from .chromatic_core import build_table, orthonormality_matrix, table_for
 from .errors import ChromexError, ParameterError
 from .families import (
+    FAMILY_TABLE,
     FAMILY_TAGS,
     family_spec,
     gauss_quadrature,
@@ -34,7 +35,7 @@ from .families import (
     recursion_coefficients,
     require_finite,
 )
-from .orthopoly import cd_diagonal, cd_kernel, eval_all_p, eval_p_grid
+from .orthopoly import cd_diagonal, cd_kernel, eval_all_p
 
 
 def _fmt(x) -> str:
@@ -112,7 +113,7 @@ def cmd_families(args):
         listed = {"gegenbauer": "gegenbauer(1)", "jacobi": "jacobi(0.5,-0.25)"}
         specs = [family_spec(listed.get(tag, tag)) for tag in FAMILY_TAGS]
         return ["family", "symmetric", "p", "support", "rho"], [
-            (str(s), s.symmetric, s.growth_exponent, s.support, s.rho) for s in specs]
+            (str(s), s.symmetric, *FAMILY_TABLE[s.tag][1:]) for s in specs]
     spec = family_spec(args.family)
     moment = moment_jacobi_matrix if spec.tag in ("gegenbauer", "jacobi") else moment_analytic
     rows = [(n, *recursion_coefficients(spec, n), moment(spec, n)) for n in range(args.orders + 1)]
@@ -120,7 +121,7 @@ def cmd_families(args):
 
 
 def cmd_poly(args):
-    vals = eval_p_grid(family_spec(args.family), args.n, args.omega)[args.n]
+    vals = eval_all_p(family_spec(args.family), args.n, args.omega)[args.n]
     return ["omega", f"p_{args.n}"], [(float(w), float(v)) for w, v in zip(args.omega, vals)]
 
 
@@ -246,7 +247,7 @@ def cmd_check(args):
 
     nodes, w = gauss_quadrature(spec, 64)
     checks.append(("quadrature weights sum to 1", abs(w.sum() - 1.0) < 1e-12))
-    P = eval_p_grid(spec, min(N, 40), nodes)
+    P = eval_all_p(spec, min(N, 40), nodes)
     G = (P * w) @ P.T
     checks.append(("orthonormality by quadrature", np.abs(G - np.eye(G.shape[0])).max() < 1e-8))
 

@@ -13,10 +13,6 @@ class UnsupportedFamilyError(ChromexError, ValueError):
     """The requested operation has no implementation for this family."""
 
 
-class HorizonError(ChromexError, ValueError):
-    """A table or matrix horizon is too small for the requested order."""
-
-
 class ConvergenceError(ChromexError, ArithmeticError):
     """No route certifies the requested tolerance at the given argument."""
 

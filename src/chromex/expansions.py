@@ -12,7 +12,7 @@ from .basis_functions import _miller, kbasis_rows
 from .chromatic_core import ChromaticTable, _i_pow, chromatic_jet_from_taylor, taylor_from_chromatic_jet
 from .errors import ParameterError
 from .families import FamilyId, _gauss_pass, family_spec, require_finite, require_nonnegative
-from .orthopoly import eval_all_p, eval_p_grid
+from .orthopoly import eval_all_p
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def _sinc_connection(family: FamilyId, N: int) -> np.ndarray:
     nodes, w, Q = _gauss_pass(family_spec("legendre"), N + 1, N + 1)
     n, odd = np.arange(N + 1), 0.0 if family_spec(family).symmetric else 1.0
     phase = np.array([1.0, 1j * odd, -1.0, -1j * odd])[(n[:, None] - n) % 4]
-    C = np.tril(phase * ((eval_p_grid(family, N, nodes) * np.sqrt(w)) @ Q.T))
+    C = np.tril(phase * ((eval_all_p(family, N, nodes) * np.sqrt(w)) @ Q.T))
     C.flags.writeable = False
     return C
 
@@ -123,7 +123,7 @@ def _sinc_jets(family, ts, N):
     n = np.arange(require_nonnegative(N) + 1)
     js = _miller(True, N, math.pi * require_finite(np.asarray(ts), "t"), range(N + 1))
     jets = (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
-    return jets if spec.tag == "legendre" else _sinc_connection(spec.id, N) @ jets
+    return jets if spec.tag == "legendre" else _sinc_connection(spec, N) @ jets
 
 
 @dataclass

@@ -28,20 +28,19 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, UnsupportedFamilyError
 
-FAMILY_TAGS = (
-    "legendre",
-    "chebyshev_t",
-    "chebyshev_u",
-    "gegenbauer",
-    "jacobi",
-    "hermite",
-    "laguerre",
-    "herron",
-)
-
-_SYMMETRIC = frozenset(
-    ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "hermite", "herron")
-)
+# per tag, the columns of families --list: whether the measure is even (jacobi(a, b) only
+# when a == b), the growth exponent p of weak boundedness, the support, and rho
+FAMILY_TABLE = {
+    "legendre": (True, 0.0, "[-pi, pi]", 0.0),
+    "chebyshev_t": (True, 0.0, "[-pi, pi]", 0.0),
+    "chebyshev_u": (True, 0.0, "[-pi, pi]", 0.0),
+    "gegenbauer": (True, 0.0, "[-pi, pi]", 0.0),
+    "jacobi": (False, 0.0, "[-pi, pi]", 0.0),
+    "hermite": (True, 0.5, "real line", 0.0),
+    "laguerre": (False, 1.0, "half line", 1.0),
+    "herron": (True, 1.0, "real line", 2.0 / math.pi),
+}
+FAMILY_TAGS = tuple(FAMILY_TABLE)
 
 PI_LD = np.longdouble("3.141592653589793238462643383279502884")
 _COEFF_BLOCK = 4096  # orders per array expression, so 80-bit temporaries stay small
@@ -70,6 +69,15 @@ class FamilyId:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, getattr(self, name) + 0.0)
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the measure is even; jacobi(a, a) has gegenbauer(a + 1/2)'s."""
+        return FAMILY_TABLE[self.tag][0] or (self.tag == "jacobi" and self.a == self.b)
+
+    @property
+    def support(self) -> str:
+        return FAMILY_TABLE[self.tag][2]
+
     def __str__(self):
         if self.tag == "gegenbauer":
             return f"gegenbauer({self.a:g})"
@@ -78,6 +86,7 @@ class FamilyId:
         return self.tag
 
 
+@lru_cache(maxsize=64)
 def parse_family(text: str) -> FamilyId:
     """Parse identifiers like ``legendre`` or ``jacobi(0.5,-0.25)``."""
     text = text.strip().lower()
@@ -98,50 +107,12 @@ def parse_family(text: str) -> FamilyId:
     return FamilyId(text)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family plus the metadata the rest of the library consults."""
-
-    id: FamilyId
-    symmetric: bool
-    growth_exponent: float          # p in the weak-boundedness definition
-    support: str
-    rho: float
-
-    @property
-    def tag(self):
-        return self.id.tag
-
-    def __str__(self):
-        return str(self.id)
+def family_spec(family) -> FamilyId:
+    """The FamilyId of a family string, parsed once per string; a FamilyId passes through."""
+    return family if isinstance(family, FamilyId) else parse_family(str(family))
 
 
-def family_spec(family) -> FamilySpec:
-    """Build a FamilySpec from a FamilyId, tag string, or pass one through."""
-    if isinstance(family, FamilySpec):
-        return family
-    return _spec_of(family if isinstance(family, FamilyId) else str(family))
-
-
-@lru_cache(maxsize=64)
-def _spec_of(family) -> FamilySpec:
-    """family_spec of a FamilyId or a string, parsed and built once per key."""
-    fid = family if isinstance(family, FamilyId) else parse_family(family)
-    tag = fid.tag
-    # jacobi(a, a) has gegenbauer(a + 1/2)'s measure
-    symmetric = tag in _SYMMETRIC or (tag == "jacobi" and fid.a == fid.b)
-    if tag in ("legendre", "chebyshev_t", "chebyshev_u", "gegenbauer", "jacobi"):
-        p, support, rho = 0.0, "[-pi, pi]", 0.0
-    elif tag == "hermite":
-        p, support, rho = 0.5, "real line", 0.0
-    elif tag == "laguerre":
-        p, support, rho = 1.0, "half line", 1.0
-    else:  # herron
-        p, support, rho = 1.0, "real line", 2.0 / math.pi
-    return FamilySpec(fid, symmetric, p, support, rho)
-
-
-def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):
+def _gamma_beta_ld(spec: FamilyId, nn: np.ndarray):
     """(gamma_n, beta_n) in extended precision for a longdouble array of orders."""
     tag = spec.tag
     zero = np.zeros_like(nn)
@@ -152,10 +123,10 @@ def _gamma_beta_ld(spec: FamilySpec, nn: np.ndarray):
     if tag == "chebyshev_u":
         return np.full_like(nn, PI_LD / 2), zero
     if tag == "gegenbauer":
-        a = np.longdouble(spec.id.a)
+        a = np.longdouble(spec.a)
         return PI_LD / 2 * np.sqrt((nn + 1) * (nn + 2 * a) / ((nn + a) * (nn + a + 1))), zero
     if tag == "jacobi":
-        a, b = np.longdouble(spec.id.a), np.longdouble(spec.id.b)
+        a, b = np.longdouble(spec.a), np.longdouble(spec.b)
         s = 2 * nn + a + b
         # at n = 0 the printed forms are 0/0 if a+b+1 = 0 (gamma) or a+b = 0 (beta)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -194,7 +165,7 @@ def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
     """gamma_0..gamma_horizon and beta_0..beta_horizon as arrays."""
     spec = family_spec(family)
     dt = np.longdouble if longdouble else np.float64
-    gam0, bet0 = _first_block(spec.id, dt)
+    gam0, bet0 = _first_block(spec, dt)
     if 0 <= horizon + 1 <= _COEFF_BLOCK:
         return gam0[: horizon + 1].copy(), bet0[: horizon + 1].copy()
     gam = np.empty(horizon + 1, dtype=dt)
@@ -372,8 +343,16 @@ def _join(state, ends, coef):
     return state
 
 
+def require_integer(n, name: str) -> int:
+    """n, once checked an int or numpy integer: an order, size or index of 2.5, 2.0 or True
+    (which would read as 1) is a ParameterError naming it."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ParameterError(f"{name} {n!r} is not an integer")
+    return n
+
+
 def require_nonnegative(n: int, name: str = "N") -> int:
-    if n < 0:
+    if require_integer(n, name) < 0:
         raise ParameterError(f"{name} must be nonnegative")
     return n
 
@@ -387,7 +366,7 @@ def require_finite(x, name: str):
 
 def jacobi_matrix(family, dimension: int) -> np.ndarray:
     """The truncated Jacobi matrix: -beta_n on the diagonal, gamma_n beside it."""
-    if dimension < 1:
+    if require_integer(dimension, "dimension") < 1:
         raise ParameterError("dimension must be positive")
     gam, bet = gamma_beta_arrays(family, dimension - 1)
     J = np.diag(-bet)
@@ -434,7 +413,7 @@ def _finite_moment(spec, k: int, over_factorial: np.longdouble) -> float:
     return mu
 
 
-def _jacobi_powers(spec: FamilySpec, dim: int, kmax: int):
+def _jacobi_powers(spec: FamilyId, dim: int, kmax: int):
     """v_k = J^k e_0 / k! in 80-bit for k = 0..kmax, J the dim-square Jacobi matrix, each as
     a view of the levels 0..min(k, dim - 1) it lives on: one array, updated in place."""
     gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
@@ -498,7 +477,7 @@ def moment_jacobi_matrix(family, k: int) -> float:
     return _finite_moment(spec, k, v[0])
 
 
-def _gauss_pass(spec: FamilySpec, n: int, nrows: int = 0):
+def _gauss_pass(spec: FamilyId, n: int, nrows: int = 0):
     """gauss_quadrature's (nodes, weights), plus Q[k, i] = p_k(x_i) sqrt(w_i)
     for k < nrows, from one pass of the recurrence over all nodes.
 
@@ -544,7 +523,7 @@ def gauss_quadrature(family, n: int):
     Christoffel numbers 1/sum_k p_k(node)^2 (equal to the squared first
     eigenvector components), renormalized to sum to one.
     """
-    if n < 1:
+    if require_integer(n, "n") < 1:
         raise ParameterError("n must be positive")
     nodes, w, _ = _gauss_pass(family_spec(family), n)
     return nodes, w

@@ -26,8 +26,8 @@ import numpy as np
 
 from .basis_functions import _CHUNK, kbasis_closed
 from .errors import NumericError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, family_spec, parse_family, require_finite
-from .orthopoly import eval_p_grid
+from .families import FamilyId, family_spec, parse_family, require_finite, require_integer
+from .orthopoly import eval_all_p
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class FirFilter:
 
     def __post_init__(self):  # checked wherever it is built: design_ls, load_filter or by hand
         for name in ("operator_order", "half_width"):  # int() would read 2.7 as 2 and true as 1
-            value = getattr(self, name)
-            if not _integral(value):
-                raise ParameterError(f"{name} {value!r} is not an integer")
+            require_integer(getattr(self, name), name)
         N = self.half_width
         if N < 1:
             raise ParameterError(f"half_width {N} is below 1")
@@ -54,9 +52,7 @@ class FirFilter:
         _check_edges(self.passband_edge, self.stopband_edge)
 
     def tap(self, k: int) -> float:
-        if not _integral(k):
-            raise ParameterError(f"tap index {k!r} is not an integer")
-        if abs(k) > self.half_width:
+        if abs(require_integer(k, "tap index")) > self.half_width:
             raise ParameterError(f"tap {k} outside -{self.half_width}..{self.half_width}")
         return float(self.taps[self.half_width + k])
 
@@ -68,10 +64,6 @@ class DesignReport:
     grid_size: int
     condition_number: float
     passband_median_relative_error: float
-
-
-def _integral(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_edges(passband_edge, stopband_edge):
@@ -94,7 +86,7 @@ def _design_matrix(omegas, n, half_width):
 
 def _target_values(spec, n, omegas, target):
     if target == "operator":
-        vals = eval_p_grid(spec, n, omegas)[n]
+        vals = eval_all_p(spec, n, omegas)[n]
     elif target == "monomial":
         vals = (omegas / math.pi) ** n
     else:
@@ -204,7 +196,7 @@ def design_ls(family, n: int, half_width: int,
         raise UnsupportedFamilyError(
             f"{spec.tag} support is not contained in [-pi, pi]"
         )
-    if n < 0 or half_width < 1:
+    if require_integer(n, "n") < 0 or require_integer(half_width, "half_width") < 1:
         raise ParameterError("need n >= 0 and half_width >= 1")
     if n > 2 * half_width:
         raise ParameterError(f"operator order n={n} exceeds 2*half_width={2*half_width}")
@@ -224,7 +216,7 @@ def design_ls(family, n: int, half_width: int,
 
     c0 = coef[0] if n % 2 == 0 else 0.0
     taps = np.r_[(-1.0) ** n * coef[: -half_width - 1 : -1], c0, coef[-half_width:]]
-    filt = FirFilter(spec.id, n, half_width, taps, passband_edge, stopband_edge)
+    filt = FirFilter(spec, n, half_width, taps, passband_edge, stopband_edge)
 
     dense = np.linspace(0.0, math.pi, _DENSE + 1)
     dpass = dense <= passband_edge
@@ -246,7 +238,10 @@ def design_ls(family, n: int, half_width: int,
 
 def transfer_function(filt: FirFilter, omega):
     """H(w) = sum_k c_k e^{i w k}; omega scalar or array."""
-    om = require_finite(np.asarray(omega, dtype=float), "omega")
+    om = np.asarray(omega)
+    if np.iscomplexobj(om):  # a cast to float would drop the imaginary part
+        raise ParameterError(f"omega must be real, not {omega!r}")
+    om = require_finite(om.astype(float), "omega")
     ks = np.arange(-filt.half_width, filt.half_width + 1)
     H = np.exp(1j * np.multiply.outer(om, ks)) @ filt.taps
     return complex(H) if om.ndim == 0 else H
@@ -254,8 +249,7 @@ def transfer_function(filt: FirFilter, omega):
 
 def apply_filter(filt: FirFilter, samples, t: int):
     """sum_k c_k samples[t+k]; samples indexed 0..len-1, unit spacing."""
-    if not _integral(t):  # a float index would fail the slice, and True would read as 1
-        raise ParameterError(f"sample index {t!r} is not an integer")
+    require_integer(t, "sample index")  # a float index would fail the slice
     samples = np.asarray(samples)
     N = filt.half_width
     if t - N < 0 or t + N >= samples.size:

@@ -5,37 +5,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term,
+from .families import (gamma_beta_arrays, require_finite, require_nonnegative, three_term,
                        three_term_ends, three_term_jet_ends)
 
 
 def _finite(a, N: int):
     """a, once checked finite: Python floats overflow silently, and numpy
-    arrays do under the errstate that eval_p_grid sets."""
+    arrays do under the errstate that eval_all_p sets."""
     if not np.isfinite(a).all():
         raise NumericError(f"p_n(omega), n <= {N}, overflows float64; use a smaller N or |omega|")
     return a
 
 
-def eval_all_p(family, N: int, omega: float) -> np.ndarray:
-    """p_0(omega)..p_N(omega) at a single omega, by the forward recurrence.
+def eval_all_p(family, N: int, omega) -> np.ndarray:
+    """p_0(omega)..p_N(omega) by the forward recurrence: shape (N+1,) at a scalar omega,
+    (N+1, len(omega)) over an array.
 
     Raises NumericError once a value overflows float64.
     """
-    gam, bet = gamma_beta_arrays(family_spec(family), require_nonnegative(N))
-    x = require_finite(float(omega), "omega")
-    return _finite(three_term(gam, bet, x), N)
-
-
-def eval_p_grid(family, N: int, omegas) -> np.ndarray:
-    """p_n(omega) for n <= N over a grid; shape (N+1, len(omegas)).
-
-    Raises NumericError once a value overflows float64.
-    """
-    omegas = require_finite(np.asarray(omegas, dtype=np.float64), "omega")
+    omega = require_finite(np.asarray(omega, dtype=np.float64), "omega")
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = three_term(gam, bet, omegas)
+        values = three_term(gam, bet, omega)
     return _finite(values, N)
 
 

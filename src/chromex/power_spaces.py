@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .expansions import Exponential, FunctionSpec
-from .families import (family_spec, gamma_beta_arrays, require_finite, require_nonnegative, three_term,
-                       three_term_pair)
+from .families import (family_spec, gamma_beta_arrays, require_finite, require_integer, require_nonnegative,
+                       three_term, three_term_pair)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ConditionReport:
 
 def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionReport:
     spec = family_spec(family)
-    if horizon < 100:
+    if require_integer(horizon, "horizon") < 100:
         raise ParameterError("horizon must be at least 100")
     if not 1 < kappa < math.inf:  # a NaN kappa fails this too
         raise ParameterError("kappa must be finite and exceed 1")

@@ -24,6 +24,21 @@ def test_families_list(capsys):
     assert len(lines) == 9  # header + 8 families
 
 
+def test_families_list_stdout_is_pinned(capsys):
+    _, out = run(capsys, "families", "--list")
+    assert out == (
+        "family,symmetric,p,support,rho\n"
+        'legendre,True,0,"[-pi, pi]",0\n'
+        'chebyshev_t,True,0,"[-pi, pi]",0\n'
+        'chebyshev_u,True,0,"[-pi, pi]",0\n'
+        'gegenbauer(1),True,0,"[-pi, pi]",0\n'
+        '"jacobi(0.5,-0.25)",False,0,"[-pi, pi]",0\n'
+        "hermite,True,0.5,real line,0\n"
+        "laguerre,False,1,half line,1\n"
+        "herron,True,1,real line,0.63661977236758138\n"
+    )
+
+
 def test_families_list_csv_round_trip(capsys):
     """Fields holding commas (supports, jacobi parameters) come back whole."""
     import csv

@@ -7,20 +7,31 @@ import pytest
 
 from chromex import (
     FamilyId,
+    FirFilter,
     NumericError,
     ParameterError,
     UnsupportedFamilyError,
     build_table,
+    check_conditions,
+    chromatic_jet_from_taylor,
+    compose_at_zero,
+    conversion_matrices,
+    design_ls,
     euler_numbers,
+    eval_all_p,
     family_spec,
     gauss_quadrature,
     jacobi_matrix,
+    kbasis_rows,
     moment_analytic,
     moment_jacobi_matrix,
+    orthonormality_matrix,
     parse_family,
     recursion_coefficients,
+    spherical_j_all,
+    transfer_function,
 )
-from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, _spec_of, gamma_beta_arrays,
+from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, gamma_beta_arrays,
                               moment_over_factorial_ld, three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 from test_recurrence import OMEGAS, assert_bitwise
@@ -368,15 +379,52 @@ def test_family_spec_is_resolved_once_per_key():
 @pytest.mark.parametrize("first", [0.0, -0.0])
 def test_negative_zero_parameter_is_plus_zero(first):
     # -0.0 == 0.0 makes them one cache key, so neither spelling may change what the other gets
-    _spec_of.cache_clear()
+    parse_family.cache_clear()
     _first_block.cache_clear()
     try:
         for a in (first, -first):
             spec = family_spec(FamilyId("jacobi", a, 0.0))
             assert str(spec) == str(family_spec(f"jacobi({a!r},-0.0)")) == "jacobi(0,0)"
-            assert math.copysign(1.0, spec.id.a) == math.copysign(1.0, spec.id.b) == 1.0
+            assert math.copysign(1.0, spec.a) == math.copysign(1.0, spec.b) == 1.0
             _, bet = gamma_beta_arrays(f"jacobi({a!r},0)", 3)
             assert not np.signbit(bet).any()
     finally:
-        _spec_of.cache_clear()
+        parse_family.cache_clear()
         _first_block.cache_clear()
+
+
+_FILTER = FirFilter(None, 0, 2, np.ones(5), 0.9 * math.pi, 0.98 * math.pi)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: eval_all_p("legendre", 2.5, 0.3), "N 2.5 is not", id="eval_all_p"),
+    pytest.param(lambda: eval_all_p("legendre", True, 0.3), "N True is not", id="eval_all_p-bool"),
+    pytest.param(lambda: jacobi_matrix("legendre", 2.5), "dimension 2.5 is not", id="jacobi_matrix"),
+    pytest.param(lambda: conversion_matrices("legendre", 2.5), "N 2.5 is not", id="conversion_matrices"),
+    pytest.param(lambda: gauss_quadrature("legendre", 4.0), "n 4.0 is not", id="gauss_quadrature"),
+    pytest.param(lambda: kbasis_rows("legendre", 0, 2.0, 0.3), "hi 2.0 is not", id="kbasis_rows"),
+    pytest.param(lambda: build_table("legendre", 3.0), "N 3.0 is not", id="build_table"),
+    pytest.param(lambda: build_table("legendre", 3, 9.0), "K 9.0 is not", id="build_table-K"),
+    pytest.param(lambda: orthonormality_matrix("legendre", 2.5), "N 2.5 is not", id="orthonormality_matrix"),
+    pytest.param(lambda: compose_at_zero("legendre", 1, 2.0), "m 2.0 is not", id="compose_at_zero"),
+    pytest.param(lambda: chromatic_jet_from_taylor("legendre", np.ones(5), 2.5), "N 2.5 is not",
+                 id="chromatic_jet_from_taylor"),
+    pytest.param(lambda: check_conditions("hermite", 200.0), "horizon 200.0 is not", id="check_conditions"),
+    pytest.param(lambda: design_ls("legendre", 2, 16.0), "half_width 16.0 is not", id="design_ls"),
+    pytest.param(lambda: spherical_j_all(2.5, 0.3), "order 2.5 is not", id="spherical_j_all"),
+    # a cast to float would refuse a Python complex, and drop a numpy one's imaginary part
+    pytest.param(lambda: transfer_function(_FILTER, 1 + 2j), "omega must be real", id="transfer_function"),
+    pytest.param(lambda: transfer_function(_FILTER, np.complex128(1 + 2j)), "omega must be real",
+                 id="transfer_function-numpy-scalar"),
+    pytest.param(lambda: transfer_function(_FILTER, np.array([0.5, 1 + 2j])), "omega must be real",
+                 id="transfer_function-numpy-array"),
+])
+def test_non_integer_order_or_non_real_omega_is_a_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integer_orders_are_integers():
+    want = build_table("legendre", 3, 9).b
+    np.testing.assert_array_equal(build_table("legendre", np.int64(3), np.int32(9)).b, want)
+    assert_bitwise(eval_all_p("legendre", np.int8(4), 0.3), eval_all_p("legendre", 4, 0.3))

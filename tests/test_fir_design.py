@@ -13,7 +13,6 @@ from chromex import (
     apply_filter,
     design_ls,
     eval_all_p,
-    eval_p_grid,
     family_spec,
     load_filter,
     save_filter,
@@ -310,7 +309,7 @@ def test_report_blocks_match_one_dense_product(family, half_width):
         H = _dense_response(n, half_width, filt.taps)
         delta = 2 * math.log2(16000) * np.finfo(float).eps * np.abs(filt.taps).sum()
         assert np.abs(_response(filt.taps, n) - H).max() <= delta
-        td = (-1.0) ** (n // 2) * eval_p_grid(family, n, dense)[n]
+        td = (-1.0) ** (n // 2) * eval_all_p(family, n, dense)[n]
         dpass = dense <= filt.passband_edge
         err = np.abs(H - td)
         assert abs(rep.passband_max_error - err[dpass].max()) <= delta
@@ -340,7 +339,7 @@ def _gelsd_lawson(family, n, half_width, refine_iterations=8):
     one lstsq per solve on the weighted design matrix.  Returns the taps and the
     last solve's condition number."""
     omegas, in_pass = _design_grid(half_width, 0.9 * math.pi, 0.98 * math.pi, 16)
-    tgt = np.where(in_pass, (-1.0) ** (n // 2) * eval_p_grid(family, n, omegas)[n], 0.0)
+    tgt = np.where(in_pass, (-1.0) ** (n // 2) * eval_all_p(family, n, omegas)[n], 0.0)
     w = np.where(in_pass, 1.0, 10.0)
     k = np.arange(1, half_width + 1)
     if n % 2 == 0:
@@ -367,7 +366,7 @@ def _dense_report(family, n, half_width, taps):
     of taps on design_ls's 8001 dense frequencies, from one dense product."""
     dense = np.linspace(0.0, math.pi, 8001)
     H = _dense_response(n, half_width, taps)
-    td = (-1.0) ** (n // 2) * eval_p_grid(family, n, dense)[n]
+    td = (-1.0) ** (n // 2) * eval_all_p(family, n, dense)[n]
     dpass = dense <= 0.9 * math.pi
     err = np.abs(H - td)
     nonzero = dpass & (np.abs(td) > 1e-300)

@@ -130,7 +130,7 @@ def _complex_product(family, lo, hi, z):
     spec = family_spec(family)
     zs, absz = _points(z)
     M = _gauss_size(spec, hi, absz, float(np.abs(zs.imag).max()))
-    nodes, A, _, _ = _gauss_rows(spec.id, M, 16 * (hi // 16 + 1))
+    nodes, A, _, _ = _gauss_rows(spec, M, 16 * (hi // 16 + 1))
     rows = np.empty((hi - lo + 1, zs.size), dtype=np.complex128)
     for s in range(0, zs.size, _CHUNK):
         phases = np.multiply.outer(1j * nodes, zs[s : s + _CHUNK])

@@ -8,7 +8,6 @@ from chromex import (
     cd_diagonal,
     cd_kernel,
     eval_all_p,
-    eval_p_grid,
     family_spec,
     gauss_quadrature,
 )
@@ -40,7 +39,7 @@ def test_parity(family):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_orthonormality_by_quadrature(family):
     nodes, w = gauss_quadrature(family, 64)
-    P = eval_p_grid(family, 40, nodes)
+    P = eval_all_p(family, 40, nodes)
     G = (P * w) @ P.T
     assert np.abs(G - np.eye(41)).max() < 1e-8
 
@@ -76,7 +75,7 @@ def test_cd_diagonal_chebyshev_pattern():
 
 def test_grid_matches_scalar_evaluation():
     omegas = np.array([-1.5, 0.0, 0.4, 2.2])
-    P = eval_p_grid("jacobi(0.5,-0.25)", 12, omegas)
+    P = eval_all_p("jacobi(0.5,-0.25)", 12, omegas)
     for i, om in enumerate(omegas):
         np.testing.assert_allclose(
             P[:, i], eval_all_p("jacobi(0.5,-0.25)", 12, om), rtol=1e-13
@@ -86,7 +85,7 @@ def test_grid_matches_scalar_evaluation():
 @pytest.mark.parametrize("family", ["gegenbauer(2.5)", "gegenbauer(-0.3)", "jacobi(0.5,-0.5)"])
 def test_orthonormality_at_general_parameters(family):
     nodes, w = gauss_quadrature(family, 48)
-    P = eval_p_grid(family, 30, nodes)
+    P = eval_all_p(family, 30, nodes)
     G = (P * w) @ P.T
     assert np.abs(G - np.eye(31)).max() < 1e-8
 
@@ -94,7 +93,7 @@ def test_orthonormality_at_general_parameters(family):
 @pytest.mark.parametrize("call, name", [
     (lambda w: eval_all_p("hermite", 3, w), "omega"),
     (lambda w: cd_diagonal("legendre", 3, w), "omega"),
-    (lambda w: eval_p_grid("hermite", 3, [0.5, w]), "omega"),
+    (lambda w: eval_all_p("hermite", 3, [0.5, w]), "omega"),
     (lambda w: cd_kernel("hermite", 3, w, 0.5), "omega"),
     (lambda w: cd_kernel("laguerre", 3, 0.5, w), "sigma"),
     (lambda w: cd_diagonal("hermite", 3, w), "omega"),

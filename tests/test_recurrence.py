@@ -47,7 +47,6 @@ from chromex import (
     cd_diagonal,
     cd_kernel,
     eval_all_p,
-    eval_p_grid,
     gauss_quadrature,
     jacobi_matrix,
     nu_sequence,
@@ -161,12 +160,12 @@ def gamma_beta_ld_scalar(spec, n):
     if tag == "chebyshev_u":
         return PI_LD / 2, np.longdouble(0.0)
     if tag == "gegenbauer":
-        a = np.longdouble(spec.id.a)
+        a = np.longdouble(spec.a)
         g = PI_LD / 2 * np.sqrt((nn + 1) * (nn + 2 * a) / ((nn + a) * (nn + a + 1)))
         return g, np.longdouble(0.0)
     if tag == "jacobi":
-        a = np.longdouble(spec.id.a)
-        b = np.longdouble(spec.id.b)
+        a = np.longdouble(spec.a)
+        b = np.longdouble(spec.b)
         s = 2 * nn + a + b
         g = (
             2 * PI_LD / (s + 2)
@@ -281,7 +280,7 @@ def test_recursion_coefficients_match_scalar_formulas(family):
     (cd_kernel, ("hermite", 3000, 40.0, 1.0)),
     (cd_diagonal, ("hermite", 3000, 40.0)),
     (cd_diagonal, ("legendre", 300, 7.0)),  # every p_n finite, the CD products overflow
-    (eval_p_grid, ("hermite", 3000, np.array([1.0, 40.0]))),
+    (eval_all_p, ("hermite", 3000, np.array([1.0, 40.0]))),
 ])
 def test_overflow_raises_numeric_error(call, args):
     with pytest.raises(NumericError, match="smaller N or \\|omega\\|"):
@@ -292,7 +291,7 @@ def test_overflow_raises_numeric_error(call, args):
 def test_eval_p_grid_matches_scalar_loop(family):
     for N, om in ((0, np.array([0.5])), (30, np.linspace(-3, 3, 17)), (120, np.linspace(-8, 8, 101))):
         gam, bet = gamma_beta_arrays(family, N)
-        np.testing.assert_array_equal(eval_p_grid(family, N, om), poly_grid_loop(gam, bet, om))
+        np.testing.assert_array_equal(eval_all_p(family, N, om), poly_grid_loop(gam, bet, om))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
