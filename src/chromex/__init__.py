@@ -28,7 +28,6 @@ from .errors import (
     ConvergenceError,
     NumericError,
     ParameterError,
-    UnsupportedFamilyError,
 )
 from .expansions import (
     ApproximationResult,

@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns
-from .errors import ConvergenceError, NumericError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, _gauss_pass, family_spec, require_integer, require_nonnegative
+from .errors import ConvergenceError, NumericError, ParameterError
+from .families import FamilyId, _gauss_pass, family_spec, require_integer, require_nonnegative, require_real
 
 _TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
 _CHUNK = 1024  # the Gauss route's points per matrix product
@@ -161,7 +161,7 @@ def kbasis_closed(family, n: int, z):
     spec = family_spec(family)
     tag = spec.tag
     if tag in ("gegenbauer", "jacobi"):
-        raise UnsupportedFamilyError(f"{tag} has no printed closed form; use kbasis_rows")
+        raise ParameterError(f"{tag} has no printed closed form; use kbasis_rows")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
     if tag in ("hermite", "laguerre", "herron"):
         zs, absz = _points(z)
@@ -208,9 +208,7 @@ def _miller(spherical, nmax, x, rows):
     j_0, j_1 is larger in magnitude, or by J_0 + 2 sum_k J_2k = 1.  Only
     the requested rows are stored.
     """
-    x = np.atleast_1d(np.asarray(x)).astype(np.float64, casting="same_kind")
-    if not np.isfinite(x).all():
-        raise ParameterError("non-finite Bessel argument; x must be finite")
+    x = np.atleast_1d(require_real(x, "x"))
     out = np.zeros((len(rows), x.size))
     small = np.abs(x) < 1e-14  # there j_n = prod_{k<=n} x/(2k+1), J_n = prod_{k<=n} x/(2k)
     if small.any():  # + 0.0 turns -0.0 into 0.0, so j_n(-0) = [n == 0] without a sign
@@ -272,21 +270,21 @@ def spherical_j(n: int, x: float) -> float:
     """Spherical Bessel j_n(x), real finite x; accurate to 1e-14 absolute
     (tested) for n <= 80, |x| <= 1e4."""
     require_nonnegative(n, "order")
-    return float(_miller(True, n, float(x), [n])[0, 0])
+    return float(_miller(True, n, float(require_real(x, "x")), [n])[0, 0])
 
 
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x), real finite x; same
     tested domain as spherical_j."""
     require_nonnegative(n, "order")
-    return float(_miller(False, n, float(x), [n])[0, 0])
+    return float(_miller(False, n, float(require_real(x, "x")), [n])[0, 0])
 
 
 def spherical_j_all(n: int, x: float) -> np.ndarray:
     """j_0(x) .. j_n(x): the one-point case of _miller."""
-    return _miller(True, require_nonnegative(n, "order"), float(x), range(n + 1))[:, 0]
+    return _miller(True, require_nonnegative(n, "order"), float(require_real(x, "x")), range(n + 1))[:, 0]
 
 
 def bessel_j_all(n: int, x: float) -> np.ndarray:
     """J_0(x) .. J_n(x): the one-point case of _miller."""
-    return _miller(False, require_nonnegative(n, "order"), float(x), range(n + 1))[:, 0]
+    return _miller(False, require_nonnegative(n, "order"), float(require_real(x, "x")), range(n + 1))[:, 0]

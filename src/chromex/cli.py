@@ -31,9 +31,8 @@ from .families import (
     gauss_quadrature,
     moment_analytic,
     moment_jacobi_matrix,
-    parse_family,
     recursion_coefficients,
-    require_finite,
+    require_real,
 )
 from .orthopoly import cd_diagonal, cd_kernel, eval_all_p
 
@@ -121,47 +120,44 @@ def cmd_families(args):
 
 
 def cmd_poly(args):
-    vals = eval_all_p(family_spec(args.family), args.n, args.omega)[args.n]
+    vals = eval_all_p(args.family, args.n, args.omega)[args.n]
     return ["omega", f"p_{args.n}"], [(float(w), float(v)) for w, v in zip(args.omega, vals)]
 
 
 def cmd_basis(args):
-    vals = kbasis_rows(family_spec(args.family), args.n, args.n, args.t)[0]
+    vals = kbasis_rows(args.family, args.n, args.n, args.t)[0]
     return ["t", "n", "value_re", "value_im"], [(float(t), args.n, v.real, v.imag)
                                                for t, v in zip(args.t, vals)]
 
 
 def cmd_table(args):
-    b = table_for(family_spec(args.family), args.n, args.columns).b
+    b = table_for(args.family, args.n, args.columns).b
     n, k = np.nonzero(b)
     v = b[n, k]
     return ["n", "k", "b_re", "b_im"], list(zip(n.tolist(), k.tolist(), v.real.tolist(), v.imag.tolist()))
 
 
 def cmd_expand(args):
-    spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
-    ca = expansions.chromatic_approximation_grid(spec, f, args.u, args.order, args.t)
+    ca = expansions.chromatic_approximation_grid(args.family, f, args.u, args.order, args.t)
     fv = f.value(args.t)
     return ["t", "f_re", "f_im", "ca_re", "ca_im", "residual"], [
         (float(t), fval.real, fval.imag, c.real, c.imag, abs(fval - c)) for t, fval, c in zip(args.t, fv, ca)]
 
 
 def cmd_identity(args):
-    spec = family_spec(args.family)
     if args.kind == "exponential":
-        res = expansions.identity_exponential(spec, args.omega, args.z, args.order)
+        res = expansions.identity_exponential(args.family, args.omega, args.z, args.order)
     elif args.kind == "translation":
-        res = expansions.identity_translation(spec, args.u, args.z, args.order)
+        res = expansions.identity_translation(args.family, args.u, args.z, args.order)
     else:
-        res = expansions.identity_constant_one(spec, args.z, args.order)
+        res = expansions.identity_constant_one(args.family, args.z, args.order)
     return ["z", "residual"], [(float(z), float(r)) for z, r in zip(args.z, res)]
 
 
 def cmd_compare(args):
-    spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
-    rows = expansions.taylor_vs_chromatic_comparison(spec, f, args.u, args.order, args.t)
+    rows = expansions.taylor_vs_chromatic_comparison(args.family, f, args.u, args.order, args.t)
     return ["t", "f", "chromatic", "taylor", "chromatic_error", "taylor_error"], [
         (t, fv.real, ca.real, ty.real, abs(fv - ca), abs(fv - ty))
         for t, fv, ca, ty in rows
@@ -169,9 +165,8 @@ def cmd_compare(args):
 
 
 def cmd_design_fir(args):
-    spec = family_spec(args.family)
     filt, report = fir_design.design_ls(
-        spec, args.n, args.half_width,
+        args.family, args.n, args.half_width,
         passband_edge=args.passband * math.pi,
         stopband_edge=args.stopband * math.pi,
         grid_density=args.grid_density,
@@ -208,7 +203,7 @@ def cmd_apply_fir(args):
         idx = np.arange(-args.extent, args.extent + 1)
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite signal is refused below
             samples = f.value(idx.astype(float)).real
-    require_finite(samples, "samples")
+    samples = require_real(samples, "samples")
     N = filt.half_width
     if samples.size < 2 * N + 1:  # no t would have a full window: only the header would print
         raise ParameterError(f"a filter of half_width {N} needs at least {2 * N + 1} samples; "
@@ -218,23 +213,20 @@ def cmd_apply_fir(args):
 
 
 def cmd_envelope(args):
-    spec = family_spec(args.family)
-    vals = expansions.error_envelope(spec, args.order, args.t)
+    vals = expansions.error_envelope(args.family, args.order, args.t)
     return ["t", "envelope"], [(float(t), float(v)) for t, v in zip(args.t, vals)]
 
 
 def cmd_power_norm(args):
-    spec = family_spec(args.family)
     f = _parse_function(args.function, args.seed)
-    diag = power_spaces.nu_sequence(spec, f, args.t, args.order)
+    diag = power_spaces.nu_sequence(args.family, f, args.t, args.order)
     running = np.cumsum(diag.values)
     return ["n", "raw", "cesaro"], [(n, float(diag.values[n]), float(running[n] / (n + 1)))
                                     for n in range(0, args.order + 1, max(1, args.order // args.points))]
 
 
 def cmd_conditions(args):
-    spec = family_spec(args.family)
-    report = power_spaces.check_conditions(spec, args.horizon, args.kappa)
+    report = power_spaces.check_conditions(args.family, args.horizon, args.kappa)
     rows = [(name, str(flag)) for name, flag in report.flags.items()]
     rows += [(k, _fmt(v)) for k, v in report.evidence.items()]
     return ["item", "value"], rows

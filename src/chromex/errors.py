@@ -6,11 +6,7 @@ class ChromexError(Exception):
 
 
 class ParameterError(ChromexError, ValueError):
-    """A family parameter or argument is outside its admissible domain."""
-
-
-class UnsupportedFamilyError(ChromexError, ValueError):
-    """The requested operation has no implementation for this family."""
+    """A family, family parameter or argument is outside the domain of the operation."""
 
 
 class ConvergenceError(ChromexError, ArithmeticError):

@@ -11,7 +11,7 @@ import numpy as np
 from .basis_functions import _miller, kbasis_rows
 from .chromatic_core import ChromaticTable, _i_pow, chromatic_jet_from_taylor, taylor_from_chromatic_jet
 from .errors import ParameterError
-from .families import FamilyId, _gauss_pass, family_spec, require_finite, require_nonnegative
+from .families import FamilyId, _gauss_pass, family_spec, require_nonnegative, require_real
 from .orthopoly import eval_all_p
 
 
@@ -34,7 +34,7 @@ class FunctionSpec:
         """f^(k)(u)/k!, k < length, converted from the Legendre chromatic jet."""
         if type(self).chromatic_jet is FunctionSpec.chromatic_jet:
             raise NotImplementedError(f"{type(self).__name__} states neither jet")
-        cjet = self.chromatic_jet("legendre", float(u), length - 1)
+        cjet = self.chromatic_jet("legendre", u, require_nonnegative(length, "length") - 1)
         return taylor_from_chromatic_jet("legendre", cjet, length - 1)
 
     def norm_sq(self, family) -> float | None:
@@ -58,7 +58,7 @@ class Exponential(FunctionSpec):
 
     def taylor_jet(self, u, length):
         # (i w)^k / k! as one running product, so long jets underflow to 0
-        steps = np.r_[1.0, 1j * self.omega / np.arange(1, length)][:length]
+        steps = np.r_[1.0, 1j * self.omega / np.arange(1, require_nonnegative(length, "length"))][:length]
         return np.cumprod(steps) * np.exp(1j * self.omega * u)
 
 
@@ -87,7 +87,8 @@ class Constant(FunctionSpec):
     c: float = 1.0
 
     def __post_init__(self):
-        require_finite(self.c, "c")
+        if not np.isfinite(self.c).all():  # c may be complex: require_real does not apply
+            raise ParameterError("non-finite argument; c must be finite")
 
     def value(self, z):
         return self.c * np.ones_like(np.asarray(z, dtype=np.complex128))
@@ -96,8 +97,8 @@ class Constant(FunctionSpec):
         return self.c * Exponential(0.0).chromatic_jet(family, 0.0, N)  # K^n[1] = i^n p_n(0)
 
     def taylor_jet(self, u, length):
-        coeff = np.zeros(length, dtype=np.complex128)
-        coeff[0] = self.c
+        coeff = np.zeros(require_nonnegative(length, "length"), dtype=np.complex128)
+        coeff[:1] = self.c
         return coeff
 
 
@@ -121,7 +122,7 @@ def _sinc_jets(family, ts, N):
     c_n = ||C[n, :]||_2 also bounds |K^n[sinc]| (Cauchy-Schwarz)."""
     spec = family_spec(family)
     n = np.arange(require_nonnegative(N) + 1)
-    js = _miller(True, N, math.pi * require_finite(np.asarray(ts), "t"), range(N + 1))
+    js = _miller(True, N, math.pi * require_real(ts, "t"), range(N + 1))
     jets = (((-1.0) ** n * np.sqrt(2 * n + 1))[:, None] * js).astype(np.complex128)
     return jets if spec.tag == "legendre" else _sinc_connection(spec, N) @ jets
 
@@ -179,7 +180,7 @@ class JetFunction(FunctionSpec):
         return _taylor_sum(self.jet, self.u, z)
 
     def taylor_jet(self, u, length):
-        if u != self.u or length > len(self.jet):
+        if u != self.u or require_nonnegative(length, "length") > len(self.jet):
             raise ParameterError("requested jet outside the stored one")
         return self.jet[:length]
 
@@ -238,7 +239,7 @@ def _per_point(values, z):
 
 def error_envelope(family, N: int, t, table: ChromaticTable | None = None):
     """E_N(t) at a scalar t (a float) or at an array of t, in one pass."""
-    return _per_point(_envelope(kbasis_rows(family, 0, N, np.asarray(t, dtype=float))), t)
+    return _per_point(_envelope(kbasis_rows(family, 0, N, require_real(t, "t"))), t)
 
 
 def local_norm_sq(family, f: FunctionSpec, t: float, N: int) -> float:
@@ -297,7 +298,7 @@ def taylor_vs_chromatic_comparison(family, f: FunctionSpec, u: float, N: int, gr
                                    table: ChromaticTable | None = None):
     """Rows (t, f(t), CA[f,N,u](t), Taylor_N[f,u](t)) over the grid."""
     spec = family_spec(family)
-    grid = np.asarray(grid, dtype=float)
+    grid = require_real(grid, "grid")
     ca = chromatic_approximation_grid(spec, f, u, N, grid)
     taylor = _taylor_sum(f.taylor_jet(u, N + 1), u, grid)
     fvals = f.value(grid)

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, UnsupportedFamilyError
+from .errors import NumericError, ParameterError
 
 # per tag, the columns of families --list: whether the measure is even (jacobi(a, b) only
 # when a == b), the growth exponent p of weak boundedness, the support, and rho
@@ -357,9 +357,20 @@ def require_nonnegative(n: int, name: str = "N") -> int:
     return n
 
 
-def require_finite(x, name: str):
-    """x, once checked finite: a NaN or infinite argument is a ParameterError naming it."""
-    if not np.isfinite(x).all():
+def require_real(x, name: str):
+    """x as a float, or as a float64 array if it has dimensions: a complex x, whose imaginary
+    part a cast would drop, or a NaN or infinite one is a ParameterError naming it."""
+    if isinstance(x, (int, float)):  # a plain number, checked without numpy
+        x = float(x)
+        finite = math.isfinite(x)
+    else:
+        x = np.asarray(x)
+        if x.dtype.kind == "c":
+            raise ParameterError(f"{name} must be real")
+        x = np.asarray(x, dtype=np.float64)
+        finite = np.isfinite(x).all()
+        x = float(x) if x.ndim == 0 else x
+    if not finite:
         raise ParameterError(f"non-finite argument; {name} must be finite")
     return x
 
@@ -380,7 +391,7 @@ def euler_numbers(nmax: int):
     is the running sums of the one before, reversed, and row k ends in the zigzag number A_k,
     with E_2n = (-1)^n A_2n.  That is O(nmax^2) additions, no products."""
     E, row = [1], [1]
-    for k in range(1, nmax + 1):
+    for k in range(1, require_nonnegative(nmax, "nmax") + 1):
         row = list(accumulate(reversed(row), initial=0))
         E.append(0 if k % 2 else (-1) ** (k // 2) * row[-1])
     return tuple(E)
@@ -391,9 +402,7 @@ def moment_analytic(family, k: int) -> float:
     spec = family_spec(family)
     require_nonnegative(k, "k")
     if spec.tag in ("gegenbauer", "jacobi"):
-        raise UnsupportedFamilyError(
-            f"{spec.tag} has no closed moment form; use moment_jacobi_matrix"
-        )
+        raise ParameterError(f"{spec.tag} has no closed moment form; use moment_jacobi_matrix")
     if k % 2 and spec.symmetric:  # _finite_moment's 0.0, before herron's E_k is computed
         return 0.0
     return _finite_moment(spec, k, moment_over_factorial_ld(spec, k)[k])

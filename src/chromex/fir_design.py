@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis_functions import _CHUNK, kbasis_closed
-from .errors import NumericError, ParameterError, UnsupportedFamilyError
-from .families import FamilyId, family_spec, parse_family, require_finite, require_integer
+from .errors import NumericError, ParameterError
+from .families import FamilyId, family_spec, parse_family, require_integer, require_nonnegative, require_real
 from .orthopoly import eval_all_p
 
 
@@ -193,24 +193,22 @@ def design_ls(family, n: int, half_width: int,
     """
     spec = family_spec(family)
     if spec.support != "[-pi, pi]":
-        raise UnsupportedFamilyError(
-            f"{spec.tag} support is not contained in [-pi, pi]"
-        )
+        raise ParameterError(f"{spec.tag} support is not contained in [-pi, pi]")
     if require_integer(n, "n") < 0 or require_integer(half_width, "half_width") < 1:
         raise ParameterError("need n >= 0 and half_width >= 1")
     if n > 2 * half_width:
         raise ParameterError(f"operator order n={n} exceeds 2*half_width={2*half_width}")
     _check_edges(passband_edge, stopband_edge)
-    if grid_density < 1:
+    if require_integer(grid_density, "grid_density") < 1:
         raise ParameterError(f"need grid_density >= 1, got {grid_density}")
-    if not (math.isfinite(weight_ratio) and weight_ratio > 0):
-        raise ParameterError(f"need a finite weight_ratio > 0, got {weight_ratio}")
-    if refine_iterations < 0:
-        raise ParameterError(f"need refine_iterations >= 0, got {refine_iterations}")
+    weight_ratio = float(require_real(weight_ratio, "weight_ratio"))
+    if weight_ratio <= 0:
+        raise ParameterError(f"need weight_ratio > 0, got {weight_ratio}")
+    require_nonnegative(refine_iterations, "refine_iterations")
 
     omegas, in_pass = _design_grid(half_width, passband_edge, stopband_edge, grid_density)
     tgt = np.where(in_pass, _target_values(spec, n, omegas, target), 0.0)
-    w = np.where(in_pass, 1.0, float(weight_ratio))
+    w = np.where(in_pass, 1.0, weight_ratio)
 
     coef, cond = _solve_ls(_design_matrix(omegas, n, half_width), tgt, w, refine_iterations)
 
@@ -238,13 +236,10 @@ def design_ls(family, n: int, half_width: int,
 
 def transfer_function(filt: FirFilter, omega):
     """H(w) = sum_k c_k e^{i w k}; omega scalar or array."""
-    om = np.asarray(omega)
-    if np.iscomplexobj(om):  # a cast to float would drop the imaginary part
-        raise ParameterError(f"omega must be real, not {omega!r}")
-    om = require_finite(om.astype(float), "omega")
+    om = require_real(omega, "omega")
     ks = np.arange(-filt.half_width, filt.half_width + 1)
     H = np.exp(1j * np.multiply.outer(om, ks)) @ filt.taps
-    return complex(H) if om.ndim == 0 else H
+    return complex(H) if np.ndim(om) == 0 else H
 
 
 def apply_filter(filt: FirFilter, samples, t: int):
@@ -267,7 +262,7 @@ def shannon_decay_report(n: int, t: float, m_range: int):
     Documents the O(1/|m|) decay that makes evaluating chromatic
     derivatives by differentiating the Shannon expansion impractical.
     """
-    ms = np.arange(-m_range, m_range + 1)
+    ms = np.arange(-require_nonnegative(m_range, "m_range"), m_range + 1)
     ks = np.abs(kbasis_closed("legendre", n, t - ms))
     return [(int(m), k) for m, k in zip(ms, ks)]
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (gamma_beta_arrays, require_finite, require_nonnegative, three_term,
+from .families import (gamma_beta_arrays, require_nonnegative, require_real, three_term,
                        three_term_ends, three_term_jet_ends)
 
 
@@ -23,7 +23,7 @@ def eval_all_p(family, N: int, omega) -> np.ndarray:
 
     Raises NumericError once a value overflows float64.
     """
-    omega = require_finite(np.asarray(omega, dtype=np.float64), "omega")
+    omega = require_real(omega, "omega")
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
     with np.errstate(over="ignore", invalid="ignore"):
         values = three_term(gam, bet, omega)
@@ -37,7 +37,7 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
     """
     if omega == sigma:
         raise ParameterError("omega == sigma: use cd_diagonal")
-    omega, sigma = require_finite(float(omega), "omega"), require_finite(float(sigma), "sigma")
+    omega, sigma = float(require_real(omega, "omega")), float(require_real(sigma, "sigma"))
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
     po, po1, ps, ps1 = three_term_ends(gam, bet, omega, sigma)
     return float(_finite(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1))
@@ -46,5 +46,5 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
 def cd_diagonal(family, N: int, omega: float) -> float:
     """sum_{k<=N} p_k(omega)^2 via gamma_N (p'_{N+1} p_N - p_{N+1} p'_N)."""
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
-    p, p1, d, d1 = three_term_jet_ends(gam, bet, require_finite(float(omega), "omega"))
+    p, p1, d, d1 = three_term_jet_ends(gam, bet, float(require_real(omega, "omega")))
     return _finite(float(gam[N]) * (d1 * p - p1 * d), N + 1)

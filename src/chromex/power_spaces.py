@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .expansions import Exponential, FunctionSpec
-from .families import (family_spec, gamma_beta_arrays, require_finite, require_integer, require_nonnegative,
+from .families import (family_spec, gamma_beta_arrays, require_integer, require_nonnegative, require_real,
                        three_term, three_term_pair)
 
 
@@ -118,7 +118,7 @@ def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray
     """|K^k[f](t)|^2 for k < len(gam), exact fast path for exponentials."""
     if isinstance(f, Exponential):
         # |K^k[e^{i omega t}]| = |p_k(omega)|: one pass of the recurrence
-        p = _guarded(three_term(gam, bet, require_finite(float(f.omega), "omega")))
+        p = _guarded(three_term(gam, bet, float(require_real(f.omega, "omega"))))
         return np.multiply(p, p, out=p)
     jet = f.chromatic_jet(spec, t, len(gam) - 1)
     return np.abs(jet) ** 2
@@ -158,10 +158,10 @@ def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> Sequ
     """
     if omega == sigma:
         raise ParameterError("omega == sigma: use nu_sequence")
+    omega, sigma = float(require_real(omega, "omega")), float(require_real(sigma, "sigma"))
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
-    prods, ps = three_term_pair(gam, bet, require_finite(float(omega), "omega"), float(sigma))
+    prods, ps = three_term_pair(gam, bet, omega, sigma)
     _guarded(prods)
-    require_finite(float(sigma), "sigma")  # after omega's guard, as when each lane ran alone
     prods *= _guarded(ps)
     del ps  # and the sums below in place: the peak stays at the guard (gam, bet, two lanes, |ps|)
     np.abs(np.cumsum(prods, out=prods), out=prods)
@@ -175,6 +175,7 @@ def chebyshev_exponential_norm(x: float, n: int):
     (2n+1)/(2n+2) + sin((2n+1) arccos x) / ((2n+2) sqrt(1-x^2)); the
     direct value is (1/(n+1)) sum_{k<=n} p_k(pi x)^2.
     """
+    x = float(require_real(x, "x"))
     if not -1.0 < x < 1.0:
         raise ParameterError("x must lie in (-1, 1)")
     require_nonnegative(n, "n")

@@ -12,7 +12,6 @@ from chromex import (
     NumericError,
     ParameterError,
     Sinc,
-    UnsupportedFamilyError,
     bessel_j,
     bessel_j_all,
     build_table,
@@ -102,7 +101,7 @@ def test_closed_hermite_to_n_150():
 
 def test_closed_unsupported_families():
     for family in ("gegenbauer(1)", "jacobi(0.5,-0.25)"):
-        with pytest.raises(UnsupportedFamilyError, match="no printed closed form; use kbasis_rows"):
+        with pytest.raises(ParameterError, match="no printed closed form; use kbasis_rows"):
             kbasis_closed(family, 2, 0.5)
 
 
@@ -203,8 +202,8 @@ def test_non_finite_arguments_raise_parameter_error(z):
             kbasis_series(build_table(family, 10), 0, z)
         with pytest.raises(ParameterError, match=msg):
             identity_exponential(family, 1.0, z, 10)
-    if np.isrealobj(z):
-        with pytest.raises(ParameterError, match=msg):
+    if np.isrealobj(z):  # error_envelope names its own argument
+        with pytest.raises(ParameterError, match="non-finite argument; t must be finite"):
             error_envelope("legendre", 10, z)
 
 

@@ -191,7 +191,7 @@ def test_shannon_jets_match_per_sample_sum(rng):
     # one product instead of the loop: 65 terms, each |K^n[sinc]| <= 1
     atol = 65 * np.finfo(float).eps * np.abs(samples).sum()
     np.testing.assert_allclose(f.chromatic_jet("legendre", 0.3, 15), ref, rtol=0, atol=atol)
-    with pytest.raises(TypeError):  # real t only, as per sample before
+    with pytest.raises(ParameterError, match="t must be real"):  # real t only, as per sample before
         f.chromatic_jet("legendre", 0.3 + 0.1j, 15)
 
 

@@ -6,17 +6,25 @@ import numpy as np
 import pytest
 
 from chromex import (
+    Constant,
+    Cosine,
+    Exponential,
     FamilyId,
     FirFilter,
+    JetFunction,
     NumericError,
     ParameterError,
-    UnsupportedFamilyError,
+    Sinc,
     build_table,
+    cd_diagonal,
+    cd_kernel,
+    chebyshev_exponential_norm,
     check_conditions,
     chromatic_jet_from_taylor,
     compose_at_zero,
     conversion_matrices,
     design_ls,
+    error_envelope,
     euler_numbers,
     eval_all_p,
     family_spec,
@@ -25,10 +33,15 @@ from chromex import (
     kbasis_rows,
     moment_analytic,
     moment_jacobi_matrix,
+    nu_sequence,
     orthonormality_matrix,
     parse_family,
     recursion_coefficients,
+    shannon_decay_report,
+    sigma_sequence,
+    spherical_j,
     spherical_j_all,
+    taylor_vs_chromatic_comparison,
     transfer_function,
 )
 from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, gamma_beta_arrays,
@@ -182,9 +195,9 @@ def test_moments_past_float64_raise(family, k):
 
 
 def test_moment_analytic_unsupported():
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ParameterError):
         moment_analytic("gegenbauer(1)", 2)
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ParameterError):
         moment_analytic("jacobi(0.5,-0.25)", 2)
 
 
@@ -394,6 +407,7 @@ def test_negative_zero_parameter_is_plus_zero(first):
 
 
 _FILTER = FirFilter(None, 0, 2, np.ones(5), 0.9 * math.pi, 0.98 * math.pi)
+_Z = np.complex128(1 + 2j)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -418,6 +432,35 @@ _FILTER = FirFilter(None, 0, 2, np.ones(5), 0.9 * math.pi, 0.98 * math.pi)
                  id="transfer_function-numpy-scalar"),
     pytest.param(lambda: transfer_function(_FILTER, np.array([0.5, 1 + 2j])), "omega must be real",
                  id="transfer_function-numpy-array"),
+    # each of these casts once dropped a numpy complex's imaginary part, with only a ComplexWarning
+    pytest.param(lambda: eval_all_p("legendre", 3, _Z), "omega must be real", id="eval_all_p-complex"),
+    pytest.param(lambda: cd_kernel("legendre", 3, _Z, 0.5), "omega must be real", id="cd_kernel"),
+    pytest.param(lambda: cd_diagonal("legendre", 3, _Z), "omega must be real", id="cd_diagonal"),
+    pytest.param(lambda: nu_sequence("legendre", Exponential(_Z), 0.0, 3), "omega must be real",
+                 id="nu_sequence"),
+    pytest.param(lambda: sigma_sequence("legendre", 0.5, _Z, 0.0, 3), "sigma must be real", id="sigma_sequence"),
+    pytest.param(lambda: error_envelope("legendre", 3, _Z), "t must be real", id="error_envelope"),
+    pytest.param(lambda: Sinc().chromatic_jet("legendre", 0.3 + 1j, 3), "t must be real", id="sinc_jet"),
+    pytest.param(lambda: spherical_j(3, _Z), "x must be real", id="spherical_j"),
+    pytest.param(lambda: chebyshev_exponential_norm(_Z, 10), "x must be real", id="chebyshev_exponential_norm"),
+    pytest.param(lambda: design_ls("legendre", 2, 16, weight_ratio=10 + _Z), "weight_ratio must be real",
+                 id="design_ls-weight_ratio"),
+    pytest.param(lambda: taylor_vs_chromatic_comparison("legendre", Sinc(), 0.0, 3, [0.5, _Z]),
+                 "grid must be real", id="taylor_vs_chromatic_comparison"),
+    # sizes: a bare TypeError, a wrong label or an empty result before
+    pytest.param(lambda: design_ls("legendre", 2, 16, grid_density=2.5), "grid_density 2.5 is not",
+                 id="design_ls-grid_density"),
+    pytest.param(lambda: design_ls("legendre", 2, 16, refine_iterations=1.5), "refine_iterations 1.5 is not",
+                 id="design_ls-refine_iterations"),
+    pytest.param(lambda: euler_numbers(-1), "nmax must be nonnegative", id="euler_numbers-negative"),
+    pytest.param(lambda: euler_numbers(2.5), "nmax 2.5 is not", id="euler_numbers"),
+    pytest.param(lambda: shannon_decay_report(3, 0.25, 2.5), "m_range 2.5 is not", id="shannon_decay_report"),
+    pytest.param(lambda: Exponential(1.0).taylor_jet(0.0, 2.5), "length 2.5 is not", id="taylor_jet-exponential"),
+    pytest.param(lambda: Cosine(1.0).taylor_jet(0.0, -1), "length must be nonnegative", id="taylor_jet-cosine"),
+    pytest.param(lambda: Constant(1.0).taylor_jet(0.0, 2.5), "length 2.5 is not", id="taylor_jet-constant"),
+    pytest.param(lambda: JetFunction(0.0, np.ones(3)).taylor_jet(0.0, 2.5), "length 2.5 is not",
+                 id="taylor_jet-jet_function"),
+    pytest.param(lambda: Sinc().taylor_jet(0.0, 2.5), "length 2.5 is not", id="taylor_jet-sinc"),
 ])
 def test_non_integer_order_or_non_real_omega_is_a_parameter_error(call, message):
     with pytest.raises(ParameterError, match=re.escape(message)):

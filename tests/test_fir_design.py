@@ -9,7 +9,6 @@ from chromex import (
     FirFilter,
     NumericError,
     ParameterError,
-    UnsupportedFamilyError,
     apply_filter,
     design_ls,
     eval_all_p,
@@ -177,7 +176,7 @@ def test_monotone_improvement_with_width():
 
 
 def test_design_rejections():
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(ParameterError):
         design_ls("hermite", 2, 16)
     with pytest.raises(ParameterError):
         design_ls("legendre", 40, 16)  # n > 2 * half_width

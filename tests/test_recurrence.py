@@ -426,15 +426,16 @@ def full_jet_cd_diagonal(family, N, omega):
 
 
 def two_pass_sigma(family, omega, sigma, N):
+    omega, sigma = _finite_arg(omega, "omega"), _finite_arg(sigma, "sigma")
     gam, bet = gamma_beta_arrays(family, N)
 
-    def lane(x, name):
-        p = three_term(gam, bet, _finite_arg(x, name))
+    def lane(x):
+        p = three_term(gam, bet, x)
         if not (np.abs(p) <= 1e100).all():
             raise NumericError(GUARD)
         return p
 
-    prods = lane(omega, "omega") * lane(sigma, "sigma")
+    prods = lane(omega) * lane(sigma)
     return np.abs(np.cumsum(prods)) / np.cumsum(1.0 / gam)
 
 
@@ -473,7 +474,7 @@ def test_one_pass_loops_match_the_routes_they_replaced(family):
 @pytest.mark.parametrize("omega, sigma", [
     (40.0, 1.0), (1.0, 40.0),  # hermite at N = 3000: the omega or the sigma lane overflows
     (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
-    (40.0, math.nan),  # omega's guard trips before sigma is checked
+    (40.0, math.nan),  # sigma is checked before omega's guard could trip
 ])
 def test_one_pass_loops_raise_as_before(omega, sigma):
     _same_as_before("hermite", 3000, omega, sigma)
