@@ -3,21 +3,12 @@ orthonormal polynomials: coefficient tables, basis functions, local
 expansions with error envelopes, FIR evaluation of the operators from
 samples, and power-space seminorms."""
 
-from .basis_functions import (
-    bessel_j,
-    bessel_j_all,
-    kbasis_closed,
-    kbasis_rows,
-    kbasis_series,
-    spherical_j,
-    spherical_j_all,
-)
+from .basis_functions import kbasis_closed, kbasis_rows, kbasis_series
 from .chromatic_core import (
     ChromaticTable,
     ConversionMatrices,
     build_table,
     chromatic_jet_from_taylor,
-    compose_at_zero,
     conversion_matrices,
     orthonormality_matrix,
     table_for,
@@ -68,7 +59,6 @@ from .fir_design import (
     design_ls,
     load_filter,
     save_filter,
-    shannon_decay_report,
     transfer_function,
 )
 from .orthopoly import cd_diagonal, cd_kernel, eval_all_p

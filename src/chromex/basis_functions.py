@@ -265,26 +265,3 @@ def _miller(spherical, nmax, x, rows):
     out[:, live] = rec
     return out
 
-
-def spherical_j(n: int, x: float) -> float:
-    """Spherical Bessel j_n(x), real finite x; accurate to 1e-14 absolute
-    (tested) for n <= 80, |x| <= 1e4."""
-    require_nonnegative(n, "order")
-    return float(_miller(True, n, float(require_real(x, "x")), [n])[0, 0])
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), real finite x; same
-    tested domain as spherical_j."""
-    require_nonnegative(n, "order")
-    return float(_miller(False, n, float(require_real(x, "x")), [n])[0, 0])
-
-
-def spherical_j_all(n: int, x: float) -> np.ndarray:
-    """j_0(x) .. j_n(x): the one-point case of _miller."""
-    return _miller(True, require_nonnegative(n, "order"), float(require_real(x, "x")), range(n + 1))[:, 0]
-
-
-def bessel_j_all(n: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_n(x): the one-point case of _miller."""
-    return _miller(False, require_nonnegative(n, "order"), float(require_real(x, "x")), range(n + 1))[:, 0]

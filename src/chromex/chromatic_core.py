@@ -195,19 +195,6 @@ def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
     return conversion_matrices(spec, N).d2k_scaled @ vals
 
 
-def compose_at_zero(family, n: int, m: int) -> complex:
-    """(K^n o K^m)[m-function](0) = i^(n+m) * integral of p_n p_m.
-
-    Evaluated by Gauss quadrature with eigenvalue nodes and recurrence
-    weights, which keeps the computation well conditioned at any order.
-    The equivalent table expression sum_k k2d[n][k] k! b[m][k] loses
-    roughly one digit per two orders to cancellation; the test suite keeps
-    it as a low-order cross-check.
-    """
-    N = max(require_nonnegative(n, "n"), require_nonnegative(m, "m"))
-    return complex((-1.0) ** n * orthonormality_matrix(family, N)[n, m])
-
-
 def orthonormality_matrix(family, N: int) -> np.ndarray:
     """G[n][m] = (-1)^n (K^n o K^m)[m-function](0) for n, m <= N."""
     # an (N+4)-point Gauss rule integrates every p_n p_m with n, m <= N

@@ -34,7 +34,9 @@ class FunctionSpec:
         """f^(k)(u)/k!, k < length, converted from the Legendre chromatic jet."""
         if type(self).chromatic_jet is FunctionSpec.chromatic_jet:
             raise NotImplementedError(f"{type(self).__name__} states neither jet")
-        cjet = self.chromatic_jet("legendre", u, require_nonnegative(length, "length") - 1)
+        if require_nonnegative(length, "length") == 0:  # the empty jet, as the closed forms give it
+            return np.zeros(0, dtype=np.complex128)
+        cjet = self.chromatic_jet("legendre", u, length - 1)
         return taylor_from_chromatic_jet("legendre", cjet, length - 1)
 
     def norm_sq(self, family) -> float | None:
@@ -57,9 +59,10 @@ class Exponential(FunctionSpec):
         return _i_pow(np.arange(N + 1)) * pv * np.exp(1j * self.omega * t)
 
     def taylor_jet(self, u, length):
-        # (i w)^k / k! as one running product, so long jets underflow to 0
-        steps = np.r_[1.0, 1j * self.omega / np.arange(1, require_nonnegative(length, "length"))][:length]
-        return np.cumprod(steps) * np.exp(1j * self.omega * u)
+        # (i w)^k / k! as one running product, so long jets underflow to 0; w by chromatic_jet's rule
+        omega = require_real(self.omega, "omega")
+        steps = np.r_[1.0, 1j * omega / np.arange(1, require_nonnegative(length, "length"))][:length]
+        return np.cumprod(steps) * np.exp(1j * omega * u)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_functions import _CHUNK, kbasis_closed
+from .basis_functions import _CHUNK
 from .errors import NumericError, ParameterError
 from .families import FamilyId, family_spec, parse_family, require_integer, require_nonnegative, require_real
 from .orthopoly import eval_all_p
@@ -67,7 +67,8 @@ class DesignReport:
 
 
 def _check_edges(passband_edge, stopband_edge):
-    if not 0.0 < passband_edge < stopband_edge <= math.pi:
+    lo, hi = require_real(passband_edge, "passband_edge"), require_real(stopband_edge, "stopband_edge")
+    if not 0.0 < lo < hi <= math.pi:
         raise ParameterError("need 0 < passband_edge < stopband_edge <= pi")
 
 
@@ -254,17 +255,6 @@ def apply_filter(filt: FirFilter, samples, t: int):
     window = samples[t - N : t + N + 1]
     out = np.add.reduce(filt.taps * window)
     return complex(out) if samples.dtype.kind == "c" else float(out)
-
-
-def shannon_decay_report(n: int, t: float, m_range: int):
-    """Rows (m, |K^n[sinc](t - m)|) for |m| <= m_range (Legendre family).
-
-    Documents the O(1/|m|) decay that makes evaluating chromatic
-    derivatives by differentiating the Shannon expansion impractical.
-    """
-    ms = np.arange(-require_nonnegative(m_range, "m_range"), m_range + 1)
-    ks = np.abs(kbasis_closed("legendre", n, t - ms))
-    return [(int(m), k) for m, k in zip(ms, ks)]
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def check_conditions(family, horizon: int, kappa: float = 3.0) -> ConditionRepor
     spec = family_spec(family)
     if require_integer(horizon, "horizon") < 100:
         raise ParameterError("horizon must be at least 100")
-    if not 1 < kappa < math.inf:  # a NaN kappa fails this too
+    if not (np.isfinite(kappa) and 1 < require_real(kappa, "kappa")):  # NaN, inf: here; complex: require_real
         raise ParameterError("kappa must be finite and exceed 1")
     gam, _ = gamma_beta_arrays(spec, horizon + 12)
     g = gam[: horizon + 1]

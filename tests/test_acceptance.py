@@ -26,9 +26,9 @@ from chromex import (
     moment_analytic,
     moment_jacobi_matrix,
     orthonormality_matrix,
-    spherical_j_all,
     Sinc,
 )
+from chromex.basis_functions import _miller
 
 FAMILIES = [
     "legendre",
@@ -60,7 +60,7 @@ def test_criterion_02_legendre_sinc_identity():
     grid = np.round(np.arange(-50, 51) * 0.1, 10)
     worst = 0.0
     for t in grid:
-        js = spherical_j_all(20, math.pi * t)
+        js = _miller(True, 20, math.pi * t, range(21))[:, 0]
         vals = np.array([kbasis_series(table, n, complex(t)) for n in range(21)])
         refs = (-1.0) ** np.arange(21) * np.sqrt(2 * np.arange(21) + 1) * js
         worst = max(worst, float(np.abs(vals - refs).max()))

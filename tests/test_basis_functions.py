@@ -12,8 +12,6 @@ from chromex import (
     NumericError,
     ParameterError,
     Sinc,
-    bessel_j,
-    bessel_j_all,
     build_table,
     chromatic_approximation,
     error_envelope,
@@ -21,9 +19,8 @@ from chromex import (
     kbasis_closed,
     kbasis_rows,
     kbasis_series,
-    spherical_j,
-    spherical_j_all,
 )
+from chromex.basis_functions import _miller
 from chromex.families import gamma_beta_arrays
 
 from conftest import ALL_FAMILIES
@@ -235,7 +232,7 @@ def test_legendre_normalization_sum():
     # sum_n (2n+1) j_n(pi t)^2 = 1 (unit energy of sinc)
     for t in np.arange(-3.0, 3.0001, 0.5):
         N = 40 + int(4 * abs(t))
-        js = spherical_j_all(N, math.pi * t)
+        js = _miller(True, N, math.pi * t, range(N + 1))[:, 0]
         total = np.sum((2 * np.arange(N + 1) + 1) * js ** 2)
         assert abs(total - 1.0) < 1e-8
 
@@ -252,30 +249,31 @@ def test_derivative_consistency_via_recurrence():
 
 
 def test_spherical_bessel_basics():
-    assert spherical_j(0, 1e-30) == 1.0
-    assert bessel_j(0, 0.0) == 1.0
-    assert spherical_j(0, 2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-14)
-    assert spherical_j(1, 1.5) == pytest.approx(
+    assert _miller(True, 0, 1e-30, [0])[0, 0] == 1.0
+    assert _miller(False, 0, 0.0, [0])[0, 0] == 1.0
+    assert _miller(True, 0, 2.0, [0])[0, 0] == pytest.approx(math.sin(2.0) / 2.0, rel=1e-14)
+    assert _miller(True, 1, 1.5, [1])[0, 0] == pytest.approx(
         math.sin(1.5) / 1.5 ** 2 - math.cos(1.5) / 1.5, rel=1e-13
     )
 
 
 def test_bessel_normalization_identity():
-    jb = bessel_j_all(80, 2.0)
+    jb = _miller(False, 80, 2.0, range(81))[:, 0]
     assert abs(jb[0] + 2 * np.sum(jb[2::2]) - 1.0) < 1e-10
 
 
 def test_bessel_parity():
-    for n in range(6):
-        assert spherical_j(n, -3.0) == pytest.approx((-1) ** n * spherical_j(n, 3.0), rel=1e-13)
-        assert bessel_j(n, -3.0) == pytest.approx((-1) ** n * bessel_j(n, 3.0), rel=1e-13)
+    for spherical in (True, False):
+        for n in range(6):
+            j = _miller(spherical, n, [-3.0, 3.0], [n])[0]
+            assert j[0] == pytest.approx((-1) ** n * j[1], rel=1e-13)
 
 
 def test_bessel_wronskian():
     # j_{n+1}' relations are implied by the cross identity
     # j_n(x) y-type checks are unavailable; use the recurrence residual
     x = 7.3
-    js = spherical_j_all(12, x)
+    js = _miller(True, 12, x, range(13))[:, 0]
     for n in range(1, 11):
         resid = js[n - 1] + js[n + 1] - (2 * n + 1) / x * js[n]
         assert abs(resid) < 1e-12
@@ -283,7 +281,7 @@ def test_bessel_wronskian():
 
 def test_bessel_recurrence_residual():
     x = 11.7
-    jb = bessel_j_all(24, x)
+    jb = _miller(False, 24, x, range(25))[:, 0]
     for n in range(1, 23):
         resid = jb[n - 1] + jb[n + 1] - 2 * n / x * jb[n]
         assert abs(resid) < 1e-12

@@ -11,18 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from chromex import (
-    ParameterError,
-    ShannonCombo,
-    Sinc,
-    bessel_j,
-    bessel_j_all,
-    kbasis_closed,
-    spherical_j,
-    spherical_j_all,
-)
+from chromex import ParameterError, ShannonCombo, Sinc, kbasis_closed
 from chromex.basis_functions import _miller
-from chromex.fir_design import shannon_decay_report
 
 
 def _start(nmax, ax):
@@ -126,9 +116,8 @@ def test_engine_equals_scalar_loops_bitwise(spherical, n, rng):
     # storing only some rows changes nothing in them
     rows = [n, 1] if n > 1 else [n]
     np.testing.assert_array_equal(_miller(spherical, n, x, rows), ref[rows])
-    all_fn = spherical_j_all if spherical else bessel_j_all
-    for t in _EDGE_X:
-        np.testing.assert_array_equal(all_fn(n, t), loop(n, t))
+    for t in _EDGE_X:  # one point at a time
+        np.testing.assert_array_equal(_miller(spherical, n, t, range(n + 1))[:, 0], loop(n, t))
 
 
 def test_engine_matches_scipy_and_mpmath():
@@ -153,16 +142,16 @@ def test_start_index_covers_large_arguments():
     # a start measured from n alone ends the recurrence too close to the
     # turning point at order |x| (these were 0.8% and 3.5e-9 off)
     sp = pytest.importorskip("scipy.special")
-    assert abs(bessel_j(10, 1e4) - 0.0071143123833542745) < 1e-14  # mpmath
+    assert abs(_miller(False, 10, 1e4, [10])[0, 0] - 0.0071143123833542745) < 1e-14  # mpmath
     assert abs(kbasis_closed("chebyshev_t", 0, 20.0) - sp.j0(20.0 * math.pi)) < 1e-14
 
 
 def test_non_finite_arguments_raise():
     for call in (
-        lambda: bessel_j(3, math.nan),
-        lambda: spherical_j(3, math.nan),
-        lambda: bessel_j(3, math.inf),
-        lambda: spherical_j_all(3, -math.inf),
+        lambda: _miller(False, 3, math.nan, [3]),
+        lambda: _miller(True, 3, math.nan, [3]),
+        lambda: _miller(False, 3, math.inf, [3]),
+        lambda: _miller(True, 3, -math.inf, range(4)),
         lambda: kbasis_closed("legendre", 3, [0.5, math.nan]),
         lambda: kbasis_closed("chebyshev_t", 3, [0.5, math.inf]),
         lambda: kbasis_closed("chebyshev_u", 0, math.nan),
@@ -195,14 +184,15 @@ def test_shannon_jets_match_per_sample_sum(rng):
         f.chromatic_jet("legendre", 0.3 + 0.1j, 15)
 
 
-def test_shannon_decay_report_matches_per_offset_calls():
-    rows = shannon_decay_report(15, 0.25, 64)
-    for m, v in rows:
-        assert v == abs(math.sqrt(31) * spherical_j_all(15, math.pi * (0.25 - m))[15])
+def test_shannon_decay_matches_per_offset_calls():
+    """|K^15[sinc](0.25 - m)|, |m| <= 64, in one call: each offset's one-point Miller row."""
+    ms = np.arange(-64, 65)
+    for m, v in zip(ms, np.abs(kbasis_closed("legendre", 15, 0.25 - ms))):
+        assert v == abs(math.sqrt(31) * _miller(True, 15, math.pi * (0.25 - m), range(16))[15, 0])
 
 
 def test_tiny_arguments_keep_their_leading_term():
     """Below |x| = 1e-14 a row is its series' leading term, not 0."""
-    assert spherical_j(1, 3e-15) == pytest.approx(1e-15, rel=1e-15)
-    assert bessel_j(2, -4e-15) == pytest.approx(2e-30, rel=1e-15)
-    assert spherical_j(1, 0.0) == 0.0 and bessel_j(0, 0.0) == 1.0
+    assert _miller(True, 1, 3e-15, [1])[0, 0] == pytest.approx(1e-15, rel=1e-15)
+    assert _miller(False, 2, -4e-15, [2])[0, 0] == pytest.approx(2e-30, rel=1e-15)
+    assert _miller(True, 1, 0.0, [1])[0, 0] == 0.0 and _miller(False, 0, 0.0, [0])[0, 0] == 1.0

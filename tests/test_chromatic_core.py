@@ -11,7 +11,6 @@ from chromex import (
     ParameterError,
     build_table,
     chromatic_jet_from_taylor,
-    compose_at_zero,
     conversion_matrices,
     orthonormality_matrix,
     table_for,
@@ -31,7 +30,7 @@ from conftest import ALL_FAMILIES
 def test_phases_are_exact_at_high_order(family):
     """i^(n+m) G[n, m] on the diagonal is real; 1j ** k rounds from k = 100 on."""
     for n in (60, 150):
-        assert compose_at_zero(family, n, n).imag == 0.0
+        assert ((-1) ** n * orthonormality_matrix(family, n)[n, n]).imag == 0.0
     assert np.all(np.diag(orthonormality_matrix(family, 150)).imag == 0.0)
 
 
@@ -57,8 +56,9 @@ def build_table_recurrence(family, N, K):
 
 
 def compose_at_zero_from_tables(table, matrices, n, m):
-    """The literal change-of-basis sum sum_k k2d[n][k] k! b[m][k]: an
-    oracle for compose_at_zero, ill-conditioned beyond n + m around 25."""
+    """The literal change-of-basis sum sum_k k2d[n][k] k! b[m][k]: an oracle for
+    (K^n o K^m)[m](0) = (-1)^n orthonormality_matrix[n, m], ill-conditioned beyond
+    n + m around 25."""
     if n > matrices.N or m > table.N:
         raise ParameterError("table/matrix horizon too small")
     if n + m > table.K:
@@ -357,20 +357,19 @@ def test_operator_orthonormality(family):
 
 
 def test_compose_examples():
-    assert compose_at_zero("legendre", 5, 5) == pytest.approx(-1.0, abs=1e-9)
-    assert abs(compose_at_zero("legendre", 0, 3)) < 1e-9
-    assert compose_at_zero("hermite", 2, 2) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ParameterError):
-        compose_at_zero("legendre", -1, 0)
+    assert (-1) ** 5 * orthonormality_matrix("legendre", 5)[5, 5] == pytest.approx(-1.0, abs=1e-9)
+    assert abs(orthonormality_matrix("legendre", 3)[0, 3]) < 1e-9
+    assert orthonormality_matrix("hermite", 2)[2, 2] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_compose_table_route_agrees_at_low_order(family):
     t = build_table(family, 12, 56)
     mats = conversion_matrices(family, 12)
+    G = orthonormality_matrix(family, 12)
     for n in range(13):
         for m in range(13):
-            a = compose_at_zero(family, n, m)
+            a = (-1) ** n * G[n, m]
             b = compose_at_zero_from_tables(t, mats, n, m)
             assert abs(a - b) < 1e-9
 

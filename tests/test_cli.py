@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from chromex import family_spec, kbasis_closed, spherical_j, table_for
+from chromex import family_spec, kbasis_closed, table_for
+from chromex.basis_functions import _miller
 from chromex.cli import build_parser, main
 
 
@@ -60,7 +61,7 @@ def test_basis_matches_closed_form(capsys, tmp_path):
     assert code == 0
     rows = np.loadtxt(out_file, delimiter=",", skiprows=1)
     for t, n, re, im in rows:
-        ref = (-1) ** 15 * math.sqrt(31) * spherical_j(15, math.pi * t)
+        ref = (-1) ** 15 * math.sqrt(31) * _miller(True, 15, math.pi * t, [15])[0, 0]
         assert abs(re - ref) < 1e-8
         assert abs(im) < 1e-12
 

@@ -16,7 +16,6 @@ from chromex import (
     ParameterError,
     ShannonCombo,
     Sinc,
-    bessel_j_all,
     build_table,
     chromatic_approximation,
     chromatic_approximation_grid,
@@ -33,7 +32,7 @@ from chromex import (
     table_for,
     taylor_vs_chromatic_comparison,
 )
-from chromex.basis_functions import kbasis_rows
+from chromex.basis_functions import _miller, kbasis_rows
 from chromex.chromatic_core import conversion_matrices
 from chromex.families import gamma_beta_arrays
 from chromex.orthopoly import eval_all_p
@@ -195,7 +194,7 @@ def test_identity_exponential_matches_classical_chebyshev():
     tab = table_for("chebyshev_t", N)
     resid = identity_exponential("chebyshev_t", omega, z, N, tab)
     assert resid <= 1e-9
-    jb = bessel_j_all(N, math.pi * z)
+    jb = _miller(False, N, math.pi * z, range(N + 1))[:, 0]
     x = omega / math.pi
     tvals = np.cos(np.arange(N + 1) * math.acos(x))
     classical = jb[0] + 2 * np.sum(1j ** np.arange(1, N + 1) * tvals[1:] * jb[1:])
@@ -212,7 +211,7 @@ def test_identity_constant_one():
     tab = table_for("chebyshev_t", 60, 180)
     assert identity_constant_one("chebyshev_t", 0.6, 60, tab) <= 1e-8
     # which reduces to J_0 + 2 sum J_2n = 1
-    jb = bessel_j_all(60, math.pi * 0.6)
+    jb = _miller(False, 60, math.pi * 0.6, range(61))[:, 0]
     assert abs(jb[0] + 2 * np.sum(jb[2:61:2]) - 1.0) <= 1e-10
 
 
@@ -428,6 +427,16 @@ def test_long_taylor_jets_match_mpmath(length):
         assert got.dtype == np.complex128 and got.shape == (length,)
         want = np.array([complex(v) for v in ref])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+@pytest.mark.parametrize("f", [Exponential(1.7), Cosine(1.7), Constant(2.0), Sinc(),
+                               ShannonCombo(np.ones(3), first_index=-1), JetFunction(0.0, np.ones(3))],
+                         ids=lambda f: type(f).__name__)
+def test_every_taylor_jet_has_one_length_rule(f):
+    """Length 0 is the empty jet, and a negative length names "length", in every subclass."""
+    assert f.taylor_jet(0.0, 0).shape == (0,)
+    with pytest.raises(ParameterError, match="length must be nonnegative"):
+        f.taylor_jet(0.0, -1)
 
 
 @pytest.mark.parametrize("length", [16, 41])

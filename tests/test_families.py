@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 import warnings
@@ -5,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chromex
 from chromex import (
     Constant,
     Cosine,
@@ -21,7 +23,6 @@ from chromex import (
     chebyshev_exponential_norm,
     check_conditions,
     chromatic_jet_from_taylor,
-    compose_at_zero,
     conversion_matrices,
     design_ls,
     error_envelope,
@@ -37,13 +38,11 @@ from chromex import (
     orthonormality_matrix,
     parse_family,
     recursion_coefficients,
-    shannon_decay_report,
     sigma_sequence,
-    spherical_j,
-    spherical_j_all,
     taylor_vs_chromatic_comparison,
     transfer_function,
 )
+from chromex.basis_functions import _miller
 from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, gamma_beta_arrays,
                               moment_over_factorial_ld, three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
@@ -420,12 +419,10 @@ _Z = np.complex128(1 + 2j)
     pytest.param(lambda: build_table("legendre", 3.0), "N 3.0 is not", id="build_table"),
     pytest.param(lambda: build_table("legendre", 3, 9.0), "K 9.0 is not", id="build_table-K"),
     pytest.param(lambda: orthonormality_matrix("legendre", 2.5), "N 2.5 is not", id="orthonormality_matrix"),
-    pytest.param(lambda: compose_at_zero("legendre", 1, 2.0), "m 2.0 is not", id="compose_at_zero"),
     pytest.param(lambda: chromatic_jet_from_taylor("legendre", np.ones(5), 2.5), "N 2.5 is not",
                  id="chromatic_jet_from_taylor"),
     pytest.param(lambda: check_conditions("hermite", 200.0), "horizon 200.0 is not", id="check_conditions"),
     pytest.param(lambda: design_ls("legendre", 2, 16.0), "half_width 16.0 is not", id="design_ls"),
-    pytest.param(lambda: spherical_j_all(2.5, 0.3), "order 2.5 is not", id="spherical_j_all"),
     # a cast to float would refuse a Python complex, and drop a numpy one's imaginary part
     pytest.param(lambda: transfer_function(_FILTER, 1 + 2j), "omega must be real", id="transfer_function"),
     pytest.param(lambda: transfer_function(_FILTER, np.complex128(1 + 2j)), "omega must be real",
@@ -441,12 +438,22 @@ _Z = np.complex128(1 + 2j)
     pytest.param(lambda: sigma_sequence("legendre", 0.5, _Z, 0.0, 3), "sigma must be real", id="sigma_sequence"),
     pytest.param(lambda: error_envelope("legendre", 3, _Z), "t must be real", id="error_envelope"),
     pytest.param(lambda: Sinc().chromatic_jet("legendre", 0.3 + 1j, 3), "t must be real", id="sinc_jet"),
-    pytest.param(lambda: spherical_j(3, _Z), "x must be real", id="spherical_j"),
+    pytest.param(lambda: _miller(True, 3, _Z, [3]), "x must be real", id="_miller"),
     pytest.param(lambda: chebyshev_exponential_norm(_Z, 10), "x must be real", id="chebyshev_exponential_norm"),
     pytest.param(lambda: design_ls("legendre", 2, 16, weight_ratio=10 + _Z), "weight_ratio must be real",
                  id="design_ls-weight_ratio"),
     pytest.param(lambda: taylor_vs_chromatic_comparison("legendre", Sinc(), 0.0, 3, [0.5, _Z]),
                  "grid must be real", id="taylor_vs_chromatic_comparison"),
+    # a Python complex once reached an ordering comparison as a bare TypeError
+    pytest.param(lambda: check_conditions("legendre", 200, 2 + 0j), "kappa must be real",
+                 id="check_conditions-kappa"),
+    pytest.param(lambda: design_ls("legendre", 1, 16, passband_edge=2.8 + 0j), "passband_edge must be real",
+                 id="design_ls-passband_edge"),
+    pytest.param(lambda: FirFilter(None, 0, 2, np.ones(5), 2.8, 3 + 0j), "stopband_edge must be real",
+                 id="FirFilter-stopband_edge"),
+    # chromatic_jet refused this omega, while the Taylor jet came back NaN
+    pytest.param(lambda: Exponential(math.nan).taylor_jet(0.0, 3), "omega must be finite",
+                 id="taylor_jet-exponential-nan"),
     # sizes: a bare TypeError, a wrong label or an empty result before
     pytest.param(lambda: design_ls("legendre", 2, 16, grid_density=2.5), "grid_density 2.5 is not",
                  id="design_ls-grid_density"),
@@ -454,7 +461,6 @@ _Z = np.complex128(1 + 2j)
                  id="design_ls-refine_iterations"),
     pytest.param(lambda: euler_numbers(-1), "nmax must be nonnegative", id="euler_numbers-negative"),
     pytest.param(lambda: euler_numbers(2.5), "nmax 2.5 is not", id="euler_numbers"),
-    pytest.param(lambda: shannon_decay_report(3, 0.25, 2.5), "m_range 2.5 is not", id="shannon_decay_report"),
     pytest.param(lambda: Exponential(1.0).taylor_jet(0.0, 2.5), "length 2.5 is not", id="taylor_jet-exponential"),
     pytest.param(lambda: Cosine(1.0).taylor_jet(0.0, -1), "length must be nonnegative", id="taylor_jet-cosine"),
     pytest.param(lambda: Constant(1.0).taylor_jet(0.0, 2.5), "length 2.5 is not", id="taylor_jet-constant"),
@@ -465,6 +471,20 @@ _Z = np.complex128(1 + 2j)
 def test_non_integer_order_or_non_real_omega_is_a_parameter_error(call, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("module, name", [
+    ("basis_functions", "spherical_j"),
+    ("basis_functions", "bessel_j"),
+    ("basis_functions", "spherical_j_all"),
+    ("basis_functions", "bessel_j_all"),
+    ("chromatic_core", "compose_at_zero"),
+    ("fir_design", "shannon_decay_report"),
+])
+def test_names_only_tests_called_are_gone(module, name):
+    """_miller, orthonormality_matrix and kbasis_closed serve what these wrapped."""
+    assert not hasattr(chromex, name)
+    assert not hasattr(importlib.import_module(f"chromex.{module}"), name)
 
 
 def test_numpy_integer_orders_are_integers():

@@ -14,8 +14,8 @@ from chromex import (
     eval_all_p,
     family_spec,
     load_filter,
+    kbasis_closed,
     save_filter,
-    shannon_decay_report,
     transfer_function,
 )
 from chromex.fir_design import _design_grid, _response, _solve_ls, _target_values
@@ -209,12 +209,12 @@ def test_filter_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.taps, filt.taps)
 
 
-def test_shannon_decay_report():
-    rows = shannon_decay_report(0, 0.0, 4)
-    center = dict((m, v) for m, v in rows)
-    assert center[0] == pytest.approx(1.0, abs=1e-13)
-    rows15 = shannon_decay_report(15, 0.0, 64)
-    mags = {m: v for m, v in rows15}
+def test_shannon_decay():
+    """|K^n[sinc](t - m)| over the shifts m, the terms of a differentiated Shannon expansion:
+    they decay only as 1/|m|, which makes evaluating K^n that way impractical."""
+    assert abs(kbasis_closed("legendre", 0, 0.0)) == pytest.approx(1.0, abs=1e-13)
+    ms = np.arange(-64, 65)
+    mags = dict(zip(ms.tolist(), np.abs(kbasis_closed("legendre", 15, 0.0 - ms))))
     assert max(mags.values()) > 1e-2
     for m in range(1, 60):
         assert mags[m] == pytest.approx(mags[-m], rel=1e-10)
