@@ -14,12 +14,7 @@ from .chromatic_core import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from .errors import (
-    ChromexError,
-    ConvergenceError,
-    NumericError,
-    ParameterError,
-)
+from .errors import ChromexError, NumericError, ParameterError
 from .expansions import (
     ApproximationResult,
     Constant,

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chromatic_core import ChromaticTable, _i_pow, default_columns
-from .errors import ConvergenceError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .families import FamilyId, _gauss_pass, family_spec, require_integer, require_nonnegative, require_real
 
 _TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
@@ -47,7 +47,7 @@ def _gauss_size(spec, hi, absz, imz, explain=True):
     4 e^{pi |Im z|} sum_{k>d} a^k / k!, d = 2M - 1 - hi, a = pi |z| / 2 (README,
     Numerical notes); once d + 2 > a, that tail is at most its first term over 1 - a / (d + 2).
     At a = 0 (every point is z = 0) the rule is exact.  Where rounding ends the search first:
-    None if not explain, else a ConvergenceError naming the largest |z| >= 1 certified at this
+    None if not explain, else a NumericError naming the largest |z| >= 1 certified at this
     Im z, in hundredths."""
     a, M = 0.5 * math.pi * absz, 16 * (hi // 16 + 1)
     log_tol = math.log(_TAIL_TOL / 4.0) - math.pi * imz
@@ -72,18 +72,18 @@ def _gauss_size(spec, hi, absz, imz, explain=True):
     # printed rounded up to 3 digits, so a bound just above the tolerance never reads as equal to it
     bound = Decimal((M + math.pi * absz) * scale)
     bound = bound.quantize(Decimal(1).scaleb(bound.adjusted() - 2), rounding=ROUND_CEILING)
-    raise ConvergenceError(f"|z|={absz:g} for {spec}: the rounding bound {float(bound):.3g} "
-                           f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
+    raise NumericError(f"|z|={absz:g} for {spec}: the rounding bound {float(bound):.3g} "
+                       f"of {M} Gauss nodes exceeds {_TAIL_TOL:g}; use a smaller {smaller}")
 
 
-def _points(z, finite=True):
-    """z as a 1-D complex128 array, and max|z|; a z of more dimensions is a ParameterError, and
-    so, if finite, is a non-finite point."""
+def _points(z):
+    """z as a 1-D complex128 array, and max|z|; a z of more dimensions, or a non-finite point, is
+    a ParameterError."""
     zs = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if zs.ndim > 1:
         raise ParameterError(f"z has shape {zs.shape}; z must be a scalar or a 1-D array")
     absz = float(np.abs(zs).max(initial=0.0))  # NaN or inf if any point is
-    if finite and not math.isfinite(absz):
+    if not math.isfinite(absz):
         raise ParameterError("non-finite argument; z must be finite")
     return zs, absz
 
@@ -91,7 +91,7 @@ def _points(z, finite=True):
 def _hermite_reach(zs, absz):
     """Refuse z where hermite's factor e^(-z^2/4) underflows."""
     if float(np.max(zs.real ** 2 - zs.imag ** 2, initial=0.0)) > 2800.0:
-        raise ConvergenceError(f"e^(-z^2/4) underflows at |z|={absz:g}; use |z| <= 52.9")
+        raise NumericError(f"e^(-z^2/4) underflows at |z|={absz:g}; use |z| <= 52.9")
 
 
 def kbasis_rows(family, lo: int, hi: int, z):
@@ -117,8 +117,8 @@ def kbasis_rows(family, lo: int, hi: int, z):
                 first, step = _sech(zs), -np.tanh(zs)
             rows = np.cumprod(np.vstack([first, np.broadcast_to(step, (hi, zs.size))]), axis=0)[lo:]
         if not np.isfinite(rows).all():
-            raise ConvergenceError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
-                                   "z is near a pole or |Im z| is too large")
+            raise NumericError(f"K^n[m] overflows at |z|={absz:g} for {spec}: "
+                               "z is near a pole or |Im z| is too large")
         return rows
     imz = float(np.abs(zs.imag).max(initial=0.0))
     nodes, A, xp, H = _gauss_rows(spec, _gauss_size(spec, hi, absz, imz), 16 * (hi // 16 + 1))
@@ -163,8 +163,8 @@ def kbasis_closed(family, n: int, z):
     if tag in ("gegenbauer", "jacobi"):
         raise ParameterError(f"{tag} has no printed closed form; use kbasis_rows")
     scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    zs, absz = _points(z)
     if tag in ("hermite", "laguerre", "herron"):
-        zs, absz = _points(z)
         lost = NumericError(f"the printed K^{n}[m] of {spec} over- or underflows at |z|={absz:g}; "
                             "use kbasis_rows")
         with np.errstate(all="ignore"):  # a non-finite value is refused below
@@ -181,10 +181,9 @@ def kbasis_closed(family, n: int, z):
                 out = (-1.0) ** n * _sech(zs) * np.tanh(zs) ** n
         if not np.isfinite(out).all():
             raise lost
+    elif (zs.imag != 0.0).any():
+        raise ParameterError("Bessel-backed closed forms take real z only")
     else:
-        zs = _points(z, finite=False)[0]  # _miller refuses a non-finite x once z is real
-        if (zs.imag != 0.0).any():
-            raise ParameterError("Bessel-backed closed forms take real z only")
         x = math.pi * zs.real
         if tag == "legendre":
             out = (-1.0) ** n * math.sqrt(2 * n + 1) * _miller(True, n, x, [n])[0]

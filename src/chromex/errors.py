@@ -9,9 +9,6 @@ class ParameterError(ChromexError, ValueError):
     """A family, family parameter or argument is outside the domain of the operation."""
 
 
-class ConvergenceError(ChromexError, ArithmeticError):
-    """No route certifies the requested tolerance at the given argument."""
-
-
 class NumericError(ChromexError, ArithmeticError):
-    """A numeric guard tripped (overflow, failed decomposition, ...)."""
+    """No route certifies the tolerance at this argument: a rounding bound, over- or underflow,
+    failed decomposition or other numeric guard tripped."""

@@ -11,7 +11,8 @@ import numpy as np
 from .basis_functions import _miller, kbasis_rows
 from .chromatic_core import ChromaticTable, _i_pow, chromatic_jet_from_taylor, taylor_from_chromatic_jet
 from .errors import ParameterError
-from .families import FamilyId, _gauss_pass, family_spec, require_nonnegative, require_real
+from .families import (FamilyId, _gauss_pass, family_spec, require_finite, require_integer, require_nonnegative,
+                       require_real)
 from .orthopoly import eval_all_p
 
 
@@ -54,15 +55,15 @@ class Exponential(FunctionSpec):
     def value(self, z):
         return np.exp(1j * self.omega * np.asarray(z, dtype=np.complex128))
 
-    def chromatic_jet(self, family, t, N):
+    def chromatic_jet(self, family, t, N):  # t may be complex, but not NaN or infinite
         pv = eval_all_p(family, N, self.omega)
-        return _i_pow(np.arange(N + 1)) * pv * np.exp(1j * self.omega * t)
+        return _i_pow(np.arange(N + 1)) * pv * np.exp(1j * self.omega * require_finite(t, "t"))
 
     def taylor_jet(self, u, length):
         # (i w)^k / k! as one running product, so long jets underflow to 0; w by chromatic_jet's rule
         omega = require_real(self.omega, "omega")
         steps = np.r_[1.0, 1j * omega / np.arange(1, require_nonnegative(length, "length"))][:length]
-        return np.cumprod(steps) * np.exp(1j * omega * u)
+        return np.cumprod(steps) * np.exp(1j * omega * require_finite(u, "u"))
 
 
 @dataclass
@@ -90,16 +91,17 @@ class Constant(FunctionSpec):
     c: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.c).all():  # c may be complex: require_real does not apply
-            raise ParameterError("non-finite argument; c must be finite")
+        require_finite(self.c, "c")
 
     def value(self, z):
         return self.c * np.ones_like(np.asarray(z, dtype=np.complex128))
 
-    def chromatic_jet(self, family, t, N):
+    def chromatic_jet(self, family, t, N):  # the same at every finite t
+        require_finite(t, "t")
         return self.c * Exponential(0.0).chromatic_jet(family, 0.0, N)  # K^n[1] = i^n p_n(0)
 
     def taylor_jet(self, u, length):
+        require_finite(u, "u")
         coeff = np.zeros(require_nonnegative(length, "length"), dtype=np.complex128)
         coeff[:1] = self.c
         return coeff
@@ -156,6 +158,10 @@ class ShannonCombo(FunctionSpec):
     samples: np.ndarray
     first_index: int = 0
 
+    def __post_init__(self):
+        require_finite(self.samples, "samples")
+        require_integer(self.first_index, "first_index")
+
     def value(self, z):
         idx = self.first_index + np.arange(len(self.samples))
         return Sinc().value(np.asarray(z)[..., None] - idx) @ self.samples
@@ -179,13 +185,17 @@ class JetFunction(FunctionSpec):
     u: complex
     jet: np.ndarray
 
+    def __post_init__(self):
+        require_finite(self.u, "u")
+        require_finite(self.jet, "jet")
+
     def value(self, z):
         return _taylor_sum(self.jet, self.u, z)
 
     def taylor_jet(self, u, length):
         if u != self.u or require_nonnegative(length, "length") > len(self.jet):
             raise ParameterError("requested jet outside the stored one")
-        return self.jet[:length]
+        return np.asarray(self.jet[:length], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ classical Laguerre operator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -357,22 +358,24 @@ def require_nonnegative(n: int, name: str = "N") -> int:
     return n
 
 
+def require_finite(x, name: str):
+    """x, once no point of it is NaN or infinite, else a ParameterError naming it; x may be
+    complex (a jet's center, a function's data), which require_real refuses."""
+    if not (cmath.isfinite(x) if isinstance(x, (int, float, complex)) else np.isfinite(x).all()):
+        raise ParameterError(f"non-finite argument; {name} must be finite")
+    return x
+
+
 def require_real(x, name: str):
     """x as a float, or as a float64 array if it has dimensions: a complex x, whose imaginary
     part a cast would drop, or a NaN or infinite one is a ParameterError naming it."""
     if isinstance(x, (int, float)):  # a plain number, checked without numpy
-        x = float(x)
-        finite = math.isfinite(x)
-    else:
-        x = np.asarray(x)
-        if x.dtype.kind == "c":
-            raise ParameterError(f"{name} must be real")
-        x = np.asarray(x, dtype=np.float64)
-        finite = np.isfinite(x).all()
-        x = float(x) if x.ndim == 0 else x
-    if not finite:
-        raise ParameterError(f"non-finite argument; {name} must be finite")
-    return x
+        return require_finite(float(x), name)
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ParameterError(f"{name} must be real")
+    x = require_finite(np.asarray(x, dtype=np.float64), name)
+    return float(x) if x.ndim == 0 else x
 
 
 def jacobi_matrix(family, dimension: int) -> np.ndarray:

@@ -117,7 +117,8 @@ def _guarded(p: np.ndarray) -> np.ndarray:
 def _squared_jet_values(spec, f: FunctionSpec, t: float, gam, bet) -> np.ndarray:
     """|K^k[f](t)|^2 for k < len(gam), exact fast path for exponentials."""
     if isinstance(f, Exponential):
-        # |K^k[e^{i omega t}]| = |p_k(omega)|: one pass of the recurrence
+        # |K^k[e^{i omega t}]| = |p_k(omega)| at real t: one pass of the recurrence
+        require_real(t, "t")
         p = _guarded(three_term(gam, bet, float(require_real(f.omega, "omega"))))
         return np.multiply(p, p, out=p)
     jet = f.chromatic_jet(spec, t, len(gam) - 1)
@@ -159,6 +160,7 @@ def sigma_sequence(family, omega: float, sigma: float, t: float, N: int) -> Sequ
     if omega == sigma:
         raise ParameterError("omega == sigma: use nu_sequence")
     omega, sigma = float(require_real(omega, "omega")), float(require_real(sigma, "sigma"))
+    require_real(t, "t")  # a complex t would scale the phase, which is unimodular only at real t
     gam, bet = gamma_beta_arrays(family, require_nonnegative(N))
     prods, ps = three_term_pair(gam, bet, omega, sigma)
     _guarded(prods)

@@ -152,14 +152,18 @@ def test_non_finite_arguments_raise():
         lambda: _miller(True, 3, math.nan, [3]),
         lambda: _miller(False, 3, math.inf, [3]),
         lambda: _miller(True, 3, -math.inf, range(4)),
-        lambda: kbasis_closed("legendre", 3, [0.5, math.nan]),
-        lambda: kbasis_closed("chebyshev_t", 3, [0.5, math.inf]),
-        lambda: kbasis_closed("chebyshev_u", 0, math.nan),
     ):
         with pytest.raises(ParameterError, match="x must be finite"):
             call()
-    with pytest.raises(ParameterError, match="real z only"):
-        kbasis_closed("legendre", 3, complex(0.5, math.nan))
+    # kbasis_closed names its own argument, as kbasis_rows does, even where z is also not real
+    for call in (
+        lambda: kbasis_closed("legendre", 3, [0.5, math.nan]),
+        lambda: kbasis_closed("chebyshev_t", 3, [0.5, math.inf]),
+        lambda: kbasis_closed("chebyshev_u", 0, math.nan),
+        lambda: kbasis_closed("legendre", 3, complex(0.5, math.nan)),
+    ):
+        with pytest.raises(ParameterError, match="z must be finite"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,15 @@ def test_bad_argument_is_a_library_error(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("function", ["cos:1.0", "exponential:1.0", "constant:1.0", "shannon_random"])
+def test_non_finite_t_is_one_error_line(capsys, function):
+    """cos printed nan rows with exit 0, and the others never read t."""
+    code = main(["power-norm", "--function", function, "--t", "nan", "--order", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: non-finite argument; t must be finite\n"
+
+
 def test_domain_error_exit_code(capsys):
     code = main(["basis", "--family", "hermite", "--n", "1", "--t=60"])
     captured = capsys.readouterr()

@@ -439,6 +439,29 @@ def test_every_taylor_jet_has_one_length_rule(f):
         f.taylor_jet(0.0, -1)
 
 
+@pytest.mark.parametrize("f", [Exponential(1.7), Cosine(1.7), Constant(2.0), Sinc(),
+                               ShannonCombo(np.ones(3), first_index=-1), JetFunction(0.0, np.ones(3))],
+                         ids=lambda f: type(f).__name__)
+def test_every_jet_is_complex_and_refuses_a_non_finite_center(f):
+    """Both jets are complex128 arrays, as README says, and no subclass returns NaN jets at a
+    NaN or infinite center."""
+    assert f.taylor_jet(0.0, 3).dtype == np.complex128
+    assert f.chromatic_jet("legendre", 0.0, 2).dtype == np.complex128
+    for center in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            f.taylor_jet(center, 3)
+        with pytest.raises(ParameterError):
+            f.chromatic_jet("legendre", center, 2)
+
+
+def test_exponential_jets_take_a_complex_center():
+    """Only a non-finite center is refused: e^{i w z} has its jets at every complex z."""
+    f, u = Exponential(1.7), 0.3 + 0.4j
+    want = np.exp(1j * 1.7 * u)
+    assert f.taylor_jet(u, 1)[0] == want
+    assert f.chromatic_jet("legendre", u, 0)[0] == want
+
+
 @pytest.mark.parametrize("length", [16, 41])
 def test_sinc_taylor_jet_at_zero_is_correctly_rounded(length):
     """About u = 0 the jet is the Legendre table's row 0, i^k pi^k / (k + 1)! rounded once

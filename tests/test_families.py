@@ -8,6 +8,7 @@ import pytest
 
 import chromex
 from chromex import (
+    ChromexError,
     Constant,
     Cosine,
     Exponential,
@@ -16,6 +17,7 @@ from chromex import (
     JetFunction,
     NumericError,
     ParameterError,
+    ShannonCombo,
     Sinc,
     build_table,
     cd_diagonal,
@@ -32,6 +34,7 @@ from chromex import (
     gauss_quadrature,
     jacobi_matrix,
     kbasis_rows,
+    local_norm_sq,
     moment_analytic,
     moment_jacobi_matrix,
     nu_sequence,
@@ -454,6 +457,30 @@ _Z = np.complex128(1 + 2j)
     # chromatic_jet refused this omega, while the Taylor jet came back NaN
     pytest.param(lambda: Exponential(math.nan).taylor_jet(0.0, 3), "omega must be finite",
                  id="taylor_jet-exponential-nan"),
+    # a non-finite center gave NaN jets and sums, or was never read
+    pytest.param(lambda: Exponential(1.0).chromatic_jet("legendre", math.nan, 2), "t must be finite",
+                 id="chromatic_jet-exponential-t-nan"),
+    pytest.param(lambda: Exponential(1.0).chromatic_jet("legendre", math.inf, 2), "t must be finite",
+                 id="chromatic_jet-exponential-t-inf"),
+    pytest.param(lambda: Exponential(1.0).taylor_jet(math.nan, 3), "u must be finite",
+                 id="taylor_jet-exponential-u-nan"),
+    pytest.param(lambda: local_norm_sq("legendre", Exponential(1.0), math.nan, 5), "t must be finite",
+                 id="local_norm_sq-t-nan"),
+    pytest.param(lambda: nu_sequence("legendre", Exponential(1.0), math.nan, 5), "t must be finite",
+                 id="nu_sequence-t-nan"),
+    # the exponential fast path reads |p_k(omega)|^2, which is |K^k|^2 at real t only
+    pytest.param(lambda: nu_sequence("legendre", Exponential(1.0), 1j, 5), "t must be real",
+                 id="nu_sequence-t-complex"),
+    pytest.param(lambda: sigma_sequence("legendre", 0.5, 1.0, math.nan, 5), "t must be finite",
+                 id="sigma_sequence-t-nan"),
+    # functions built from data, checked as Constant checks c
+    pytest.param(lambda: ShannonCombo(np.array([math.nan, 1.0])), "samples must be finite",
+                 id="ShannonCombo-samples"),
+    pytest.param(lambda: ShannonCombo(np.ones(3), first_index=0.5), "first_index 0.5 is not",
+                 id="ShannonCombo-first_index"),
+    pytest.param(lambda: JetFunction(0.0, np.array([math.nan, 1.0])), "jet must be finite", id="JetFunction-jet"),
+    pytest.param(lambda: JetFunction(complex(0.0, math.inf), np.ones(2)), "u must be finite",
+                 id="JetFunction-u"),
     # sizes: a bare TypeError, a wrong label or an empty result before
     pytest.param(lambda: design_ls("legendre", 2, 16, grid_density=2.5), "grid_density 2.5 is not",
                  id="design_ls-grid_density"),
@@ -485,6 +512,14 @@ def test_names_only_tests_called_are_gone(module, name):
     """_miller, orthonormality_matrix and kbasis_closed serve what these wrapped."""
     assert not hasattr(chromex, name)
     assert not hasattr(importlib.import_module(f"chromex.{module}"), name)
+
+
+def test_two_error_classes():
+    """A refusal names its arguments (ParameterError) or a value no route certifies (NumericError);
+    the deleted series route's ConvergenceError folded into NumericError."""
+    assert set(ChromexError.__subclasses__()) == {ParameterError, NumericError}
+    assert not hasattr(chromex, "ConvergenceError")
+    assert not hasattr(importlib.import_module("chromex.errors"), "ConvergenceError")
 
 
 def test_numpy_integer_orders_are_integers():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma, jv, spherical_jn
 
 from chromex import (
-    ConvergenceError,
+    NumericError,
     ParameterError,
     Sinc,
     build_table,
@@ -258,15 +258,15 @@ def test_a_grid_past_one_chunk_matches_the_closed_forms():
 
 
 def test_rows_refuse_what_no_route_certifies():
-    with pytest.raises(ConvergenceError, match="rounding bound .* exceeds 1e-12; use a smaller"):
+    with pytest.raises(NumericError, match="rounding bound .* exceeds 1e-12; use a smaller"):
         kbasis_rows("legendre", 0, 10, 1000.0)
     # e^{pi |Im z|} and the node search stay finite however large z is
     for z in (5.0 + 3.0j, 1.0 + 300.0j, 1e300):
-        with pytest.raises(ConvergenceError, match="rounding bound"):
+        with pytest.raises(NumericError, match="rounding bound"):
             kbasis_rows("chebyshev_t", 0, 10, z)
-    with pytest.raises(ConvergenceError, match="underflows at \\|z\\|=60; use \\|z\\| <= 52.9"):
+    with pytest.raises(NumericError, match="underflows at \\|z\\|=60; use \\|z\\| <= 52.9"):
         kbasis_rows("hermite", 0, 10, 60.0)
-    with pytest.raises(ConvergenceError, match="pole"):
+    with pytest.raises(NumericError, match="pole"):
         kbasis_rows("laguerre", 0, 3, -1j)
     with pytest.raises(ParameterError, match="non-finite argument"):
         kbasis_rows("herron", 0, 3, [0.5, math.inf])
@@ -285,7 +285,7 @@ def test_rows_at_no_points(family):
 def test_gauss_refusal_names_the_reach_it_certifies(family, hi):
     reach = None
     for z in (850.0, 3000.0, 1e300):  # the search ends after many nodes or at 16; the reach is one
-        with pytest.raises(ConvergenceError, match="use a smaller \\|z\\|, at most ([0-9.]+) at \\|Im z\\| = 0$") as info:
+        with pytest.raises(NumericError, match="use a smaller \\|z\\|, at most ([0-9.]+) at \\|Im z\\| = 0$") as info:
             kbasis_rows(family, hi, hi, z)
         printed = float(re.search("at most ([0-9.]+)", str(info.value)).group(1))
         assert reach in (None, printed)
@@ -293,17 +293,17 @@ def test_gauss_refusal_names_the_reach_it_certifies(family, hi):
     assert family != "legendre" or reach == 847.85
     kbasis_rows(family, hi, hi, reach)
     kbasis_rows(family, hi, hi, -reach)
-    with pytest.raises(ConvergenceError, match=f"at most {reach:g} "):
+    with pytest.raises(NumericError, match=f"at most {reach:g} "):
         kbasis_rows(family, hi, hi, 1.001 * reach)
     # where e^{pi |Im z|} alone spends the rounding budget, no |z| is certified
-    with pytest.raises(ConvergenceError, match="exceeds 1e-12; use a smaller \\|Im z\\|$"):
+    with pytest.raises(NumericError, match="exceeds 1e-12; use a smaller \\|Im z\\|$"):
         kbasis_rows(family, hi, hi, 5.0 + 3.0j)
 
 
 @pytest.mark.parametrize("z", [850.0, 1000.0, 5.0 + 3.0j])
 def test_gauss_refusal_prints_a_bound_above_the_tolerance(z):
     # at |z| = 850 the bound is just above 1e-12; printed to 3 digits it is rounded up
-    with pytest.raises(ConvergenceError) as info:
+    with pytest.raises(NumericError) as info:
         kbasis_rows("legendre", 10, 10, z)
     printed = re.search("the rounding bound (\\S+) of", str(info.value)).group(1)
     assert float(printed) > 1e-12
