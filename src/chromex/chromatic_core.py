@@ -24,8 +24,14 @@ structural zeros.
 Tables are built in 80-bit extended precision and stored as complex128,
 which keeps every coefficient correctly rounded.  Step k updates only the
 levels 0..min(k, dim - 1) that J^k e_0 lives on (dim = (K + N) / 2 + 2),
-sum_k min(k + 1, dim) < K * dim updates in all, and the build holds the
-complex128 output plus 64 staged 80-bit columns, landed in b 64 at a time.
+sum_k min(k + 1, dim) < K * dim updates in all; where the diagonal is 0
+(the symmetric families and jacobi(a, a)) it updates only the levels of
+k's parity, the others being 0.  The build holds the complex128 output
+plus 64 staged 80-bit columns, landed in b 64 at a time: rounded to
+float64 and multiplied by the exact phases i^(n+k) in complex128, which
+gives the 80-bit product's cells to the bit except where an entry
+underflows to 0 or overflows to inf in float64; only there is the 80-bit
+product formed, so that a zero keeps the entry's sign.
 
 Where the build stops: once k >= ||J||_inf (the largest absolute row sum
 of the truncated Jacobi matrix), a step v <- J v / k can no longer grow
@@ -108,10 +114,18 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
     # columns k0 .. k0 + _STAGE - 1, column k as stage[k - k0] so that each step writes contiguously;
     # the row's next column, k + _STAGE, fills all the levels 0..min(k, N) it held, so no row is cleared
     stage = np.zeros((_STAGE, N + 1), dtype=np.longdouble)
-    row_phases = _i_pow(np.arange(N + 1))
+    # i^n i^k as one complex product per cell, signs of zero included; k0 is a multiple of 4,
+    # so every stage has the same phases
+    phases = np.multiply.outer(_i_pow(np.arange(N + 1)), _i_pow(np.arange(_STAGE)))
 
     def land(k0, k1):
-        b[:, k0:k1] = np.multiply.outer(row_phases, _i_pow(np.arange(k0, k1))) * stage[: k1 - k0].T
+        raw, ph, out = stage[: k1 - k0].T, phases[:, : k1 - k0], b[:, k0:k1]
+        c = raw.astype(np.float64)  # warns where an entry overflows float64
+        lost = np.isinf(c) | ((c == 0) & (raw != 0))  # where inf * 0 is nan, or a zero's sign is lost
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(ph, c, out=out)
+            if lost.any():
+                out[lost] = ph[lost] * raw[lost]
 
     k0, kend = 0, K + 1
     for k, v in enumerate(_jacobi_powers(spec, dim, K)):

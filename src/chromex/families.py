@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -383,8 +382,10 @@ def jacobi_matrix(family, dimension: int) -> np.ndarray:
     if require_integer(dimension, "dimension") < 1:
         raise ParameterError("dimension must be positive")
     gam, bet = gamma_beta_arrays(family, dimension - 1)
-    J = np.diag(-bet)
-    J += np.diag(gam[: dimension - 1], 1) + np.diag(gam[: dimension - 1], -1)
+    J = np.zeros((dimension, dimension))
+    flat = J.reshape(-1)
+    np.subtract(0.0, bet, out=flat[:: dimension + 1])  # a zero diagonal entry is +0
+    flat[1 :: dimension + 1] = flat[dimension :: dimension + 1] = gam[: dimension - 1]
     return J
 
 
@@ -427,19 +428,32 @@ def _finite_moment(spec, k: int, over_factorial: np.longdouble) -> float:
 
 def _jacobi_powers(spec: FamilyId, dim: int, kmax: int):
     """v_k = J^k e_0 / k! in 80-bit for k = 0..kmax, J the dim-square Jacobi matrix, each as
-    a view of the levels 0..min(k, dim - 1) it lives on: one array, updated in place."""
+    a view of the levels 0..min(k, dim - 1) it lives on: one array, updated in place.
+
+    Where J's diagonal is 0, v_k is 0 off the levels of k's parity: step k sums those from the
+    others as the full step does, less its diagonal term (a zero times a zero, which changes
+    no sum), and sets the others to +0, the full step's value there."""
     gam, bet = gamma_beta_arrays(spec, dim, longdouble=True)
     diag, off = -bet[:dim], gam[: dim - 1]
     v = np.zeros(dim, dtype=np.longdouble)
     v[0] = 1.0
     yield v[:1]
+    parity = not diag.any()
     for k in range(1, kmax + 1):
         live = min(k, dim - 1) + 1  # the rest of v stays +0
         u, o = v[:live], off[: live - 1]
-        w = diag[:live] * u
-        w[:-1] += o * u[1:]
-        w[1:] += o * u[:-1]
-        np.divide(w, np.longdouble(k), out=u)
+        if parity:  # the levels t of k's parity, from the levels q of the others
+            p, q = k % 2, 1 - k % 2
+            t = u[p::2]  # +0 since step k - 1
+            np.multiply(o[p::2], u[p + 1 :: 2], out=t[: (live - p) // 2])  # gamma_j v_j+1
+            t[q:] += o[q::2] * u[q:-1:2]  # + gamma_j-1 v_j-1
+            t /= np.longdouble(k)
+            u[q::2] = 0.0
+        else:
+            w = diag[:live] * u
+            w[:-1] += o * u[1:]
+            w[1:] += o * u[:-1]
+            np.divide(w, np.longdouble(k), out=u)
         yield u
 
 
@@ -457,6 +471,7 @@ def moment_over_factorial_ld(family, kmax: int) -> np.ndarray:
         for k, v in enumerate(_jacobi_powers(spec, kmax // 2 + 2, kmax)):
             out[k] = v[0]
     elif tag == "herron":
+        from fractions import Fraction  # imported here: it loads decimal, off the start-up path
         # mu_2n = |E_2n|: sech z = sum E_2n z^2n / (2n)! and m^(k)(0) = i^k mu_k
         E = euler_numbers(kmax)
         for n in range(1, kmax // 2 + 1):
@@ -496,7 +511,8 @@ def _gauss_pass(spec: FamilyId, n: int, nrows: int = 0):
     Where |p| passes 1e140 at a node, p, p_{-1} and the rows stored so far
     are scaled by 1e-140 there and the running sum s = sum_k p_k^2 by
     1e-280, so Q = rows / sqrt(s * sum w) stays accurate where the weight
-    w = 1/s itself underflows.
+    w = 1/s itself underflows.  Each step runs in place and forms the mask
+    of nodes to rescale only when max|p| passes 1e140.
     """
     J = jacobi_matrix(spec, n)
     try:
@@ -508,19 +524,23 @@ def _gauss_pass(spec: FamilyId, n: int, nrows: int = 0):
     E = np.zeros(n)  # rescales per node; 280 E is log10 of the factor taken out of s
     rows = np.empty((nrows, n))
     rows[:1] = 1.0
-    p_prev, p, g_prev = np.zeros(n), np.ones(n), 1.0
-    # three_term's step, inlined: the rescale must act between steps
+    p_prev, p, tmp, g_prev = np.zeros(n), np.ones(n), np.empty(n), 1.0
+    # three_term's step, inlined and in place: the rescale must act between steps
     for j, g, b in zip(range(1, n), memoryview(gam[:-1]), memoryview(bet)):
-        p_prev, p = p, ((nodes + b) * p - g_prev * p_prev) / g
+        np.multiply(np.add(nodes, b, out=tmp), p, out=tmp)
+        p_prev *= g_prev
+        np.subtract(tmp, p_prev, out=p_prev)
+        p_prev /= g
+        p_prev, p = p, p_prev
         g_prev = g
-        big = np.abs(p) > 1e140
-        if big.any():
+        if np.abs(p, out=tmp).max() > 1e140:
+            big = tmp > 1e140
             p[big] *= 1e-140
             p_prev[big] *= 1e-140
             rows[:j, big] *= 1e-140
             s[big] *= 1e-280
             E += big
-        s += p * p
+        s += np.multiply(p, p, out=tmp)
         if j < nrows:
             rows[j] = p
     w = 10.0 ** (-280.0 * E) / s  # E = 0 gives exactly 1 / s

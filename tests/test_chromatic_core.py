@@ -21,9 +21,11 @@ from chromex.families import (
     family_spec,
     gamma_beta_arrays,
     moment_analytic,
+    moment_jacobi_matrix,
     moment_over_factorial_ld,
 )
 from conftest import ALL_FAMILIES
+from test_recurrence import assert_bitwise
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -220,6 +222,44 @@ def test_staged_build_matches_one_product_past_float64():
         ref = _build_table_one_product("laguerre", 500, 1032)
     assert (~np.isfinite(got)).sum() == 25
     assert got.tobytes() == ref.tobytes()
+
+
+# jacobi(a, a) has a zero diagonal from its beta formula, not from a symmetric tag; at
+# jacobi(-0.5,-0.5) gamma_0's formula is 0/0, special-cased
+ZERO_DIAGONAL_JACOBI = ["jacobi(0.3,0.3)", "jacobi(-0.5,-0.5)"]
+
+
+@pytest.mark.parametrize("family", ZERO_DIAGONAL_JACOBI)
+@pytest.mark.parametrize("N,K", [(40, 1000), (100, 300)])
+def test_zero_diagonal_jacobi_build_matches_one_product(family, N, K):
+    assert not gamma_beta_arrays(family, (K + N) // 2 + 2)[1].any()
+    assert build_table(family, N, K).b.tobytes() == _build_table_one_product(family, N, K).tobytes()
+
+
+def _jacobi_powers_full_step(family, dim, kmax):
+    """v_k = J^k e_0 / k! for k <= kmax, each step run on every level with the diagonal term."""
+    gam, bet = gamma_beta_arrays(family, dim, longdouble=True)
+    diag, off = -bet[:dim], gam[: dim - 1]
+    v = np.zeros(dim, dtype=np.longdouble)
+    v[0] = 1.0
+    out = [v]
+    for k in range(1, kmax + 1):
+        w = diag * v
+        w[:-1] += off * v[1:]
+        w[1:] += off * v[:-1]
+        v = w / np.longdouble(k)
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("family", ZERO_DIAGONAL_JACOBI)
+def test_zero_diagonal_jacobi_moments_match_full_step(family):
+    want = np.array([v[0] for v in _jacobi_powers_full_step(family, 32, 60)])
+    assert_bitwise(moment_over_factorial_ld(family, 60), want)
+    for k in range(61):
+        v0 = _jacobi_powers_full_step(family, k // 2 + 2, k)[k][0]
+        mu = 0.0 if k % 2 else float(np.prod(np.arange(1, k + 1, dtype=np.longdouble)) * v0)
+        assert moment_jacobi_matrix(family, k) == mu
 
 
 @pytest.mark.parametrize("family, K, limit", [("laguerre", 1032, 12e6), ("legendre", None, 12e6)])

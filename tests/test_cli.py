@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chromex
 from chromex import family_spec, kbasis_closed, table_for
 from chromex.basis_functions import _miller
 from chromex.cli import build_parser, main
@@ -166,6 +169,14 @@ def test_check_subcommand(capsys):
     code, out = run(capsys, "check", "--family", "legendre", "--orders", "40")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_start_up_loads_neither_decimal_nor_fractions():
+    # fractions imports decimal, about 1.5 ms of every chromex process; herron's moments and
+    # the Gauss-size refusal import them when they run
+    src = os.path.dirname(os.path.dirname(chromex.__file__))
+    code = "import sys, chromex.cli; assert not {'decimal', 'fractions'} & set(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_usage_error_exit_code():

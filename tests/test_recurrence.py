@@ -60,6 +60,7 @@ from chromex.families import (
     _LANES,
     _MIN_BLOCKS,
     PI_LD,
+    _gauss_pass,
     family_spec,
     gamma_beta_arrays,
     recursion_coefficients,
@@ -368,6 +369,47 @@ def test_gauss_weights_match_scalar_loop_through_rescales(family):
     # without a rescale s <= n * 1e280, so every weight would exceed this
     assert w.min() < 1e-284
     np.testing.assert_array_equal(gauss_quadrature(family, n)[1], w / w.sum())
+
+
+def gauss_pass_loop(family, n, nrows):
+    """_gauss_pass as it was before its step ran in place: J from three np.diag matrices, a
+    fresh array per operation, and the rescale mask formed and tested on every step."""
+    gam, bet = gamma_beta_arrays(family, n - 1)
+    J = np.diag(-bet)
+    J += np.diag(gam[: n - 1], 1) + np.diag(gam[: n - 1], -1)
+    nodes = np.linalg.eigvalsh(J)
+    s = np.ones(n)
+    E = np.zeros(n)
+    rows = np.empty((nrows, n))
+    rows[:1] = 1.0
+    p_prev, p, g_prev = np.zeros(n), np.ones(n), 1.0
+    for j, g, b in zip(range(1, n), memoryview(gam[:-1]), memoryview(bet)):
+        p_prev, p = p, ((nodes + b) * p - g_prev * p_prev) / g
+        g_prev = g
+        big = np.abs(p) > 1e140
+        if big.any():
+            p[big] *= 1e-140
+            p_prev[big] *= 1e-140
+            rows[:j, big] *= 1e-140
+            s[big] *= 1e-280
+            E += big
+        s += p * p
+        if j < nrows:
+            rows[j] = p
+    w = 10.0 ** (-280.0 * E) / s
+    total = w.sum()
+    return nodes, w / total, rows / np.sqrt(s * total)
+
+
+@pytest.mark.parametrize("family, n", [("hermite", 404), ("laguerre", 404), ("herron", 404), ("legendre", 64)])
+def test_gauss_pass_matches_loop_through_rescales(family, n):
+    # the rows orthonormality_matrix reads: an (N + 4)-point rule, rows n <= N
+    got = _gauss_pass(family_spec(family), n, n - 3)
+    want = gauss_pass_loop(family, n, n - 3)
+    if family != "legendre":  # unrescaled, s <= n * 1e280 and no weight is below 1e-284
+        assert want[1].min() < 1e-284
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
