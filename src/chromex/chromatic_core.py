@@ -134,7 +134,7 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
             k0 = k
         stage[k - k0, : min(k, N) + 1] = v[: min(k, N) + 1]
         # the stop rule of the module docstring, before step k + 1
-        if k + 1 >= jnorm and np.abs(v).max() < _UNDERFLOW:
+        if k + 1 >= jnorm and v.max() < _UNDERFLOW and -v.min() < _UNDERFLOW:  # max|v|, no |v| array
             kend = k + 1
             break
     land(k0, kend)
@@ -213,8 +213,10 @@ def orthonormality_matrix(family, N: int) -> np.ndarray:
     """G[n][m] = (-1)^n (K^n o K^m)[m-function](0) for n, m <= N."""
     # an (N+4)-point Gauss rule integrates every p_n p_m with n, m <= N
     _, _, Q = _gauss_pass(family_spec(family), require_nonnegative(N) + 4, N + 1)
-    idx = np.arange(N + 1)
-    return _i_pow(3 * idx[:, None] + idx) * (Q @ Q.T)  # (-1)^n i^(n+m) = i^(3n+m)
+    R, G = Q @ Q.T, np.empty((N + 1, N + 1), dtype=np.complex128)
+    for p, q in np.ndindex(4, 4):  # (-1)^n i^(n+m) = i^(3n+m), one phase where n = p, m = q mod 4
+        np.multiply(_i_pow(3 * p + q), R[p::4, q::4], out=G[p::4, q::4])
+    return G
 
 
 # ---------------------------------------------------------------------------

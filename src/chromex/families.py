@@ -213,7 +213,7 @@ def three_term_jet_ends(gam, bet, x: float):
 
 _HEAD = 4096        # orders up to this run on the float loops, bit for bit at every length
 _BLOCK = 64         # orders per lane
-_LANES = 256        # blocks per chunk, so the lane buffers stay a few hundred kB
+_LANES = 1024       # blocks per chunk at one x, half as many at two, so a chunk stores 1 MB of lanes
 _MIN_BLOCKS = 64    # below this many whole blocks past the head, the float loop is as fast (measured)
 
 
@@ -221,18 +221,19 @@ def _recur(gam, bet, xs, steps, state, rows=None):
     """The state at order n = len(gam) - 1 from the state at order 0, for the floats xs.
 
     steps, one of the float loops below, runs orders 1.._HEAD and the last partial
-    block; _lanes runs the whole blocks between, _LANES at a time, and below _MIN_BLOCKS
-    of them steps runs every order.  Where rows are given, orders 1..n are stored there.
-    An overflow stays inf or NaN at every later step, so the end values show it."""
+    block; _lanes runs the whole blocks between, _LANES / len(xs) at a time, and below
+    _MIN_BLOCKS of them steps runs every order.  Where rows are given, orders 1..n are
+    stored there.  An overflow stays inf or NaN at every later step, so the end values
+    show it."""
     n = len(gam) - 1
     nblocks = (n - _HEAD) // _BLOCK
     if nblocks < _MIN_BLOCKS:
         return steps(gam, bet, xs, 0, n, state, rows)
-    mid = _HEAD + nblocks * _BLOCK
+    mid, lanes = _HEAD + nblocks * _BLOCK, max(_LANES // len(xs), 1)
     state = steps(gam, bet, xs, 0, _HEAD, state, rows)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats overflow
-        for s in range(_HEAD, mid, _LANES * _BLOCK):
-            state = _lanes(gam, bet, xs, s, min(_LANES, (mid - s) // _BLOCK), state, rows)
+        for s in range(_HEAD, mid, lanes * _BLOCK):
+            state = _lanes(gam, bet, xs, s, min(lanes, (mid - s) // _BLOCK), state, rows)
     return steps(gam, bet, xs, mid, n, state, rows)
 
 
@@ -290,35 +291,37 @@ def _lanes(gam, bet, xs, s, nb, state, rows):
     Each of the nb blocks of _BLOCK orders, from its order t, runs as numpy lanes from
     two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V, and U', V' (d/dx)
     run from 0.  _join then gives p_{t+i} = a U_i + c V_i, with (a, c) =
-    (p_{t-1} - p_t, p_{t-1} + p_t) / 2, and p'_{t+i} = a U'_i + c V'_i + e U_i + f V_i,
-    with (e, f) likewise from p'.  The unit starts (1, 0), (0, 1) would cancel about
-    64-fold in a U + c V: Laguerre's step tends to a Jordan block with eigenvector
-    (1, -1), and at a band edge it is (1, +-1)."""
+    (p_{t-1} - p_t, p_{t-1} + p_t) / 2, and _join_jet also p'_{t+i} = a U'_i + c V'_i
+    + e U_i + f V_i, with (e, f) likewise from p'.  The unit starts (1, 0), (0, 1) would
+    cancel about 64-fold in a U + c V: Laguerre's step tends to a Jordan block with
+    eigenvector (1, -1), and at a band edge it is (1, +-1)."""
     width = len(state) // len(xs)
     starts = np.array([[1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])[:, None, :width, None]
 
     def cols(a, at):  # entry [i, k] is order at + k _BLOCK + i of a
         return a[at : at + nb * _BLOCK].reshape(nb, _BLOCK).T
 
-    # step i: xb[i] is (len(xs), 1, nb), the lanes (len(xs), width, nb)
-    xb = cols(bet, s)[:, None, None, :] + np.array(xs)[:, None, None]
-    g, g_prev = cols(gam, s), cols(gam, s - 1)
+    # step i writes x + beta_i into xb, (len(xs), 1, nb), and gamma_{i-1} prev into gp, shaped as the lanes
+    x, b, g, g_prev = np.array(xs)[:, None, None], cols(bet, s), cols(gam, s), cols(gam, s - 1)
     store = None if rows is None else np.empty((_BLOCK, len(xs), width, nb))
     prev, cur = starts.repeat(nb, axis=3)
+    xb, gp = np.empty((len(xs), 1, nb)), np.empty((len(xs), width, nb))
     for i in range(_BLOCK):
-        new = np.multiply(xb[i], cur, out=None if store is None else store[i])
+        new = np.multiply(np.add(x, b[i], out=xb), cur, out=None if store is None else store[i])
         if width == 4:
             new[:, 2:] += cur[:, :2]
-        new -= g_prev[i] * prev
+        new -= np.multiply(g_prev[i], prev, out=gp)
         new /= g[i]
         prev, cur = cur, new
-    coef = []
-    ends = np.concatenate([prev[:, :2], cur[:, :2], prev[:, 2:], cur[:, 2:]], axis=1)
-    state = sum((_join(state[q * width : q * width + width], e, coef) for q, e in enumerate(ends)), ())
+    ends = np.concatenate([prev, cur], 1)  # per x, the lanes at the last two orders
+    if width == 4:  # one x
+        return _join_jet(state, ends[0])
+    coef = np.empty((len(xs), 2, nb))
+    state = sum((_join(state[2 * q : 2 * q + 2], ends[q], coef[q]) for q in range(len(xs))), ())
     if store is None:
         return state
     # p = a U + c V, in place
-    for q, (a, c) in enumerate(np.array(coef).reshape(len(xs), nb, 2).transpose(0, 2, 1)):
+    for q, (a, c) in enumerate(coef):
         p, t = store[:, q, 0], store[:, q, 1]
         p *= a
         t *= c
@@ -328,19 +331,26 @@ def _lanes(gam, bet, xs, s, nb, state, rows):
 
 
 def _join(state, ends, coef):
-    """_lanes' float loop over the blocks at one x: the state after each block, from the
-    lanes' last two orders (U, V, then U', V'); each block's a, c (e, f) go to coef."""
-    for u_prev, v_prev, u, v, *d_ends in zip(*map(memoryview, ends)):
-        p_prev, p, *d_state = state
+    """_lanes' float loop over the blocks at one x: (p_{t-1}, p_t) after each block, from
+    U, V at the lanes' last two orders; each block's a, c go to coef[0], coef[1]."""
+    p_prev, p = state
+    a_out, c_out = map(memoryview, coef)
+    for k, u_prev, v_prev, u, v in zip(range(len(a_out)), *map(memoryview, ends)):
         a, c = (p_prev - p) * 0.5, (p_prev + p) * 0.5
-        state = a * u_prev + c * v_prev, a * u + c * v
-        coef += a, c
-        if d_state:
-            (d_prev, d), (du_prev, dv_prev, du, dv) = d_state, d_ends
-            e, f = (d_prev - d) * 0.5, (d_prev + d) * 0.5
-            state += a * du_prev + c * dv_prev + e * u_prev + f * v_prev, a * du + c * dv + e * u + f * v
-            coef += e, f
-    return state
+        p_prev, p = a * u_prev + c * v_prev, a * u + c * v
+        a_out[k], c_out[k] = a, c
+    return p_prev, p
+
+
+def _join_jet(state, ends):
+    """_join for p and p' at one x, from U, V, U', V' at the lanes' last two orders."""
+    p_prev, p, d_prev, d = state
+    for u_prev, v_prev, du_prev, dv_prev, u, v, du, dv in zip(*map(memoryview, ends)):
+        a, c = (p_prev - p) * 0.5, (p_prev + p) * 0.5
+        e, f = (d_prev - d) * 0.5, (d_prev + d) * 0.5
+        p_prev, p, d_prev, d = (a * u_prev + c * v_prev, a * u + c * v,
+                                a * du_prev + c * dv_prev + e * u_prev + f * v_prev, a * du + c * dv + e * u + f * v)
+    return p_prev, p, d_prev, d
 
 
 def require_integer(n, name: str) -> int:

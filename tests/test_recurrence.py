@@ -38,6 +38,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chromex.families
 from chromex import (
     ChromexError,
     Exponential,
@@ -65,6 +66,9 @@ from chromex.families import (
     gamma_beta_arrays,
     recursion_coefficients,
     three_term,
+    three_term_ends,
+    three_term_jet_ends,
+    three_term_pair,
 )
 
 from conftest import ALL_FAMILIES
@@ -625,3 +629,24 @@ def test_magnitude_guard_trips_past_the_head():
             with pytest.raises(NumericError) as exc:
                 call("legendre", *args)
             assert str(exc.value) == GUARD
+
+
+@pytest.mark.parametrize("family, x, y", [("legendre", 3.1, -0.6), ("laguerre", 1.7, 0.4), ("herron", 0.9, 2.0)])
+def test_lanes_do_not_depend_on_the_chunk_size(family, x, y, monkeypatch):
+    """Every lane entry point gives the same bits however many blocks a chunk runs
+    (_LANES at one x): each block has its own lanes, and the join walks the blocks in order."""
+    def run(lanes, N):
+        monkeypatch.setattr(chromex.families, "_LANES", lanes)
+        gam, bet = gamma_beta_arrays(family, N)
+        outs = (three_term(gam, bet, x), *three_term_pair(gam, bet, x, y),
+                np.array(three_term_ends(gam, bet, x, y)), np.array(three_term_jet_ends(gam, bet, x)))
+        return [a.tobytes() for a in outs]
+
+    # one block per chunk, chunks that leave a partial one, the former default and the default
+    N = _HEAD + 200 * _BLOCK + 37
+    default = run(_LANES, N)
+    for lanes in (1, 7, 256):
+        assert run(lanes, N) == default
+    N = 150_000
+    assert (N - _HEAD) // _BLOCK > 2 * _LANES  # the default runs three chunks at one x here, five at two
+    assert run(256, N) == run(_LANES, N)
