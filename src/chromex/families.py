@@ -151,29 +151,41 @@ def recursion_coefficients(family, n: int):
     return float(g[0]), float(b[0])
 
 
-@lru_cache(maxsize=16)
-def _first_block(family: FamilyId, dt):
-    """gamma_n and beta_n, n < _COEFF_BLOCK, in dtype dt, read-only: the formulas
-    are elementwise, so every horizon's prefix is these bits."""
-    nn = np.arange(_COEFF_BLOCK, dtype=np.longdouble)
-    gam, bet = np.array(_gamma_beta_ld(family_spec(family), nn), dtype=dt)
-    gam.flags.writeable = bet.flags.writeable = False
-    return gam, bet
+_COEFF_STORE: dict = {}  # (FamilyId, dtype) -> (gamma, beta), in order of last use
 
 
 def gamma_beta_arrays(family, horizon: int, longdouble: bool = False):
-    """gamma_0..gamma_horizon and beta_0..beta_horizon as arrays."""
-    spec = family_spec(family)
-    dt = np.longdouble if longdouble else np.float64
-    gam0, bet0 = _first_block(spec, dt)
-    if 0 <= horizon + 1 <= _COEFF_BLOCK:
-        return gam0[: horizon + 1].copy(), bet0[: horizon + 1].copy()
-    gam = np.empty(horizon + 1, dtype=dt)
-    bet = np.empty(horizon + 1, dtype=dt)
-    gam[:_COEFF_BLOCK], bet[:_COEFF_BLOCK] = gam0, bet0
-    for lo in range(_COEFF_BLOCK, horizon + 1, _COEFF_BLOCK):
-        nn = np.arange(lo, min(lo + _COEFF_BLOCK, horizon + 1), dtype=np.longdouble)
-        gam[lo : lo + nn.size], bet[lo : lo + nn.size] = _gamma_beta_ld(spec, nn)
+    """gamma_0..gamma_horizon and beta_0..beta_horizon as read-only views of one store per
+    (family, dtype), kept for the 16 last used.  A store grows by whole _COEFF_BLOCK blocks of
+    _gamma_beta_ld, each cast once; the formulas are elementwise, so every horizon's prefix is
+    the same bits in any call order.  A beta that is +0.0 at every order, by its bits (so not
+    jacobi(-0.5,-0.5)'s -0.0), takes no memory: 16 zero bytes read with stride 0."""
+    if require_integer(horizon, "horizon") < -1:
+        raise ParameterError("horizon must be at least -1")
+    key = family_spec(family), np.longdouble if longdouble else np.float64
+    gam, bet = _COEFF_STORE.pop(key, None) or (np.empty(0, key[1]), None)
+    if horizon >= gam.size:
+        gam, bet = _grown(key, gam, bet, -(-(horizon + 1) // _COEFF_BLOCK) * _COEFF_BLOCK)
+    _COEFF_STORE[key] = gam, bet
+    if len(_COEFF_STORE) > 16:
+        del _COEFF_STORE[next(iter(_COEFF_STORE))]
+    return gam[: horizon + 1], bet[: horizon + 1]
+
+
+def _grown(key, gam, bet, size: int):
+    """The store (gam, bet) of key, extended by whole blocks to size orders."""
+    spec, dt = key
+    old, gam = gam.size, np.pad(gam, (0, size - gam.size))
+    bet = np.pad(bet, (0, size - old)) if old and bet.strides[0] else None  # None: +0.0 so far
+    for lo in range(old, size, _COEFF_BLOCK):
+        hi = lo + _COEFF_BLOCK
+        gam[lo:hi], b = _gamma_beta_ld(spec, np.arange(lo, hi, dtype=np.longdouble))
+        if bet is not None or b.any() or np.signbit(b).any():
+            bet = np.zeros(size, dt) if bet is None else bet  # the orders before lo were +0.0
+            bet[lo:hi] = b
+    if bet is None:
+        bet = np.ndarray(size, dt, bytes(16), strides=(0,))
+    gam.flags.writeable = bet.flags.writeable = False
     return gam, bet
 
 

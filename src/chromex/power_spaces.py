@@ -130,7 +130,7 @@ def nu_sequence(family, f: FunctionSpec, t: float, N: int) -> SequenceDiagnostic
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, require_nonnegative(N))
     num = np.cumsum(_squared_jet_values(spec, f, t, gam, bet))
-    den = 1.0 / gam  # in place below: the peak stays at four arrays (gam, bet, p, num)
+    den = 1.0 / gam  # in place below: this call's own arrays peak at two (p, num, then num, den)
     return SequenceDiagnostics.from_values(np.divide(num, np.cumsum(den, out=den), out=num))
 
 

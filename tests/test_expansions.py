@@ -13,6 +13,7 @@ from chromex import (
     Exponential,
     FunctionSpec,
     JetFunction,
+    NumericError,
     ParameterError,
     ShannonCombo,
     Sinc,
@@ -86,6 +87,18 @@ def test_sinc_truncation_bound():
         err = abs(res.value - f.value(float(z)))
         assert res.tail_bound is not None
         assert err <= res.tail_bound + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: 1.45e13 at N = 120, with no error and no tail bound")
+def test_taylor_jet_past_its_accuracy_is_right_or_an_error():
+    # cos 3z from its Taylor jet (-1)^(k/2) 3^k / k! at even k: right to 2e-15 at N = 40; the truth is cos 1.5
+    N = 120
+    jet = np.array([(-1) ** (k // 2) * 3.0 ** k / math.factorial(k) if k % 2 == 0 else 0.0 for k in range(N + 1)])
+    try:
+        value = chromatic_approximation("legendre", JetFunction(0, jet), 0, N, 0.5).value
+    except NumericError:
+        return
+    assert abs(value - math.cos(1.5)) <= 1e-10
 
 
 def test_ca_bounded_by_jet_l1_norm():

@@ -46,7 +46,7 @@ from chromex import (
     transfer_function,
 )
 from chromex.basis_functions import _miller
-from chromex.families import (_COEFF_BLOCK, _first_block, _gamma_beta_ld, gamma_beta_arrays,
+from chromex.families import (_COEFF_BLOCK, _gamma_beta_ld, gamma_beta_arrays,
                               moment_over_factorial_ld, three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 from test_recurrence import OMEGAS, assert_bitwise
@@ -349,7 +349,7 @@ def test_three_term_float_path_matches_array_path(family):
 
 
 def _gamma_beta_uncached(family, horizon, longdouble):
-    # gamma_beta_arrays before its first block was cached: every block computed
+    # gamma_beta_arrays without its store: every block computed on each call, the last cut at the horizon
     spec = family_spec(family)
     dt = np.longdouble if longdouble else np.float64
     gam, bet = np.empty(horizon + 1, dtype=dt), np.empty(horizon + 1, dtype=dt)
@@ -359,9 +359,17 @@ def _gamma_beta_uncached(family, horizon, longdouble):
     return gam, bet
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """The coefficient store empty for one test, the process's own kept aside."""
+    monkeypatch.setattr(chromex.families, "_COEFF_STORE", {})
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_cached_first_block_is_bitwise_noop(family):
-    for horizon in (0, 1, 30, _COEFF_BLOCK - 1, _COEFF_BLOCK, _COEFF_BLOCK + 1, 10 ** 4):
+def test_cached_first_block_is_bitwise_noop(family, empty_store):
+    # the store grows only on a rising horizon; falling ones are its prefixes, and every block is the same bits
+    rising = (0, 1, 30, _COEFF_BLOCK - 1, _COEFF_BLOCK, _COEFF_BLOCK + 1, 10 ** 4)
+    for horizon in rising + rising[::-1] + (3 * _COEFF_BLOCK + 7, 10 ** 4, 5 * _COEFF_BLOCK):
         for longdouble in (False, True):
             got = gamma_beta_arrays(family, horizon, longdouble=longdouble)
             want = _gamma_beta_uncached(family, horizon, longdouble)
@@ -370,14 +378,43 @@ def test_cached_first_block_is_bitwise_noop(family):
 
 
 @pytest.mark.parametrize("horizon", [30, _COEFF_BLOCK + 10])
-def test_returned_coefficients_are_the_callers_own(horizon):
-    want = _gamma_beta_uncached("jacobi(0.5,-0.25)", horizon, False)
-    gam, bet = gamma_beta_arrays("jacobi(0.5,-0.25)", horizon)
-    assert gam.flags.writeable and bet.flags.writeable
-    gam[:] = -1.0
-    bet[:] = np.nan
-    for g, w in zip(gamma_beta_arrays("jacobi(0.5,-0.25)", horizon), want):
-        assert_bitwise(g, w)
+def test_returned_coefficients_are_read_only(horizon):
+    # jacobi(0.5,-0.25)'s betas are stored, legendre's +0.0 read with stride 0
+    for family in ("jacobi(0.5,-0.25)", "legendre"):
+        want = _gamma_beta_uncached(family, horizon, False)
+        for a in gamma_beta_arrays(family, horizon):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = -1.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            gamma_beta_arrays(family, horizon)[0].flags.writeable = True  # the store under the view is read-only
+        for g, w in zip(gamma_beta_arrays(family, horizon), want):
+            assert_bitwise(g, w)
+
+
+@pytest.mark.parametrize("families", [("legendre", "jacobi(-0.5,-0.5)"), ("jacobi(-0.5,-0.5)", "legendre")])
+def test_unstored_zero_betas_keep_the_sign_of_zero(families, empty_store):
+    # jacobi(-0.5,-0.5)'s beta_n is -0.0 from n = 1: it must not become legendre's unstored +0.0, nor they it
+    for longdouble in (False, True):
+        for family in families + families[::-1]:
+            for horizon in (30, 2 * _COEFF_BLOCK + 5):
+                _, bet = gamma_beta_arrays(family, horizon, longdouble=longdouble)
+                assert_bitwise(bet, _gamma_beta_uncached(family, horizon, longdouble)[1])
+        _, bet = gamma_beta_arrays("jacobi(-0.5,-0.5)", 40, longdouble=longdouble)
+        assert not bet.any() and np.signbit(bet[1:]).all() and not np.signbit(bet[0])
+        _, zero = gamma_beta_arrays("legendre", 40, longdouble=longdouble)
+        assert not np.signbit(zero).any() and zero.strides == (0,)
+
+
+def test_store_keeps_the_16_last_used_families(empty_store):
+    families = [family_spec(f"jacobi({k / 8},0.5)") for k in range(17)]
+    for family in families[:16]:
+        gamma_beta_arrays(family, 3)
+    gamma_beta_arrays(families[0], 3)  # used again: the next family evicts families[1]
+    gamma_beta_arrays(families[16], 3)
+    store = chromex.families._COEFF_STORE
+    assert len(store) == 16 and (families[1], np.float64) not in store
+    assert {(f, np.float64) for f in families[:1] + families[2:]} == set(store)
+    assert gamma_beta_arrays(families[0], 2)[0].base is gamma_beta_arrays(families[0], 3)[0].base  # one array
 
 
 def test_family_spec_is_resolved_once_per_key():
@@ -392,10 +429,9 @@ def test_family_spec_is_resolved_once_per_key():
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])
-def test_negative_zero_parameter_is_plus_zero(first):
+def test_negative_zero_parameter_is_plus_zero(first, empty_store):
     # -0.0 == 0.0 makes them one cache key, so neither spelling may change what the other gets
     parse_family.cache_clear()
-    _first_block.cache_clear()
     try:
         for a in (first, -first):
             spec = family_spec(FamilyId("jacobi", a, 0.0))
@@ -405,7 +441,6 @@ def test_negative_zero_parameter_is_plus_zero(first):
             assert not np.signbit(bet).any()
     finally:
         parse_family.cache_clear()
-        _first_block.cache_clear()
 
 
 _FILTER = FirFilter(None, 0, 2, np.ones(5), 0.9 * math.pi, 0.98 * math.pi)

@@ -534,11 +534,12 @@ def test_one_pass_loops_raise_as_before(omega, sigma):
     (lambda N: sigma_sequence("legendre", 1.0, 0.6, 0.0, N), 9.6e6),
     (lambda N: nu_sequence("legendre", Exponential(1.0), 0.0, N), 6.8e6),
 ])
-def test_one_pass_loops_peak_memory(call, limit):
-    # gamma and beta alone take 3.2 MB at N = 2e5; the CD kernels hold no other
-    # array of N, the cross sums no more than the two-pass route held (9.6 MB),
-    # and nu, summed in place, no more than p and |p| beside them (8.0 MB before)
-    call(10)  # the cached first coefficient block stays out of the count
+def test_one_pass_loops_peak_memory(call, limit, monkeypatch):
+    # the coefficient store grows to N = 2e5 inside the count, whatever earlier tests left in it: gamma takes
+    # 1.6 MB, legendre's +0.0 betas none; the CD kernels hold no other array of N, the cross sums no more
+    # than the two-pass route held (9.6 MB), and nu, summed in place, no more than p and |p| beside them
+    monkeypatch.setattr(chromex.families, "_COEFF_STORE", {})
+    call(10)  # the store's first block stays out of the count
     tracemalloc.start()
     try:
         call(200_000)
@@ -578,10 +579,12 @@ LANE_CASES = [("legendre", 3.1, 1), ("legendre", -3.1, 1), ("legendre", 2.1, 1),
               ("hermite", 2.3, 1), ("herron", 0.9, 1), ("jacobi(0.5,-0.25)", 1.1, 1), ("chebyshev_t", 2.5, 1)]
 
 
-# the last order on the float loops, the first with lanes, lanes and a float tail,
-# lanes in two chunks, and aim 1's largest power sum
+# the last order on the float loops, the first with lanes, lanes and a float tail, lanes in one
+# chunk at one argument and two at two, lanes in two chunks at one argument (short of 200 000),
+# and aim 1's largest power sum
 SWITCH = _HEAD + _MIN_BLOCKS * _BLOCK
-PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _HEAD + _LANES * _BLOCK + 5, 200_000)
+PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _HEAD + _LANES * _BLOCK + 5,
+             _HEAD + (_LANES + _MIN_BLOCKS) * _BLOCK + 5, 200_000)
 
 
 @pytest.mark.parametrize("family, omega, c", LANE_CASES)
