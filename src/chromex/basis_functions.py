@@ -13,11 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chromatic_core import ChromaticTable, _i_pow, default_columns
+from .chromatic_core import _TAIL_TOL, ChromaticTable, _i_pow, default_columns
 from .errors import NumericError, ParameterError
 from .families import FamilyId, _gauss_pass, family_spec, require_integer, require_nonnegative, require_real
 
-_TAIL_TOL = 1e-12  # every value kbasis_rows returns is certified within this
 _CHUNK = 1024  # the Gauss route's points per matrix product
 
 

@@ -68,12 +68,14 @@ from .families import (
     _jacobi_powers,
     family_spec,
     gamma_beta_arrays,
+    require_finite,
     require_integer,
     require_nonnegative,
 )
 
 # below 2^-1100 an entry rounds to 0 in complex128 (smallest subnormal 2^-1074)
 _UNDERFLOW = np.longdouble(2.0) ** -1100
+_TAIL_TOL = 1e-12  # every value kbasis_rows or chromatic_jet_from_taylor returns is certified within this
 _STAGE = 64  # build_table's 80-bit columns held at a time before they land in b
 
 
@@ -145,16 +147,15 @@ def build_table(family, N: int, K: int | None = None) -> ChromaticTable:
 class ConversionMatrices:
     """Change of basis between {D^n} and {K^n}.
 
-    k2d[n][k] = K^n[z^k/k!](0), so K^n = sum_k k2d[n][k] D^k.
-    The inverse direction D^n = sum_k d2k[n][k] K^k with
-    d2k[n][k] = (-1)^k (D^n o K^k)[m](0) = (-1)^k n! b[k][n].
-
-    Stored alongside are the jet-scaled variants actually used in
-    computations: k2d_scaled[n][k] = k2d[n][k] k! maps Taylor coefficients
-    f^(k)/k! to chromatic values, and d2k_scaled[n][k] = d2k[n][k]/n!
-    maps chromatic values back to Taylor coefficients, keeping every
-    factorial inside a ratio that stays representable.  d2k itself, whose
-    n! overflows float64 past N = 170, is not stored.
+    k2d[n][k] = K^n[z^k/k!](0) = i^(n-k) c[n][k], so K^n = sum_k k2d[n][k] D^k,
+    where c[n] holds the real monomial coefficients of p_n: p_n's recurrence, run
+    in 80-bit, rounded to float64 once and given its exact phases in complex128.
+    D^n = sum_k d2k[n][k] K^k with d2k[n][k] = (-1)^k n! b[k][n].  Stored are
+    the jet-scaled variants used in computations: k2d_scaled[n][k] = k2d[n][k] k!
+    maps Taylor coefficients f^(k)/k! to chromatic values (c k! rounded from
+    80-bit; past float64, from N = 187 on [-pi, pi], a cell is not finite), and
+    d2k_scaled[n][k] = d2k[n][k]/n! maps them back, its factorials inside a
+    ratio.  d2k itself, whose n! overflows float64 past N = 170, is not stored.
     """
 
     family: FamilyId
@@ -165,38 +166,42 @@ class ConversionMatrices:
 
 
 def conversion_matrices(family, N: int) -> ConversionMatrices:
-    """Build both change-of-basis matrices; d2k_scaled is read off the
-    (N+1)-square table, whose columns are any wider table's."""
+    """Build both change-of-basis matrices, k2d as ConversionMatrices says; d2k_scaled is read
+    off the (N+1)-square table, whose columns are any wider table's."""
     spec = family_spec(family)
     gam, bet = gamma_beta_arrays(spec, require_nonnegative(N), longdouble=True)
-    k2d = np.zeros((N + 1, N + 1), dtype=np.clongdouble)
-    k2d[0, 0] = 1.0
+    c = np.zeros((N + 2, N + 1), dtype=np.longdouble)  # row N + 1 stays 0, as p_{-1}
+    c[0, 0] = 1.0
     for n in range(N):
-        gm1 = gam[n - 1] if n >= 1 else np.longdouble(1.0)
-        prev = k2d[n - 1, : n + 2] if n >= 1 else 0.0
-        shifted = np.zeros(n + 2, dtype=np.clongdouble)
-        shifted[1:] = k2d[n, : n + 1]
-        k2d[n + 1, : n + 2] = (shifted + 1j * bet[n] * k2d[n, : n + 2] + gm1 * prev) / gam[n]
-    k2d64 = k2d.astype(np.complex128)
-    fac = np.cumprod(np.maximum(np.arange(N + 1), 1), dtype=np.longdouble)
-    with np.errstate(over="ignore"):  # past N = 170, k2d k! overflows to inf
-        k2d_scaled = (k2d * fac[None, :]).astype(np.complex128)
-    signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    d2k_scaled = (build_table(spec, N, N).b.T * signs[None, :]).copy()  # copied to C order
-    return ConversionMatrices(spec, N, k2d64, k2d_scaled, d2k_scaled)
+        row = c[n + 1, : n + 2]
+        row[1:] = c[n, : n + 1]
+        row += bet[n] * c[n, : n + 2]
+        row -= gam[n - 1] * c[n - 1, : n + 2]  # gam[-1] times p_{-1} at n = 0
+        row *= 1 / gam[n]  # as numpy's complex division by gam[n] + 0i does, so a complex recurrence agrees to the bit
+    k = np.arange(N + 1)
+    ph = np.multiply.outer(_i_pow(k), _i_pow(-k))  # i^(n-k), exact
+    with np.errstate(over="ignore", invalid="ignore"):  # from N = 187 on [-pi, pi] some c k! overflow float64
+        k2d = ph * c[:-1].astype(np.float64)
+        k2d_scaled = ph * (c[:-1] * np.cumprod(np.maximum(k, 1), dtype=np.longdouble)).astype(np.float64)
+    d2k_scaled = (build_table(spec, N, N).b.T * (-1.0) ** k).copy()  # copied to C order
+    return ConversionMatrices(spec, N, k2d, k2d_scaled, d2k_scaled)
 
 
 def chromatic_jet_from_taylor(family, jet, N: int) -> np.ndarray:
-    """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N, from the
-    Taylor jet jet[k] = f^(k)(u)/k!."""
+    """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N, from the Taylor jet
+    jet[k] = f^(k)(u)/k!.  Row n rounds by at most g (|k2d_scaled| @ |jet|)[n], g = m u / (1 - m u),
+    m = N + 2, u = 2^-53 (Higham, section 3.1); past _TAIL_TOL max(1, |K^n|) it is a NumericError."""
     spec = family_spec(family)
     if len(jet) < require_nonnegative(N) + 1:
         raise ParameterError(f"jet of length {len(jet)} too short for N={N}")
-    coeff = np.asarray(jet[: N + 1], dtype=np.complex128)
-    k2d_scaled = conversion_matrices(spec, N).k2d_scaled
-    if not np.isfinite(k2d_scaled).all():
-        raise NumericError(f"the Taylor conversion k2d[n][k] k! overflows float64 at N={N}; use a smaller N")
-    return k2d_scaled @ coeff
+    coeff = require_finite(np.asarray(jet[: N + 1], dtype=np.complex128), "jet")
+    k2d_scaled, g = conversion_matrices(spec, N).k2d_scaled, (N + 2) * 2.0 ** -53
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite c k! times a zero coefficient
+        cjet, bound = k2d_scaled @ coeff, g / (1 - g) * (np.abs(k2d_scaled) @ np.abs(coeff))
+    bad = np.flatnonzero(~(bound <= _TAIL_TOL * np.maximum(1.0, np.abs(cjet))))  # a nan bound too
+    if bad.size:
+        raise NumericError(f"the Taylor conversion's rounding passes {_TAIL_TOL:g} past order {bad[0] - 1} at N={N}")
+    return cjet
 
 
 def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
@@ -205,7 +210,7 @@ def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
     spec = family_spec(family)
     if len(cjet) < require_nonnegative(N) + 1:
         raise ParameterError(f"chromatic jet of length {len(cjet)} too short for N={N}")
-    vals = np.asarray(cjet[: N + 1], dtype=np.complex128)
+    vals = require_finite(np.asarray(cjet[: N + 1], dtype=np.complex128), "cjet")
     return conversion_matrices(spec, N).d2k_scaled @ vals
 
 

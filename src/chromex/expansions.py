@@ -28,7 +28,7 @@ class FunctionSpec:
         raise NotImplementedError
 
     def chromatic_jet(self, family, t, N) -> np.ndarray:
-        """K^n[f](t), n <= N, converted from the Taylor jet at t."""
+        """K^n[f](t), n <= N, from the Taylor jet at t: certified, or chromatic_jet_from_taylor's NumericError."""
         return chromatic_jet_from_taylor(family, self.taylor_jet(t, N + 1), N)
 
     def taylor_jet(self, u, length) -> np.ndarray:
@@ -200,8 +200,8 @@ class JetFunction(FunctionSpec):
 
 # ---------------------------------------------------------------------------
 # approximation and envelopes
-# The evaluating functions below accept a `table=` and ignore it: kbasis_rows
-# sizes its own.  It stays because acceptance criteria 3, 4 and 6 pass it.
+# The evaluating functions below accept a `table=` and ignore it (kbasis_rows sizes its own); it stays
+# because acceptance criteria 3, 4 and 6 pass it, and so do the evaluate jobs at bench/workloads.py:210-239.
 
 @dataclass(frozen=True)
 class ApproximationResult:

@@ -322,6 +322,41 @@ def test_conversion_past_order_170_raises_instead_of_nan():
         chromatic_jet_from_taylor("legendre", np.r_[1.0, np.zeros(200)], 200)
 
 
+def k2d_complex_loop(family, N):
+    """k2d and k2d_scaled from K^n's operator recurrence run in complex 80-bit, one temporary per
+    order: an oracle for conversion_matrices' real recurrence with exact phases.  numpy divides by
+    gamma_n + 0i as a product with 1/gamma_n, as the real rows do, so the values agree to the bit
+    on numpy 2.4; a true complex division would move a few cells by 1 ulp."""
+    spec = family_spec(family)
+    gam, bet = gamma_beta_arrays(spec, N, longdouble=True)
+    k2d = np.zeros((N + 1, N + 1), dtype=np.clongdouble)
+    k2d[0, 0] = 1.0
+    for n in range(N):
+        gm1 = gam[n - 1] if n >= 1 else np.longdouble(1.0)
+        prev = k2d[n - 1, : n + 2] if n >= 1 else 0.0
+        shifted = np.zeros(n + 2, dtype=np.clongdouble)
+        shifted[1:] = k2d[n, : n + 1]
+        k2d[n + 1, : n + 2] = (shifted + 1j * bet[n] * k2d[n, : n + 2] + gm1 * prev) / gam[n]
+    fac = np.cumprod(np.maximum(np.arange(N + 1), 1), dtype=np.longdouble)
+    with np.errstate(over="ignore"):  # past N ~ 187, k2d k! overflows float64
+        return k2d.astype(np.complex128), (k2d * fac[None, :]).astype(np.complex128)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("N", [20, 60, 150, 500])
+def test_k2d_from_the_real_recurrence_matches_the_complex_loop(family, N):
+    """Every cell within 2^-51 relative, the same zero and non-finite cells (k2d_scaled has
+    them from N = 187 on [-pi, pi]), and d2k_scaled, which the real recurrence does not touch,
+    byte for byte the square table's."""
+    mats = conversion_matrices(family, N)
+    for got, ref in zip((mats.k2d, mats.k2d_scaled), k2d_complex_loop(family, N)):
+        assert np.array_equal(got == 0, ref == 0) and np.array_equal(np.isfinite(got), np.isfinite(ref))
+        cells = np.isfinite(ref) & (ref != 0)
+        assert np.all(np.abs(got[cells] - ref[cells]) <= 2.0 ** -51 * np.abs(ref[cells]))
+    signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
+    assert mats.d2k_scaled.tobytes() == (build_table(family, N, N).b.T * signs[None, :]).tobytes()
+
+
 def test_conversion_matrix_entries():
     mats = conversion_matrices("legendre", 6)
     assert mats.k2d[0, 0] == 1.0

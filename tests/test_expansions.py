@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import mpmath as mp
@@ -33,10 +34,11 @@ from chromex import (
     table_for,
     taylor_vs_chromatic_comparison,
 )
-from chromex.basis_functions import _miller, kbasis_rows
+from chromex.basis_functions import _TAIL_TOL, _miller, kbasis_rows
 from chromex.chromatic_core import conversion_matrices
 from chromex.families import gamma_beta_arrays
 from chromex.orthopoly import eval_all_p
+from conftest import ALL_FAMILIES
 
 
 def test_constant_reproduced_at_center():
@@ -89,9 +91,9 @@ def test_sinc_truncation_bound():
         assert err <= res.tail_bound + 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 25: 1.45e13 at N = 120, with no error and no tail bound")
 def test_taylor_jet_past_its_accuracy_is_right_or_an_error():
-    # cos 3z from its Taylor jet (-1)^(k/2) 3^k / k! at even k: right to 2e-15 at N = 40; the truth is cos 1.5
+    # cos 3z from its Taylor jet (-1)^(k/2) 3^k / k! at even k; the truth is cos 1.5.  Before the
+    # conversion's rounding bound this returned 1.45e13, with no error and no tail bound
     N = 120
     jet = np.array([(-1) ** (k // 2) * 3.0 ** k / math.factorial(k) if k % 2 == 0 else 0.0 for k in range(N + 1)])
     try:
@@ -99,6 +101,23 @@ def test_taylor_jet_past_its_accuracy_is_right_or_an_error():
     except NumericError:
         return
     assert abs(value - math.cos(1.5)) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(ALL_FAMILIES), omega=st.floats(-3.0, 3.0), u=st.floats(-2.0, 2.0),
+       N=st.integers(0, 170), f=st.sampled_from([Exponential, Cosine]))
+def test_taylor_conversion_is_within_its_tolerance_or_names_the_last_order_that_is(family, omega, u, N, f):
+    """Every returned row is within _TAIL_TOL max(1, |K^n|) of the closed form; a refusal names
+    an order M below N, and the conversion to M returns, within the same tolerance."""
+    f = f(omega)
+    ref = f.chromatic_jet(family, u, N)
+    try:
+        cjet = chromatic_jet_from_taylor(family, f.taylor_jet(u, N + 1), N)
+    except NumericError as err:
+        M = int(re.search(r"past order (-?\d+) at N=(\d+)", str(err)).group(1))
+        assert 0 <= M < N
+        cjet, ref = chromatic_jet_from_taylor(family, f.taylor_jet(u, M + 1), M), ref[: M + 1]
+    assert np.all(np.abs(cjet - ref) <= _TAIL_TOL * np.maximum(1.0, np.abs(ref)))
 
 
 def test_ca_bounded_by_jet_l1_norm():

@@ -42,6 +42,7 @@ from chromex import (
     parse_family,
     recursion_coefficients,
     sigma_sequence,
+    taylor_from_chromatic_jet,
     taylor_vs_chromatic_comparison,
     transfer_function,
 )
@@ -514,6 +515,11 @@ _Z = np.complex128(1 + 2j)
     pytest.param(lambda: ShannonCombo(np.ones(3), first_index=0.5), "first_index 0.5 is not",
                  id="ShannonCombo-first_index"),
     pytest.param(lambda: JetFunction(0.0, np.array([math.nan, 1.0])), "jet must be finite", id="JetFunction-jet"),
+    # both conversions once returned NaN jets, the second behind a matmul RuntimeWarning
+    pytest.param(lambda: chromatic_jet_from_taylor("legendre", [1, math.nan, 0], 2), "jet must be finite",
+                 id="chromatic_jet_from_taylor-jet"),
+    pytest.param(lambda: taylor_from_chromatic_jet("legendre", [1, math.inf, 0], 2), "cjet must be finite",
+                 id="taylor_from_chromatic_jet-cjet"),
     pytest.param(lambda: JetFunction(complex(0.0, math.inf), np.ones(2)), "u must be finite",
                  id="JetFunction-u"),
     # sizes: a bare TypeError, a wrong label or an empty result before
