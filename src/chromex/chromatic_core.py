@@ -187,31 +187,37 @@ def conversion_matrices(family, N: int) -> ConversionMatrices:
     return ConversionMatrices(spec, N, k2d, k2d_scaled, d2k_scaled)
 
 
+def _certified(matrix, vec, N: int, what: str) -> np.ndarray:
+    """matrix @ vec, whose row n sums at most n + 1 nonzero products of entries rounded once: it rounds
+    by at most g_n (|matrix| @ |vec|)[n], g_n = m u / (1 - m u), m = n + 2, u = 2^-53 (Higham, section
+    3.1); past _TAIL_TOL max(1, |row|) it is a NumericError naming the last order within."""
+    m = np.arange(2, N + 3) * 2.0 ** -53
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite c k! times a zero coefficient
+        out, bound = matrix @ vec, m / (1 - m) * (np.abs(matrix) @ np.abs(vec))
+    bad = np.flatnonzero(~(bound <= _TAIL_TOL * np.maximum(1.0, np.abs(out))))  # a nan bound too
+    if bad.size:
+        raise NumericError(f"the {what} conversion's rounding passes {_TAIL_TOL:g} past order {bad[0] - 1} at N={N}")
+    return out
+
+
 def chromatic_jet_from_taylor(family, jet, N: int) -> np.ndarray:
     """K^n[f](u) = sum_{k<=n} f^(k)(u) K^n[z^k/k!](0) for n <= N, from the Taylor jet
-    jet[k] = f^(k)(u)/k!.  Row n rounds by at most g (|k2d_scaled| @ |jet|)[n], g = m u / (1 - m u),
-    m = N + 2, u = 2^-53 (Higham, section 3.1); past _TAIL_TOL max(1, |K^n|) it is a NumericError."""
+    jet[k] = f^(k)(u)/k!, each row certified by _certified."""
     spec = family_spec(family)
     if len(jet) < require_nonnegative(N) + 1:
         raise ParameterError(f"jet of length {len(jet)} too short for N={N}")
     coeff = require_finite(np.asarray(jet[: N + 1], dtype=np.complex128), "jet")
-    k2d_scaled, g = conversion_matrices(spec, N).k2d_scaled, (N + 2) * 2.0 ** -53
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite c k! times a zero coefficient
-        cjet, bound = k2d_scaled @ coeff, g / (1 - g) * (np.abs(k2d_scaled) @ np.abs(coeff))
-    bad = np.flatnonzero(~(bound <= _TAIL_TOL * np.maximum(1.0, np.abs(cjet))))  # a nan bound too
-    if bad.size:
-        raise NumericError(f"the Taylor conversion's rounding passes {_TAIL_TOL:g} past order {bad[0] - 1} at N={N}")
-    return cjet
+    return _certified(conversion_matrices(spec, N).k2d_scaled, coeff, N, "Taylor")
 
 
 def taylor_from_chromatic_jet(family, cjet, N: int) -> np.ndarray:
-    """Invert the basis change: f^(n)(u)/n! = sum_k (-1)^k b[k][n] K^k[f](u),
-    from the chromatic jet cjet[k] = K^k[f](u)."""
+    """Invert the basis change: f^(n)(u)/n! = sum_{k<=n} (-1)^k b[k][n] K^k[f](u),
+    from the chromatic jet cjet[k] = K^k[f](u), each row certified by _certified."""
     spec = family_spec(family)
     if len(cjet) < require_nonnegative(N) + 1:
         raise ParameterError(f"chromatic jet of length {len(cjet)} too short for N={N}")
     vals = require_finite(np.asarray(cjet[: N + 1], dtype=np.complex128), "cjet")
-    return conversion_matrices(spec, N).d2k_scaled @ vals
+    return _certified(conversion_matrices(spec, N).d2k_scaled, vals, N, "inverse Taylor")
 
 
 def orthonormality_matrix(family, N: int) -> np.ndarray:

@@ -223,28 +223,27 @@ def three_term_jet_ends(gam, bet, x: float):
     return _recur(gam, bet, (x,), _jet_ends_steps, (0.0, 1.0, 0.0, 0.0))
 
 
-_HEAD = 4096        # orders up to this run on the float loops, bit for bit at every length
-_BLOCK = 64         # orders per lane
+_BLOCK = 64         # orders per lane; the first block runs on the float loops, as a lane block reads gamma_{s-1}
 _LANES = 1024       # blocks per chunk at one x, half as many at two, so a chunk stores 1 MB of lanes
-_MIN_BLOCKS = 64    # below this many whole blocks past the head, the float loop is as fast (measured)
+_MIN_BLOCKS = 64    # below this many whole blocks past the first, the float loop is as fast (measured)
 
 
 def _recur(gam, bet, xs, steps, state, rows=None):
     """The state at order n = len(gam) - 1 from the state at order 0, for the floats xs.
 
-    steps, one of the float loops below, runs orders 1.._HEAD and the last partial
+    steps, one of the float loops below, runs orders 1.._BLOCK and the last partial
     block; _lanes runs the whole blocks between, _LANES / len(xs) at a time, and below
     _MIN_BLOCKS of them steps runs every order.  Where rows are given, orders 1..n are
     stored there.  An overflow stays inf or NaN at every later step, so the end values
     show it."""
     n = len(gam) - 1
-    nblocks = (n - _HEAD) // _BLOCK
+    nblocks = (n - _BLOCK) // _BLOCK
     if nblocks < _MIN_BLOCKS:
         return steps(gam, bet, xs, 0, n, state, rows)
-    mid, lanes = _HEAD + nblocks * _BLOCK, max(_LANES // len(xs), 1)
-    state = steps(gam, bet, xs, 0, _HEAD, state, rows)
+    mid, lanes = _BLOCK + nblocks * _BLOCK, max(_LANES // len(xs), 1)
+    state = steps(gam, bet, xs, 0, _BLOCK, state, rows)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats overflow
-        for s in range(_HEAD, mid, lanes * _BLOCK):
+        for s in range(_BLOCK, mid, lanes * _BLOCK):
             state = _lanes(gam, bet, xs, s, min(lanes, (mid - s) // _BLOCK), state, rows)
     return steps(gam, bet, xs, mid, n, state, rows)
 

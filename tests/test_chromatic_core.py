@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from chromex import (
     ChromexError,
     Constant,
+    Exponential,
     NumericError,
     ParameterError,
     build_table,
@@ -16,7 +18,7 @@ from chromex import (
     table_for,
     taylor_from_chromatic_jet,
 )
-from chromex.chromatic_core import ChromaticTable, _i_pow
+from chromex.chromatic_core import _TAIL_TOL, ChromaticTable, _i_pow
 from chromex.families import (
     family_spec,
     gamma_beta_arrays,
@@ -355,6 +357,40 @@ def test_k2d_from_the_real_recurrence_matches_the_complex_loop(family, N):
         assert np.all(np.abs(got[cells] - ref[cells]) <= 2.0 ** -51 * np.abs(ref[cells]))
     signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
     assert mats.d2k_scaled.tobytes() == (build_table(family, N, N).b.T * signs[None, :]).tobytes()
+
+
+def _refused_past(call):
+    """The last order a conversion's NumericError names."""
+    with pytest.raises(NumericError) as err:
+        call()
+    return int(re.search(r"past order (-?\d+) at N=", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("family", ["laguerre", "legendre", "hermite"])
+@pytest.mark.parametrize("omega", [1.0, 3.0])
+def test_inverse_taylor_conversion_is_within_its_tolerance_or_names_the_last_order_that_is(family, omega):
+    """The Taylor jet (i omega)^k / k! of e^{i omega z} from its chromatic jet at 0.  In laguerre the
+    rows past order 10 were off by 2.9e-11 at N = 20 and 1.8e13 at N = 100 with no error: now they
+    are refused, and the conversion to the order named is within _TAIL_TOL."""
+    f = Exponential(omega)
+    for N in (20, 40, 60, 100):
+        cjet, exact = f.chromatic_jet(family, 0.0, N), f.taylor_jet(0.0, N + 1)
+        if family == "laguerre":
+            M = _refused_past(lambda: taylor_from_chromatic_jet(family, cjet, N))
+            assert 0 <= M < 20
+            cjet, exact, N = cjet[: M + 1], exact[: M + 1], M
+        got = taylor_from_chromatic_jet(family, cjet, N)
+        assert np.all(np.abs(got - exact) <= _TAIL_TOL * np.maximum(1.0, np.abs(exact)))
+
+
+def test_taylor_conversion_certifies_as_far_at_every_N():
+    """Row n rounds with the factor (n + 2) u, so the Taylor jet of cos 3z in legendre certifies
+    through one order at every N; one factor (N + 2) u for every row gave order 7 at N = 40 and 5 at 170."""
+    orders = set()
+    for N in (40, 60, 90, 120, 170):
+        jet = [(-1) ** (k // 2) * 3.0 ** k / math.factorial(k) if k % 2 == 0 else 0.0 for k in range(N + 1)]
+        orders.add(_refused_past(lambda: chromatic_jet_from_taylor("legendre", jet, N)))
+    assert len(orders) == 1 and orders.pop() >= 7
 
 
 def test_conversion_matrix_entries():

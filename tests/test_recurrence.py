@@ -8,11 +8,12 @@ output must be bitwise equal to theirs.  ``orthonormality_matrix`` is the
 one exception: it now divides by sqrt(s * sum w) instead of multiplying
 by sqrt(w), and is compared within ten machine epsilons.
 
-That holds at a float argument through order 4096 (``families._HEAD``),
-and at every order while fewer than ``_MIN_BLOCKS`` whole blocks of 64
-orders lie past it: there the float loops run.  Past that, whole blocks
-run as numpy lanes from the start states (p_{s-1}, p_s) = (1, -1) and
-(1, 1), joined by one float loop over the blocks.  Those values are held
+That holds at a float argument through order 4159 (``SWITCH`` - 1): the
+first block of 64 orders (``families._BLOCK``) runs on the float loops,
+and so does every order while fewer than ``_MIN_BLOCKS`` whole blocks lie
+past it.  Past that, whole blocks after the first run as numpy lanes
+from the start states (p_{s-1}, p_s) = (1, -1) and (1, 1), joined by one
+float loop over the blocks.  Those values are held
 within c N eps times the running RMS of p of an 80-bit loop on the same
 float64 coefficients, ``cd_diagonal`` within c N eps of that loop's
 sum of p_k^2, relative, the end values behind ``cd_kernel`` equal the
@@ -57,7 +58,6 @@ from chromex import (
 from chromex.families import (
     _BLOCK,
     _COEFF_BLOCK,
-    _HEAD,
     _LANES,
     _MIN_BLOCKS,
     PI_LD,
@@ -549,26 +549,63 @@ def test_one_pass_loops_peak_memory(call, limit, monkeypatch):
     assert peak <= limit
 
 
-# orders that end at, next to and one block past the head, all on the float loops
-HEAD_EDGES = (_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + _BLOCK)
+# the first N whose recurrence runs in lanes: _MIN_BLOCKS whole blocks past the first block
+SWITCH = _BLOCK + _MIN_BLOCKS * _BLOCK
+# orders that end at, next to and one past the first block, and the last two before the switch,
+# all on the float loops
+HEAD_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, SWITCH - 2, SWITCH - 1)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_float_loops_are_bitwise_at_the_head(family):
+    """Below the switch every float-argument entry point runs the float loops alone, so its bits are
+    the scalar loops': rows and sums to N = SWITCH - 1, and the calls that run to order N + 1
+    (cd_kernel, cd_diagonal, beta_sequence) to N = SWITCH - 2."""
     for i, N in enumerate(HEAD_EDGES):
         om, sg = ((0.4, 1.3), (1.3, 0.0))[i % 2]
         gam, bet = gamma_beta_arrays(family, N + 1)
         po, ps = poly_sequence_loop(gam, bet, om), poly_sequence_loop(gam, bet, sg)
-        d = derivative_loop(gam, bet, po, om)
         assert_bitwise(eval_all_p(family, N, om), po[: N + 1])
         assert_bitwise(eval_all_p(family, N, sg), ps[: N + 1])
-        assert cd_kernel(family, N, om, sg) == float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
-        assert cd_diagonal(family, N, om) == float(gam[N] * (d[N + 1] * po[N] - po[N + 1] * d[N]))
         den = np.cumsum(1.0 / gam[: N + 1])
         # no |p| passes 1e100 here, so pair_products_loop is the plain products
         assert_bitwise(nu_sequence(family, Exponential(om), 0.0, N).values, np.cumsum(po[: N + 1] ** 2) / den)
         assert_bitwise(sigma_sequence(family, om, sg, 0.0, N).values,
                        np.abs(np.cumsum(po[: N + 1] * ps[: N + 1])) / den)
+        if N + 1 == SWITCH:
+            continue
+        d = derivative_loop(gam, bet, po, om)
+        assert cd_kernel(family, N, om, sg) == float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
+        assert cd_diagonal(family, N, om) == float(gam[N] * (d[N + 1] * po[N] - po[N + 1] * d[N]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # conditions not evidenced
+            beta = beta_sequence(family, Exponential(om), 0.0, N).values
+        assert_bitwise(beta, gam[: N + 1] * (po[: N + 1] ** 2 + po[1:] ** 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: eval_all_p("legendre", N, 1.0),
+    lambda N: sigma_sequence("legendre", 1.0, 0.6, 0.0, N),
+    lambda N: cd_kernel("legendre", N, 1.0, 0.6),
+    lambda N: cd_diagonal("legendre", N, 1.0),
+], ids=["p", "pair", "ends", "jet_ends"])
+def test_long_calls_run_at_most_two_blocks_on_the_float_loops(call, monkeypatch):
+    """Only the first block and the last partial one run on a float loop; lanes run every order between."""
+    counted = []
+
+    def counting(steps):
+        def run(gam, bet, xs, lo, hi, state, rows):
+            counted.append(hi - lo)
+            return steps(gam, bet, xs, lo, hi, state, rows)
+        return run
+
+    for name in ("_p_steps", "_pair_steps", "_ends_steps", "_jet_ends_steps"):
+        monkeypatch.setattr(chromex.families, name, counting(getattr(chromex.families, name)))
+    # the last order 62 and 0 past a whole block; 63 and 1 for cd_kernel and cd_diagonal, which run to N + 1
+    for N in (200_000 - 2, 200_000):
+        counted.clear()
+        call(N)
+        assert 0 < sum(counted) <= 2 * _BLOCK - 1
 
 
 # (family, omega, c): legendre at +-3.1 is near the band edge +-pi and laguerre's step
@@ -582,9 +619,8 @@ LANE_CASES = [("legendre", 3.1, 1), ("legendre", -3.1, 1), ("legendre", 2.1, 1),
 # the last order on the float loops, the first with lanes, lanes and a float tail, lanes in one
 # chunk at one argument and two at two, lanes in two chunks at one argument (short of 200 000),
 # and aim 1's largest power sum
-SWITCH = _HEAD + _MIN_BLOCKS * _BLOCK
-PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _HEAD + _LANES * _BLOCK + 5,
-             _HEAD + (_LANES + _MIN_BLOCKS) * _BLOCK + 5, 200_000)
+PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _BLOCK + _LANES * _BLOCK + 5,
+             _BLOCK + (_LANES + _MIN_BLOCKS) * _BLOCK + 5, 200_000)
 
 
 @pytest.mark.parametrize("family, omega, c", LANE_CASES)
@@ -618,9 +654,10 @@ def test_end_values_are_the_full_arrays_past_the_head(family):
 
 def test_magnitude_guard_trips_past_the_head():
     # legendre at omega = 3.143, just past the band edge pi: |p_n| first passes
-    # 1e100 at n = 7653, on the float loop and, from N = 20000, on the lanes alike
+    # 1e100 at n = 7653, on the scalar loop, at N = 7653 on the float loop's tail and from N = 20000
+    # in lanes alike
     first = 7653
-    assert first > _HEAD and (20_000 - _HEAD) // _BLOCK >= _MIN_BLOCKS
+    assert first >= SWITCH
     gam, bet = gamma_beta_arrays("legendre", 20_000)
     assert np.flatnonzero(np.abs(poly_sequence_loop(gam[: first + 1], bet, 3.143)) > 1e100).tolist() == [first]
     assert np.flatnonzero(np.abs(three_term(gam, bet, 3.143)) > 1e100)[0] == first
@@ -646,10 +683,10 @@ def test_lanes_do_not_depend_on_the_chunk_size(family, x, y, monkeypatch):
         return [a.tobytes() for a in outs]
 
     # one block per chunk, chunks that leave a partial one, the former default and the default
-    N = _HEAD + 200 * _BLOCK + 37
+    N = _BLOCK + 200 * _BLOCK + 37
     default = run(_LANES, N)
     for lanes in (1, 7, 256):
         assert run(lanes, N) == default
     N = 150_000
-    assert (N - _HEAD) // _BLOCK > 2 * _LANES  # the default runs three chunks at one x here, five at two
+    assert (N - _BLOCK) // _BLOCK > 2 * _LANES  # the default runs three chunks at one x here, five at two
     assert run(256, N) == run(_LANES, N)
