@@ -256,10 +256,11 @@ def cmd_check(args):
         checks.append(("moment oracle agreement", ok))
 
     om = 0.7
-    po = eval_all_p(spec, 30, om)
-    direct = float(np.sum(po ** 2))
+    # reproducing: K(om, om) integrates K(om, x)^2, a polynomial of degree 60 that 31 Gauss nodes integrate exactly
+    x, wx = gauss_quadrature(spec, 31)
+    direct = sum(wj * cd_kernel(spec, 30, om, xj) ** 2 for xj, wj in zip(x.tolist(), wx.tolist()))
     checks.append(("Christoffel-Darboux diagonal", abs(cd_diagonal(spec, 30, om) - direct) < 1e-9 * direct))
-    cross = float(np.sum(po * eval_all_p(spec, 30, 1.3)))
+    cross = float(np.sum(eval_all_p(spec, 30, om) * eval_all_p(spec, 30, 1.3)))
     checks.append(("Christoffel-Darboux kernel",
                    abs(cd_kernel(spec, 30, om, 1.3) - cross) < 1e-9 * max(1.0, abs(cross))))
 

@@ -218,34 +218,32 @@ def three_term_ends(gam, bet, x: float, y: float):
     return _recur(gam, bet, (x, y), _ends_steps, (0.0, 1.0, 0.0, 1.0))
 
 
-def three_term_jet_ends(gam, bet, x: float):
-    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at x, n = len(gam) - 1 >= 1, keeping no array of n."""
-    return _recur(gam, bet, (x,), _jet_ends_steps, (0.0, 1.0, 0.0, 0.0))
-
-
 _BLOCK = 64         # orders per lane; the first block runs on the float loops, as a lane block reads gamma_{s-1}
-_LANES = 1024       # blocks per chunk at one x, half as many at two, so a chunk stores 1 MB of lanes
+_LANES = 1024       # blocks per chunk at one x, half as many at two, so a chunk stores about 1 MB of lanes
 _MIN_BLOCKS = 64    # below this many whole blocks past the first, the float loop is as fast (measured)
 
 
 def _recur(gam, bet, xs, steps, state, rows=None):
-    """The state at order n = len(gam) - 1 from the state at order 0, for the floats xs.
+    """The state (p_{n-1}, p_n) per x at order n = len(gam) - 1 from the state at order 0,
+    for the floats xs.
 
     steps, one of the float loops below, runs orders 1.._BLOCK and the last partial
-    block; _lanes runs the whole blocks between, _LANES / len(xs) at a time, and below
-    _MIN_BLOCKS of them steps runs every order.  Where rows are given, orders 1..n are
-    stored there.  An overflow stays inf or NaN at every later step, so the end values
-    show it."""
+    block; _lanes runs the whole blocks between, in round(nblocks / lanes) chunks of
+    near-equal size, lanes = _LANES / len(xs), as a small last chunk costs about as much
+    as a full one; below _MIN_BLOCKS of them steps runs every order.  Where rows are
+    given, orders 1..n are stored there.  An overflow stays inf or NaN at every later
+    step, so the end values show it."""
     n = len(gam) - 1
     nblocks = (n - _BLOCK) // _BLOCK
     if nblocks < _MIN_BLOCKS:
         return steps(gam, bet, xs, 0, n, state, rows)
-    mid, lanes = _BLOCK + nblocks * _BLOCK, max(_LANES // len(xs), 1)
+    chunks = max(1, round(nblocks / max(_LANES // len(xs), 1)))
     state = steps(gam, bet, xs, 0, _BLOCK, state, rows)
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as Python floats overflow
-        for s in range(_BLOCK, mid, lanes * _BLOCK):
-            state = _lanes(gam, bet, xs, s, min(lanes, (mid - s) // _BLOCK), state, rows)
-    return steps(gam, bet, xs, mid, n, state, rows)
+        for k in range(chunks):  # the whole blocks lo..hi - 1 past the first
+            lo, hi = nblocks * k // chunks, nblocks * (k + 1) // chunks
+            state = _lanes(gam, bet, xs, _BLOCK + lo * _BLOCK, hi - lo, state, rows)
+    return steps(gam, bet, xs, _BLOCK + nblocks * _BLOCK, n, state, rows)
 
 
 # The float loops: orders lo + 1..hi from the state at lo, on Python floats through
@@ -284,49 +282,31 @@ def _ends_steps(gam, bet, xs, lo, hi, state, rows):
     return px_prev, px, py_prev, py
 
 
-def _jet_ends_steps(gam, bet, xs, lo, hi, state, rows):
-    """p and p' at x, stored nowhere."""
-    (x,), (p_prev, p, d_prev, d) = xs, state
-    g_prev = float(gam[lo - 1]) if lo else 1.0
-    for g, b in zip(memoryview(gam[lo:hi]), memoryview(bet[lo:hi])):
-        d_prev, d = d, (p + (x + b) * d - g_prev * d_prev) / g
-        p_prev, p, g_prev = p, ((x + b) * p - g_prev * p_prev) / g, g
-    return p_prev, p, d_prev, d
-
-
 def _lanes(gam, bet, xs, s, nb, state, rows):
-    """The state at order s + nb _BLOCK from the state at s, for the floats xs:
-    (p_{s-1}, p_s) per x, or (p_{s-1}, p_s, p'_{s-1}, p'_s) at one x.  Where rows are
-    given, the state is p alone, and rows get p per x at the orders between.
+    """The state (p_{s-1}, p_s) per x at order s + nb _BLOCK from the state at s, for
+    the floats xs.  Where rows are given, they get p per x at the orders between.
 
     Each of the nb blocks of _BLOCK orders, from its order t, runs as numpy lanes from
-    two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V, and U', V' (d/dx)
-    run from 0.  _join then gives p_{t+i} = a U_i + c V_i, with (a, c) =
-    (p_{t-1} - p_t, p_{t-1} + p_t) / 2, and _join_jet also p'_{t+i} = a U'_i + c V'_i
-    + e U_i + f V_i, with (e, f) likewise from p'.  The unit starts (1, 0), (0, 1) would
-    cancel about 64-fold in a U + c V: Laguerre's step tends to a Jordan block with
-    eigenvector (1, -1), and at a band edge it is (1, +-1)."""
-    width = len(state) // len(xs)
-    starts = np.array([[1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0]])[:, None, :width, None]
+    two starts: (p_{t-1}, p_t) = (1, -1) gives U, (1, 1) gives V.  _join then gives
+    p_{t+i} = a U_i + c V_i, with (a, c) = (p_{t-1} - p_t, p_{t-1} + p_t) / 2.  The unit
+    starts (1, 0), (0, 1) would cancel about 64-fold in a U + c V: Laguerre's step tends
+    to a Jordan block with eigenvector (1, -1), and at a band edge it is (1, +-1)."""
+    starts = np.array([[1.0, 1.0], [-1.0, 1.0]])[:, None, :, None]
 
     def cols(a, at):  # entry [i, k] is order at + k _BLOCK + i of a
         return a[at : at + nb * _BLOCK].reshape(nb, _BLOCK).T
 
     # step i writes x + beta_i into xb, (len(xs), 1, nb), and gamma_{i-1} prev into gp, shaped as the lanes
     x, b, g, g_prev = np.array(xs)[:, None, None], cols(bet, s), cols(gam, s), cols(gam, s - 1)
-    store = None if rows is None else np.empty((_BLOCK, len(xs), width, nb))
+    store = None if rows is None else np.empty((_BLOCK, len(xs), 2, nb))
     prev, cur = starts.repeat(nb, axis=3)
-    xb, gp = np.empty((len(xs), 1, nb)), np.empty((len(xs), width, nb))
+    xb, gp = np.empty((len(xs), 1, nb)), np.empty((len(xs), 2, nb))
     for i in range(_BLOCK):
         new = np.multiply(np.add(x, b[i], out=xb), cur, out=None if store is None else store[i])
-        if width == 4:
-            new[:, 2:] += cur[:, :2]
         new -= np.multiply(g_prev[i], prev, out=gp)
         new /= g[i]
         prev, cur = cur, new
     ends = np.concatenate([prev, cur], 1)  # per x, the lanes at the last two orders
-    if width == 4:  # one x
-        return _join_jet(state, ends[0])
     coef = np.empty((len(xs), 2, nb))
     state = sum((_join(state[2 * q : 2 * q + 2], ends[q], coef[q]) for q in range(len(xs))), ())
     if store is None:
@@ -351,17 +331,6 @@ def _join(state, ends, coef):
         p_prev, p = a * u_prev + c * v_prev, a * u + c * v
         a_out[k], c_out[k] = a, c
     return p_prev, p
-
-
-def _join_jet(state, ends):
-    """_join for p and p' at one x, from U, V, U', V' at the lanes' last two orders."""
-    p_prev, p, d_prev, d = state
-    for u_prev, v_prev, du_prev, dv_prev, u, v, du, dv in zip(*map(memoryview, ends)):
-        a, c = (p_prev - p) * 0.5, (p_prev + p) * 0.5
-        e, f = (d_prev - d) * 0.5, (d_prev + d) * 0.5
-        p_prev, p, d_prev, d = (a * u_prev + c * v_prev, a * u + c * v,
-                                a * du_prev + c * dv_prev + e * u_prev + f * v_prev, a * du + c * dv + e * u + f * v)
-    return p_prev, p, d_prev, d
 
 
 def require_integer(n, name: str) -> int:

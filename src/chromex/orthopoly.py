@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .families import (gamma_beta_arrays, require_nonnegative, require_real, three_term,
-                       three_term_ends, three_term_jet_ends)
+from .families import gamma_beta_arrays, require_nonnegative, require_real, three_term, three_term_ends
 
 
 def _finite(a, N: int):
@@ -44,7 +43,7 @@ def cd_kernel(family, N: int, omega: float, sigma: float) -> float:
 
 
 def cd_diagonal(family, N: int, omega: float) -> float:
-    """sum_{k<=N} p_k(omega)^2 via gamma_N (p'_{N+1} p_N - p_{N+1} p'_N)."""
-    gam, bet = gamma_beta_arrays(family, require_nonnegative(N) + 1)
-    p, p1, d, d1 = three_term_jet_ends(gam, bet, float(require_real(omega, "omega")))
-    return _finite(float(gam[N]) * (d1 * p - p1 * d), N + 1)
+    """sum_{k<=N} p_k(omega)^2 at a float omega, a sum of positive terms."""
+    p = eval_all_p(family, N, float(require_real(omega, "omega")))
+    with np.errstate(over="ignore"):  # every p_k is finite, but p_k^2 may not be: _finite refuses it
+        return _finite(float(p @ p), N)

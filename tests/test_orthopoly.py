@@ -68,6 +68,16 @@ def test_cd_diagonal_matches_direct_sum():
     assert cd_diagonal("herron", 0, 0.9) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cd_diagonal_reproduces_the_kernel(family):
+    # K_N(w, w) is the integral of K_N(w, x)^2, a polynomial of degree 2N that N + 1 Gauss nodes integrate
+    # exactly: an identity on cd_kernel's quotient that never sums p_k^2
+    nodes, w = gauss_quadrature(family, 31)
+    for om in (0.7, -1.9):
+        kernel = sum(wj * cd_kernel(family, 30, om, xj) ** 2 for xj, wj in zip(nodes.tolist(), w.tolist()))
+        assert cd_diagonal(family, 30, om) == pytest.approx(kernel, rel=1e-13)
+
+
 def test_cd_diagonal_chebyshev_pattern():
     # p_0 = 1 and even T_k(0)^2 = 1 contribute 2 each: 1 + 2*5 = 11 at N=10
     assert cd_diagonal("chebyshev_t", 10, 0.0) == pytest.approx(11.0, rel=1e-12)

@@ -149,7 +149,7 @@ def test_denominator_normalization():
     lambda N: beta_sequence("hermite", Exponential(1.0), 0.0, N),
     lambda N: hermite_exponential_norm(1.0, N),
     lambda N: cd_kernel("legendre", N, 0.5, 1.0),
-    lambda N: cd_diagonal("legendre", N, 0.5),  # not n, the gamma_N it reads
+    lambda N: cd_diagonal("legendre", N, 0.5),
 ])
 def test_negative_order_is_a_parameter_error(call):
     with warnings.catch_warnings():

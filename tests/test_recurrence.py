@@ -21,15 +21,13 @@ full-array route to the bit, and ``sigma_sequence``'s two-argument rows
 equal ``three_term`` at each.
 
 ``gamma_beta_ld_scalar`` and ``gamma_beta_arrays_loop`` are the per-order
-80-bit formulas and loop that the blocked array expressions replaced, and
-``derivative_loop`` is the numpy-scalar loop of the differentiated
-recurrence that gives p'; on the float loops both must be matched bitwise,
-signs of zero included.
+80-bit formulas and loop that the blocked array expressions replaced;
+they must be matched bitwise, signs of zero included.
 
-``two_lane_cd_kernel``, ``full_jet_cd_diagonal`` and ``two_pass_sigma``
-are the routes that ran ``three_term`` once per argument, or built every
-p_n and p'_n, before the one-pass end-value and two-lane loops: values,
-errors and error texts must be theirs.
+``two_lane_cd_kernel``, ``direct_cd_diagonal`` and ``two_pass_sigma``
+are the routes that ran ``three_term`` once per argument, or summed the
+scalar loop's p_k^2, before the one-pass end-value and two-lane loops:
+values, errors and error texts must be theirs.
 """
 
 import math
@@ -38,6 +36,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chromex.families
 from chromex import (
@@ -67,7 +67,6 @@ from chromex.families import (
     recursion_coefficients,
     three_term,
     three_term_ends,
-    three_term_jet_ends,
     three_term_pair,
 )
 
@@ -203,32 +202,18 @@ def gamma_beta_arrays_loop(family, horizon):
     return gam, bet
 
 
-def derivative_loop(gam, bet, p, omega):
-    N = gam.shape[0] - 1
-    dvals = np.zeros(N + 1)
-    dm1, d = 0.0, 0.0
-    for n in range(N):
-        gm1 = gam[n - 1] if n >= 1 else 1.0
-        dn = (p[n] + (omega + bet[n]) * d - gm1 * dm1) / gam[n]
-        dm1, d = d, dn
-        dvals[n + 1] = d
-    return dvals
-
-
-def jet_loop_80(gam, bet, omega):
-    """p and p' by derivative_loop's steps in 80-bit arithmetic on the float64
-    coefficients, each order rounded to float64 once."""
+def loop_80(gam, bet, omega):
+    """p_0..p_{len(gam)-1} by the scalar loop's steps in 80-bit arithmetic on the float64
+    coefficients."""
     g, b = gam.astype(np.longdouble), bet.astype(np.longdouble)
     x, one = np.longdouble(omega), np.longdouble(1.0)
-    p, d = np.empty(len(gam)), np.empty(len(gam))
-    p[0], d[0] = 1.0, 0.0
-    pm1, pc, dm1, dc, gm1 = 0 * one, one, 0 * one, 0 * one, one
+    p = np.empty(len(gam), dtype=np.longdouble)
+    p[0] = 1.0
+    pm1, pc, gm1 = 0 * one, one, one
     for j in range(len(gam) - 1):
-        xb = x + b[j]
-        dm1, dc = dc, (pc + xb * dc - gm1 * dm1) / g[j]
-        pm1, pc = pc, (xb * pc - gm1 * pm1) / g[j]
-        p[j + 1], d[j + 1], gm1 = pc, dc, g[j]
-    return p, d
+        pm1, pc = pc, ((x + b[j]) * pc - gm1 * pm1) / g[j]
+        p[j + 1], gm1 = pc, g[j]
+    return p
 
 
 def assert_bitwise(got, want):
@@ -284,7 +269,7 @@ def test_recursion_coefficients_match_scalar_formulas(family):
     (eval_all_p, ("hermite", 3000, 40.0)),
     (cd_kernel, ("hermite", 3000, 40.0, 1.0)),
     (cd_diagonal, ("hermite", 3000, 40.0)),
-    (cd_diagonal, ("legendre", 300, 7.0)),  # every p_n finite, the CD products overflow
+    (cd_diagonal, ("legendre", 300, 7.0)),  # every p_n finite, p_n^2 overflows
     (eval_all_p, ("hermite", 3000, np.array([1.0, 40.0]))),
 ])
 def test_overflow_raises_numeric_error(call, args):
@@ -312,12 +297,10 @@ def test_cd_kernel_matches_scalar_loop(family):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_cd_diagonal_matches_two_builds(family):
-    # gamma_N from recursion_coefficients rounds like the array entry
+    # the sum's p_0..p_N are the first N + 1 rows of a build one order longer
     for N in (0, 9, 200):
-        gam, bet = gamma_beta_arrays(family, N + 1)
         p = eval_all_p(family, N + 1, 0.7)
-        d = derivative_loop(gam, bet, p, 0.7)
-        assert cd_diagonal(family, N, 0.7) == float(gam[N] * (d[N + 1] * p[N] - p[N + 1] * d[N]))
+        assert cd_diagonal(family, N, 0.7) == float(p[: N + 1] @ p[: N + 1])
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -462,13 +445,11 @@ def two_lane_cd_kernel(family, N, omega, sigma):
     return _checked(float(gam[N]) * (po1 * ps - ps1 * po) / (omega - sigma), N + 1)
 
 
-def full_jet_cd_diagonal(family, N, omega):
-    p = eval_all_p(family, N + 1, omega)
-    gam, bet = gamma_beta_arrays(family, N + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # p' may overflow where p does not
-        d = derivative_loop(gam, bet, p, omega)
-    (p, p1), (d, d1) = p[N:].tolist(), d[N:].tolist()
-    return _checked(float(gam[N]) * (d1 * p - p1 * d), N + 1)
+def direct_cd_diagonal(family, N, omega):
+    gam, bet = gamma_beta_arrays(family, N)
+    with np.errstate(over="ignore", invalid="ignore"):  # p_n^2 may overflow where p_n does not
+        po = poly_sequence_loop(gam, bet, _finite_arg(omega, "omega"))
+        return _checked(float(po[: N + 1] @ po[: N + 1]), N)
 
 
 def two_pass_sigma(family, omega, sigma, N):
@@ -496,8 +477,8 @@ def _outcome(call, *args):
 
 def _same_as_before(family, N, omega, sigma):
     assert _outcome(cd_kernel, family, N, omega, sigma) == _outcome(two_lane_cd_kernel, family, N, omega, sigma)
-    if N + 1 < SWITCH:  # past that cd_diagonal's p' runs in lanes: test_lanes_track_an_80_bit_loop bounds it
-        assert _outcome(cd_diagonal, family, N, omega) == _outcome(full_jet_cd_diagonal, family, N, omega)
+    if N < SWITCH:  # past that cd_diagonal's p runs in lanes: test_lanes_track_an_80_bit_loop bounds it
+        assert _outcome(cd_diagonal, family, N, omega) == _outcome(direct_cd_diagonal, family, N, omega)
     assert (_outcome(sigma_sequence, family, omega, sigma, 0.0, N)
             == _outcome(two_pass_sigma, family, omega, sigma, N))
 
@@ -530,14 +511,16 @@ def test_one_pass_loops_raise_as_before(omega, sigma):
 
 @pytest.mark.parametrize("call, limit", [
     (lambda N: cd_kernel("legendre", N, 1.0, 0.6), 3.6e6),
-    (lambda N: cd_diagonal("legendre", N, 1.0), 3.6e6),
+    (lambda N: cd_diagonal("legendre", N, 1.0), 4.8e6),
     (lambda N: sigma_sequence("legendre", 1.0, 0.6, 0.0, N), 9.6e6),
     (lambda N: nu_sequence("legendre", Exponential(1.0), 0.0, N), 6.8e6),
 ])
 def test_one_pass_loops_peak_memory(call, limit, monkeypatch):
     # the coefficient store grows to N = 2e5 inside the count, whatever earlier tests left in it: gamma takes
-    # 1.6 MB, legendre's +0.0 betas none; the CD kernels hold no other array of N, the cross sums no more
-    # than the two-pass route held (9.6 MB), and nu, summed in place, no more than p and |p| beside them
+    # 1.6 MB, legendre's +0.0 betas none; cd_kernel holds no other array of N, cd_diagonal its sum's p (1.6 MB)
+    # and, while the lanes run, one chunk's store of them (1042 blocks of 64 orders and 2 lanes, 1.07 MB),
+    # with 0.5 MB for the lanes' smaller buffers, the cross sums no more than the two-pass route held (9.6 MB),
+    # and nu, summed in place, no more than p and |p| beside them
     monkeypatch.setattr(chromex.families, "_COEFF_STORE", {})
     call(10)  # the store's first block stays out of the count
     tracemalloc.start()
@@ -560,7 +543,7 @@ HEAD_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1, SWITCH - 2, SWITCH - 1)
 def test_float_loops_are_bitwise_at_the_head(family):
     """Below the switch every float-argument entry point runs the float loops alone, so its bits are
     the scalar loops': rows and sums to N = SWITCH - 1, and the calls that run to order N + 1
-    (cd_kernel, cd_diagonal, beta_sequence) to N = SWITCH - 2."""
+    (cd_kernel, beta_sequence) to N = SWITCH - 2."""
     for i, N in enumerate(HEAD_EDGES):
         om, sg = ((0.4, 1.3), (1.3, 0.0))[i % 2]
         gam, bet = gamma_beta_arrays(family, N + 1)
@@ -572,11 +555,10 @@ def test_float_loops_are_bitwise_at_the_head(family):
         assert_bitwise(nu_sequence(family, Exponential(om), 0.0, N).values, np.cumsum(po[: N + 1] ** 2) / den)
         assert_bitwise(sigma_sequence(family, om, sg, 0.0, N).values,
                        np.abs(np.cumsum(po[: N + 1] * ps[: N + 1])) / den)
+        assert cd_diagonal(family, N, om) == float(po[: N + 1] @ po[: N + 1])
         if N + 1 == SWITCH:
             continue
-        d = derivative_loop(gam, bet, po, om)
         assert cd_kernel(family, N, om, sg) == float(gam[N] * (po[N + 1] * ps[N] - ps[N + 1] * po[N]) / (om - sg))
-        assert cd_diagonal(family, N, om) == float(gam[N] * (d[N + 1] * po[N] - po[N + 1] * d[N]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # conditions not evidenced
             beta = beta_sequence(family, Exponential(om), 0.0, N).values
@@ -588,7 +570,7 @@ def test_float_loops_are_bitwise_at_the_head(family):
     lambda N: sigma_sequence("legendre", 1.0, 0.6, 0.0, N),
     lambda N: cd_kernel("legendre", N, 1.0, 0.6),
     lambda N: cd_diagonal("legendre", N, 1.0),
-], ids=["p", "pair", "ends", "jet_ends"])
+], ids=["p", "pair", "ends", "diagonal"])
 def test_long_calls_run_at_most_two_blocks_on_the_float_loops(call, monkeypatch):
     """Only the first block and the last partial one run on a float loop; lanes run every order between."""
     counted = []
@@ -599,9 +581,9 @@ def test_long_calls_run_at_most_two_blocks_on_the_float_loops(call, monkeypatch)
             return steps(gam, bet, xs, lo, hi, state, rows)
         return run
 
-    for name in ("_p_steps", "_pair_steps", "_ends_steps", "_jet_ends_steps"):
+    for name in ("_p_steps", "_pair_steps", "_ends_steps"):
         monkeypatch.setattr(chromex.families, name, counting(getattr(chromex.families, name)))
-    # the last order 62 and 0 past a whole block; 63 and 1 for cd_kernel and cd_diagonal, which run to N + 1
+    # the last order 62 and 0 past a whole block; 63 and 1 for cd_kernel, which runs to N + 1
     for N in (200_000 - 2, 200_000):
         counted.clear()
         call(N)
@@ -617,22 +599,22 @@ LANE_CASES = [("legendre", 3.1, 1), ("legendre", -3.1, 1), ("legendre", 2.1, 1),
 
 
 # the last order on the float loops, the first with lanes, lanes and a float tail, lanes in one
-# chunk at one argument and two at two, lanes in two chunks at one argument (short of 200 000),
-# and aim 1's largest power sum
+# chunk at one argument and two at two, lanes in two chunks at one argument and four at two
+# (short of 200 000), and aim 1's largest power sum
 PAST_HEAD = (SWITCH - 2, SWITCH - 1, SWITCH + 37, _BLOCK + _LANES * _BLOCK + 5,
-             _BLOCK + (_LANES + _MIN_BLOCKS) * _BLOCK + 5, 200_000)
+             _BLOCK + 2 * _LANES * _BLOCK + 5, 200_000)
 
 
 @pytest.mark.parametrize("family, omega, c", LANE_CASES)
 def test_lanes_track_an_80_bit_loop(family, omega, c):
     """p within c N eps of the running RMS of p, the running sums of p^2 within
-    c N eps / 100, relative, and cd_diagonal, whose order N + 1 runs in lanes
-    from N = SWITCH - 1, within c N eps of those sums, relative."""
+    c N eps / 100, relative, and cd_diagonal, whose p runs in lanes from N = SWITCH,
+    within c N eps of those sums, relative."""
     N = 200_000
     gam, bet = gamma_beta_arrays(family, N)
     values = eval_all_p(family, N, omega)
     assert_bitwise(values, three_term(gam, bet, omega))
-    p80, _ = jet_loop_80(gam, bet, omega)
+    p80 = loop_80(gam, bet, omega).astype(np.float64)
     eps = np.finfo(float).eps
     rms = np.sqrt(np.cumsum(p80 * p80) / np.arange(1, N + 2))
     assert (np.abs(values - p80) <= c * N * eps * rms).all()
@@ -642,11 +624,35 @@ def test_lanes_track_an_80_bit_loop(family, omega, c):
         assert abs(cd_diagonal(family, n, omega) - sums[n]) <= c * n * eps * sums[n]
 
 
+# (family, c) of LANE_CASES, each swept over omega in [-3.1, 3.1] but laguerre, swept over [0.5, 3.1]: inside
+# its support [0, inf) and away from the edge, where x + beta_n = x - (2n + 1) drops the low bits of x, so that
+# at omega = -0.02 and N = 6000 the float loop's own sum is off by 129 N eps
+SWEEP = sorted({(family, c) for family, _, c in LANE_CASES})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(SWEEP), t=st.floats(0.0, 1.0), N=st.integers(0, 6000))
+@example(case=("legendre", 1), t=1.0, N=SWITCH - 1)
+@example(case=("legendre", 1), t=1.0, N=SWITCH)
+@example(case=("laguerre", 50), t=0.5, N=6000)
+def test_cd_diagonal_tracks_an_80_bit_sum(case, t, N):
+    """cd_diagonal within c N eps of the 80-bit loop's sum of p_k^2, relative, on the float loop below
+    SWITCH and in lanes from it; below 64 orders within c 64 eps, as the sum's own roundings and the
+    band edge's growth exceed N eps there (legendre at omega = 3.1, N = 11: 17 eps)."""
+    (family, c), eps = case, np.finfo(float).eps
+    lo, hi = (0.5, 3.1) if family == "laguerre" else (-3.1, 3.1)
+    omega = lo + t * (hi - lo)
+    gam, bet = gamma_beta_arrays(family, N)
+    p80 = loop_80(gam, bet, omega)
+    want = np.sum(p80 * p80)
+    assert abs(cd_diagonal(family, N, omega) - want) <= c * max(N, 64) * eps * want
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_end_values_are_the_full_arrays_past_the_head(family):
-    # cd_kernel and cd_diagonal run to order N + 1: at SWITCH - 2 the float loops, from SWITCH - 1 the lanes,
-    # where only cd_kernel's ends are compared; sigma_sequence's pair rows, to order N, are checked against
-    # three_term once per argument
+    # cd_kernel runs to order N + 1: at SWITCH - 2 the float loops, from SWITCH - 1 the lanes, where its ends
+    # are compared; cd_diagonal is compared on the float loops alone, to N = SWITCH - 1, and sigma_sequence's
+    # pair rows, to order N, are checked against three_term once per argument
     i = ALL_FAMILIES.index(family)
     for j, N in enumerate(PAST_HEAD):
         _same_as_before(family, N, *PAIRS[(i + j) % 4])
@@ -674,19 +680,23 @@ def test_magnitude_guard_trips_past_the_head():
 @pytest.mark.parametrize("family, x, y", [("legendre", 3.1, -0.6), ("laguerre", 1.7, 0.4), ("herron", 0.9, 2.0)])
 def test_lanes_do_not_depend_on_the_chunk_size(family, x, y, monkeypatch):
     """Every lane entry point gives the same bits however many blocks a chunk runs
-    (_LANES at one x): each block has its own lanes, and the join walks the blocks in order."""
+    (about _LANES at one x): each block has its own lanes, and the join walks the blocks in order."""
     def run(lanes, N):
         monkeypatch.setattr(chromex.families, "_LANES", lanes)
         gam, bet = gamma_beta_arrays(family, N)
-        outs = (three_term(gam, bet, x), *three_term_pair(gam, bet, x, y),
-                np.array(three_term_ends(gam, bet, x, y)), np.array(three_term_jet_ends(gam, bet, x)))
+        outs = (three_term(gam, bet, x), *three_term_pair(gam, bet, x, y), np.array(three_term_ends(gam, bet, x, y)))
         return [a.tobytes() for a in outs]
 
-    # one block per chunk, chunks that leave a partial one, the former default and the default
+    # one block per chunk, 29 chunks of 7 or 6 blocks at one x, the former default and the default
     N = _BLOCK + 200 * _BLOCK + 37
     default = run(_LANES, N)
     for lanes in (1, 7, 256):
         assert run(lanes, N) == default
     N = 150_000
-    assert (N - _BLOCK) // _BLOCK > 2 * _LANES  # the default runs three chunks at one x here, five at two
+    assert (N - _BLOCK) // _BLOCK > 2 * _LANES  # the default runs two chunks at one x here, five at two
     assert run(256, N) == run(_LANES, N)
+    # the whole blocks split into near-equal chunks: at N = 200 000 not 1024 + 1024 + 1024 + 52
+    sizes, lanes = [], chromex.families._lanes
+    monkeypatch.setattr(chromex.families, "_lanes", lambda *args: sizes.append(args[4]) or lanes(*args))
+    three_term(*gamma_beta_arrays(family, 200_000), x)
+    assert sizes == [1041, 1041, 1042]
