@@ -494,21 +494,28 @@ def moment_jacobi_matrix(family, k: int) -> float:
     return _finite_moment(spec, k, v[0])
 
 
+@lru_cache(maxsize=64)
+def _gauss_nodes(spec: FamilyId, n: int) -> np.ndarray:
+    """eigvalsh of the n-square Jacobi matrix, read-only: every n-point Gauss rule's nodes."""
+    try:
+        nodes = np.linalg.eigvalsh(jacobi_matrix(spec, n))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NumericError("Jacobi matrix eigendecomposition failed") from exc
+    nodes.flags.writeable = False
+    return nodes
+
+
 def _gauss_pass(spec: FamilyId, n: int, nrows: int = 0):
     """gauss_quadrature's (nodes, weights), plus Q[k, i] = p_k(x_i) sqrt(w_i)
-    for k < nrows, from one pass of the recurrence over all nodes.
+    for k < nrows, from one pass of the recurrence over _gauss_nodes' shared nodes.
 
     Where |p| passes 1e140 at a node, p, p_{-1} and the rows stored so far
     are scaled by 1e-140 there and the running sum s = sum_k p_k^2 by
     1e-280, so Q = rows / sqrt(s * sum w) stays accurate where the weight
-    w = 1/s itself underflows.  Each step runs in place and forms the mask
-    of nodes to rescale only when max|p| passes 1e140.
+    w = 1/s itself underflows.  Each step, and Q's division, runs in place;
+    the mask of nodes to rescale is formed only when max|p| passes 1e140.
     """
-    J = jacobi_matrix(spec, n)
-    try:
-        nodes = np.linalg.eigvalsh(J)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericError("Jacobi matrix eigendecomposition failed") from exc
+    nodes = _gauss_nodes(spec, n)
     gam, bet = gamma_beta_arrays(spec, n - 1)
     s = np.ones(n)
     E = np.zeros(n)  # rescales per node; 280 E is log10 of the factor taken out of s
@@ -535,17 +542,18 @@ def _gauss_pass(spec: FamilyId, n: int, nrows: int = 0):
             rows[j] = p
     w = 10.0 ** (-280.0 * E) / s  # E = 0 gives exactly 1 / s
     total = w.sum()
-    return nodes, w / total, rows / np.sqrt(s * total)
+    return nodes, w / total, np.divide(rows, np.sqrt(s * total), out=rows)
 
 
 def gauss_quadrature(family, n: int):
     """n-point Gauss rule for the family's measure: (nodes, weights).
 
-    Nodes are the eigenvalues of the n-by-n Jacobi matrix; weights are the
-    Christoffel numbers 1/sum_k p_k(node)^2 (equal to the squared first
-    eigenvector components), renormalized to sum to one.
+    Nodes are a writable copy of the eigenvalues of the n-by-n Jacobi matrix,
+    solved once per (family, n) (_gauss_nodes); weights are the Christoffel
+    numbers 1/sum_k p_k(node)^2 (the squared first eigenvector components),
+    renormalized to sum to one.
     """
     if require_integer(n, "n") < 1:
         raise ParameterError("n must be positive")
     nodes, w, _ = _gauss_pass(family_spec(family), n)
-    return nodes, w
+    return nodes.copy(), w

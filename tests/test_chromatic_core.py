@@ -30,6 +30,22 @@ from conftest import ALL_FAMILIES
 from test_recurrence import assert_bitwise
 
 
+@pytest.mark.parametrize("family", ["legendre", "hermite", "jacobi(0.5,-0.25)"])
+def test_a_repeated_orthonormality_matrix_solves_no_eigenproblem(family, monkeypatch):
+    """The (N + 4)-point rule's nodes depend on (family, N) alone: solved once, then read from the
+    node store."""
+    first = orthonormality_matrix(family, 60)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert orthonormality_matrix(family, 60).tobytes() == first.tobytes()
+    assert calls == []
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_phases_are_exact_at_high_order(family):
     """i^(n+m) G[n, m] on the diagonal is real; 1j ** k rounds from k = 100 on."""

@@ -46,8 +46,8 @@ from chromex import (
     taylor_vs_chromatic_comparison,
     transfer_function,
 )
-from chromex.basis_functions import _miller
-from chromex.families import (_COEFF_BLOCK, _gamma_beta_ld, gamma_beta_arrays,
+from chromex.basis_functions import _gauss_rows, _gauss_size, _miller
+from chromex.families import (_COEFF_BLOCK, _gamma_beta_ld, _gauss_nodes, gamma_beta_arrays,
                               moment_over_factorial_ld, three_term)
 from conftest import ALL_FAMILIES, CLOSED_MOMENT_FAMILIES
 from test_recurrence import OMEGAS, assert_bitwise
@@ -293,6 +293,60 @@ def test_quadrature_reproduces_moments(family, n):
 def test_quadrature_rejects_bad_order():
     with pytest.raises(ParameterError):
         gauss_quadrature("legendre", 0)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("N", [3, 40, 150])
+def test_gauss_rules_are_the_same_bytes_from_a_cleared_or_a_warm_node_store(family, N):
+    # orthonormality_matrix(f, N) and gauss_quadrature(f, N + 4) share one (N + 4)-point rule: each
+    # call goes first on a cleared store once, then both run again on the warm store
+    got = []
+    for quadrature_first in (False, True):
+        _gauss_nodes.cache_clear()
+        for _ in range(2):
+            if quadrature_first:
+                (nodes, w), G = gauss_quadrature(family, N + 4), orthonormality_matrix(family, N)
+            else:
+                G, (nodes, w) = orthonormality_matrix(family, N), gauss_quadrature(family, N + 4)
+            got.append((nodes, w, G))
+    for nodes, w, G in got:
+        assert_bitwise(nodes, np.linalg.eigvalsh(jacobi_matrix(family, N + 4)))
+        assert_bitwise(w, got[0][1])
+        assert G.shape == (N + 1, N + 1) and G.tobytes() == got[0][2].tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("z", [np.linspace(-5.0, 5.0, 21), np.linspace(-4.0, 4.0, 17) + 0.25j])
+def test_kbasis_rows_are_the_same_bytes_from_a_cleared_or_a_warm_node_store(family, z):
+    # rows 0..10 and 0..20 keep 16 and 32 rows of one 32-point rule: two _gauss_rows keys, one node key
+    spec = family_spec(family)
+    absz, imz = float(np.abs(z).max()), float(np.abs(z.imag).max())
+    assert _gauss_size(spec, 10, absz, imz) == _gauss_size(spec, 20, absz, imz) == 32
+    got = {10: [], 20: []}
+    for clear_nodes in (True, False, False):
+        if clear_nodes:
+            _gauss_nodes.cache_clear()
+        for hi in (10, 20, 10):
+            _gauss_rows.cache_clear()  # each call runs its Gauss pass, on the stored nodes or fresh ones
+            got[hi].append(kbasis_rows(family, 0, hi, z))
+    for rows in got.values():
+        assert len({r.tobytes() for r in rows}) == 1
+
+
+def test_stored_gauss_nodes_are_read_only_and_quadrature_returns_a_copy():
+    spec = family_spec("hermite")
+    want = np.linalg.eigvalsh(jacobi_matrix(spec, 24))
+    stored = _gauss_nodes(spec, 24)
+    assert _gauss_nodes.cache_info().maxsize >= 64
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 0.0
+    nodes, w = gauss_quadrature(spec, 24)
+    want_w = w.copy()
+    nodes[:] = w[:] = -1.0  # both are the caller's own arrays
+    again, w_again = gauss_quadrature(spec, 24)
+    assert_bitwise(again, want)
+    assert_bitwise(w_again, want_w)
+    assert_bitwise(stored, want)
 
 
 def test_gegenbauer_one_equals_chebyshev_u():
